@@ -1,11 +1,12 @@
 """randlab: a workbench of classic randomized algorithms.
 
-Modules: rng (seedable SplitMix64 streams), natnum (modular arithmetic
-kernels), primality (probabilistic primality testing), fingerprint (remote
-document comparison by residues mod random primes), factor (Pollard p-1 and
-elliptic-curve stage-1 factoring), mphf (ordered minimal perfect hashing via
-random acyclic graphs), route (hypercube permutation-routing simulator), and
-ramsey (annealing search for clique/independent-set-free graphs).
+Modules: rng (seedable SplitMix64 streams), natnum (modular inverse with a
+failure witness, number parsing), primality (probabilistic primality
+testing), fingerprint (remote document comparison by residues mod random
+primes), factor (Pollard p-1 and elliptic-curve stage-1 factoring), mphf
+(ordered minimal perfect hashing via random acyclic graphs), route
+(hypercube permutation-routing simulator), and ramsey (annealing search for
+clique/independent-set-free graphs).
 
 Everything randomized takes an explicit generator, so any result can be
 replayed bit-for-bit from its seed.

@@ -56,10 +56,6 @@ def _emit(manifest: dict, result: dict, stdout) -> None:
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="64-bit seed; default 0 (deterministic by default)")
-    parser.add_argument("--json", action="store_true",
-                        help="accepted for symmetry; JSON is already the output format")
-    parser.add_argument("--trials", type=int, default=1,
-                        help="independent trials (route sim only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,6 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("greedy", "valiant"), default="greedy")
     p.add_argument("--phase-barrier", action="store_true",
                    help="synchronize the two valiant phases globally")
+    p.add_argument("--trials", type=int, default=1,
+                   help="independent trials on derived seed streams")
     _add_seed(p)
 
     rs = sub.add_parser("ramsey", help="clique/independent-set-free graphs").add_subparsers(
@@ -291,6 +289,8 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64) -> list[int]:
 
 
 def _cmd_route(args, manifest, stdout) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     rows = []
     for trial in range(args.trials):
         rng = derive_stream(args.seed, trial)
@@ -328,7 +328,12 @@ def _cmd_ramsey(args, manifest, stdout) -> int:
         cfg = ramsey.AnnealConfig()
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = ramsey.AnnealConfig(**json.load(fh))
+                fields = json.load(fh)
+            try:
+                cfg = ramsey.AnnealConfig(**fields)
+                cfg.validate()
+            except TypeError as exc:  # not an object, unknown key or mistyped value
+                raise ValueError("bad --config: %s" % exc) from None
         outcome = ramsey.anneal(args.n, args.s, args.t, cfg, SplitMix64(args.seed))
         graph_text = ramsey.graph_to_text(outcome.graph) if outcome.found else None
         if args.graph_out and outcome.found:
@@ -386,20 +391,16 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command != "route" and getattr(args, "trials", 1) != 1:
-        print("--trials is only meaningful for 'route sim'", file=sys.stderr)
-        return 2
     name = "%s.%s" % (args.command, args.subcommand)
     manifest = _manifest(name, argv, getattr(args, "seed", 0))
     try:
         return _HANDLERS[args.command](args, manifest, stdout)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, fingerprint.TransportError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (primality.PrimelessIntervalError, mphf.RatioTooLowError,
-            fingerprint.TransportError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except (primality.PrimelessIntervalError, mphf.RatioTooLowError) as exc:
+        print("search exhausted: %s" % exc, file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3

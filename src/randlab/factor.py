@@ -13,9 +13,9 @@ answers are always correct and only the runtime is random.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
-from .natnum import NotInvertible, gcd, mod_inverse, mod_pow
+from .natnum import NotInvertible, mod_inverse
 from .primality import is_probable_prime
 from .rng import SplitMix64
 
@@ -130,7 +130,7 @@ def pollard_pm1(N: int, bound: int) -> FactorOutcome:
     _check_target(N)
     M = smooth_exponent(bound)
     for trials, base in enumerate(PM1_BASES, start=1):
-        a = mod_pow(base, M, N)
+        a = pow(base, M, N)
         d = gcd((a - 1) % N, N)
         if 1 < d < N:
             return FactorOutcome(_verified(d, N), trials, bound)

@@ -34,9 +34,6 @@ DEFAULT_PRIME_HI = 2 * 10**9
 # pi(2*10**9) - pi(10**9); exact, from the standard prime-counting tables.
 PRIMES_IN_DEFAULT_INTERVAL = 47_374_753
 
-# Residue streaming reads the document this many bytes at a time.
-CHUNK = 256
-
 # Probable-prime test rounds used when drawing the per-round primes.
 PRIME_DRAW_ROUNDS = 16
 
@@ -46,22 +43,15 @@ class TransportError(RuntimeError):
 
 
 def residue(data: bytes, prime: int) -> int:
-    """Big-endian value of ``data`` mod ``prime``, streamed in chunks.
+    """Big-endian value of ``data`` (empty -> 0) mod ``prime``.
 
-    Horner evaluation over fixed-size chunks keeps memory constant for
-    large documents instead of materializing one huge integer.
+    Reduces the whole range at once.  Its transient ints (the value, and
+    for a prime above 2**30 the division's working copy and quotient) take
+    up to about three times ``len(data)`` bytes beside the document.
     """
     if prime < 2:
         raise ValueError("prime must be >= 2")
-    shift = pow(256, CHUNK, prime)
-    r = 0
-    full = len(data) // CHUNK * CHUNK
-    for i in range(0, full, CHUNK):
-        r = (r * shift + int.from_bytes(data[i : i + CHUNK], "big")) % prime
-    tail = data[full:]
-    if tail:
-        r = (r * pow(256, len(tail), prime) + int.from_bytes(tail, "big")) % prime
-    return r
+    return int.from_bytes(data, "big") % prime
 
 
 class Document:
@@ -77,14 +67,6 @@ class Document:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Document) and self.data == other.data
-
-    @property
-    def as_natural(self) -> int:
-        """The document read as a big-endian integer (empty -> 0)."""
-        return int.from_bytes(self.data, "big")
 
     def residue(self, prime: int, offset: int = 0, length: int | None = None) -> int:
         if length is None:

@@ -21,6 +21,7 @@ identical function.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -144,6 +145,8 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
         # The empty word always maps to the self-loop (0, 0), which no trial
         # can accept; reject it up front with a comprehensible error.
         raise ValueError("the empty word cannot be hashed by this construction")
+    if not math.isfinite(ratio):
+        raise ValueError("ratio must be finite")
     if ratio < MIN_RATIO:
         raise ValueError("ratio must be >= %.2f" % MIN_RATIO)
     n = -(-int(ratio * m * 2**20) // 2**20)  # ceil without float edge cases

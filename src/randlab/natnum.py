@@ -1,13 +1,17 @@
 """Natural-number arithmetic kernels shared by the whole package.
 
-Values are plain Python ints restricted to be non-negative; what this module
-adds are the modular kernels (binary exponentiation, gcd, modular inverse
-with an explicit failure witness) and string parsing for arbitrary-size CLI
-inputs.  The inverse deliberately reports the blocking divisor instead of a
-bare error: elliptic-curve factoring treats that divisor as its answer.
+Values are plain Python ints restricted to be non-negative; modular powers
+and gcds are the builtins ``pow`` and ``math.gcd``.  What this module adds
+is a modular inverse with an explicit failure witness, the 2-power split of
+n - 1 used by the strong pseudoprime test, and string parsing for
+arbitrary-size CLI inputs.  The inverse deliberately reports the blocking
+divisor instead of a bare error: elliptic-curve factoring treats that
+divisor as its answer.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class NotInvertible(Exception):
@@ -22,51 +26,19 @@ class NotInvertible(Exception):
         self.divisor = divisor
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by left-to-right binary exponentiation."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if base < 0 or exponent < 0:
-        raise ValueError("base and exponent must be non-negative")
-    result = 1
-    base %= modulus
-    for i in range(exponent.bit_length() - 1, -1, -1):
-        result = result * result % modulus
-        if (exponent >> i) & 1:
-            result = result * base % modulus
-    return result
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0 by convention."""
-    if a < 0 or b < 0:
-        raise ValueError("arguments must be non-negative")
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Inverse of a modulo modulus, or NotInvertible carrying gcd(a, modulus).
 
-    Extended Euclid; requires 0 <= a < modulus and modulus >= 2.
+    Requires 0 <= a < modulus and modulus >= 2.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if not 0 <= a < modulus:
         raise ValueError("need 0 <= a < modulus")
-    if a == 0:
-        raise NotInvertible(modulus)
-    # Invariants: r = s*a + t*modulus (t never needed), running Euclid.
-    old_r, r = a, modulus
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertible(old_r)
-    return old_s % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertible(math.gcd(a, modulus)) from None
 
 
 def decompose_two_power(n: int) -> tuple[int, int]:
@@ -92,14 +64,3 @@ def parse_natural(text: str) -> int:
         raise ValueError("value must be non-negative: %r" % text)
     return value
 
-
-def to_decimal(value: int) -> str:
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    return str(value)
-
-
-def to_hex(value: int) -> str:
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    return hex(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .natnum import decompose_two_power, mod_pow
+from .natnum import decompose_two_power
 from .rng import SplitMix64
 
 PROBABLY_PRIME = "probably-prime"
@@ -51,7 +51,7 @@ def algorithm_p_single(n: int, x: int) -> bool:
     if not 1 < x < n:
         raise ValueError("need 1 < x < n")
     k, q = decompose_two_power(n)
-    y = mod_pow(x, q, n)
+    y = pow(x, q, n)
     if y == 1:
         return True
     for _ in range(k):

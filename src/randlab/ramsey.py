@@ -87,19 +87,23 @@ class GraphColoring:
                 and self.n == other.n and self.adj == other.adj)
 
 
-def _count_cliques(adj: list[int], size: int, candidates: int) -> int:
-    """Number of ``size``-subsets of the candidate set that are cliques."""
+def _count_cliques(adj: list[int], size: int, candidates: int, flip: int = 0) -> int:
+    """Number of ``size``-subsets of the candidate set that are cliques.
+
+    With ``flip`` = -1 every adjacency mask is read inverted, which counts
+    independent sets instead without building the complement graph.
+    """
     if size == 0:
         return 1
     if size == 1:
-        return bin(candidates).count("1")
+        return candidates.bit_count()
     total = 0
     m = candidates
     while m:
         low = m & -m
         m ^= low
         v = low.bit_length() - 1
-        total += _count_cliques(adj, size - 1, m & adj[v])
+        total += _count_cliques(adj, size - 1, m & (adj[v] ^ flip), flip)
     return total
 
 
@@ -114,8 +118,7 @@ def count_violations(g: GraphColoring, s: int, t: int) -> int:
     """Exact count of s-cliques plus independent t-sets in g."""
     _check_params(g.n, s, t)
     full = (1 << g.n) - 1
-    comp = g.complement().adj
-    return (_count_cliques(g.adj, s, full) + _count_cliques(comp, t, full))
+    return _count_cliques(g.adj, s, full) + _count_cliques(g.adj, t, full, -1)
 
 
 def _flip_delta(g: GraphColoring, u: int, v: int, s: int, t: int) -> int:
@@ -125,9 +128,10 @@ def _flip_delta(g: GraphColoring, u: int, v: int, s: int, t: int) -> int:
     number of (s-2)-cliques among common neighbors (cliques gained or lost)
     against the (t-2)-independent-sets among common non-neighbors.
     """
-    comp = g.complement().adj
-    cliques = _count_cliques(g.adj, s - 2, g.adj[u] & g.adj[v])
-    indeps = _count_cliques(comp, t - 2, comp[u] & comp[v])
+    adj = g.adj
+    others = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
+    cliques = _count_cliques(adj, s - 2, adj[u] & adj[v])
+    indeps = _count_cliques(adj, t - 2, others & ~(adj[u] | adj[v]), -1)
     if g.has_edge(u, v):  # flipping removes the edge
         return indeps - cliques
     return cliques - indeps

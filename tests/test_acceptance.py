@@ -8,7 +8,6 @@ independent oracles in the sibling test modules.
 """
 
 import json
-import re
 import time
 from fractions import Fraction
 from math import isqrt
@@ -25,6 +24,8 @@ from randlab.route import bit_reversal, run_oblivious, run_valiant
 import io
 
 import pytest
+
+from replay import normalize
 
 
 def _report(index, name, ok, detail=""):
@@ -326,15 +327,6 @@ def test_criterion_11_census_formula():
                 "%.10f" % value)
 
 
-_VOLATILE = re.compile(
-    r'("(?:started|finished)": )"[^"]*"|("elapsed_seconds": )[0-9.e+-]+'
-)
-
-
-def _normalize(text):
-    return _VOLATILE.sub(lambda m: (m.group(1) or m.group(2)) + "X", text)
-
-
 def test_criterion_12_global_determinism(tmp_path):
     ok = False
     checked = 0
@@ -368,7 +360,7 @@ def test_criterion_12_global_determinism(tmp_path):
             code1 = cli_main(argv, stdout=first)
             code2 = cli_main(argv, stdout=second)
             assert code1 == code2, argv
-            assert _normalize(first.getvalue()) == _normalize(second.getvalue()), argv
+            assert normalize(first.getvalue()) == normalize(second.getvalue()), argv
             json.loads(first.getvalue())  # stays well-formed JSON
             checked += 1
         ok = True

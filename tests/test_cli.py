@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from randlab import mphf, primality
 from randlab.cli import main
 
 
@@ -64,6 +65,19 @@ def test_prime_test_bad_argument(capsys):
 
 def test_trials_rejected_outside_route(capsys):
     assert main(["prime", "test", "7", "--trials", "3"], stdout=io.StringIO()) == 2
+
+
+def test_route_sim_rejects_zero_trials(capsys):
+    assert main(["route", "sim", "--d", "4", "--trials", "0"], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: --trials must be >= 1\n"
+
+
+def test_prime_random_search_exhausted_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(primality, "PRIME_SEARCH_LIMIT", 50)
+    out = io.StringIO()
+    assert main(["prime", "random", "--lo", "23", "--hi", "29"], stdout=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("search exhausted: no probable prime")
 
 
 def test_factor_pm1(capsys):
@@ -140,6 +154,24 @@ def test_mphf_build_query_verify(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_mphf_build_rejects_non_finite_ratio(ratio, tmp_path, capsys):
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("alpha\nbeta\n")
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio", ratio]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: ratio must be finite\n"
+
+
+def test_mphf_build_trial_budget_exhausted_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(mphf, "MAX_TRIALS", 2)  # seed 0 draws two cyclic graphs
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("".join("w%03d\n" % i for i in range(200)))
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio", "2.05"]
+    assert main(argv, stdout=io.StringIO()) == 1
+    assert capsys.readouterr().err.startswith("search exhausted: 2 consecutive cyclic graphs")
+
+
 def test_route_sim_identity(capsys):
     code, doc = run_cli(["route", "sim", "--d", "2", "--perm", "identity",
                          "--algo", "greedy"])
@@ -198,6 +230,16 @@ def test_ramsey_anneal_not_found_exit(tmp_path, capsys):
                          "--config", str(cfg)])
     assert code == 1
     assert doc["result"]["found"] is False
+
+
+@pytest.mark.parametrize("config", ['{"bogus": 1}', "[1, 2]", '{"cooling": "x"}'])
+def test_ramsey_anneal_rejects_bad_config(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = ["ramsey", "anneal", "--n", "5", "--s", "3", "--t", "3", "--config", str(cfg)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --config: ") and err.count("\n") == 1
 
 
 def test_fingerprint_stdio_remote_end_to_end(tmp_path):
