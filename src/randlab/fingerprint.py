@@ -115,11 +115,17 @@ class StreamOracle:
             raise TransportError("malformed oracle response: %r" % line) from exc
 
     def length(self) -> int:
-        return self._exchange("L\n", "L")
+        length = self._exchange("L\n", "L")
+        if length < 0:
+            raise TransportError("impossible oracle length: %d" % length)
+        return length
 
     def residue(self, offset: int, length: int, prime: int) -> int:
         self.queries += 1
-        return self._exchange("Q %d %d %d\n" % (offset, length, prime), "R")
+        value = self._exchange("Q %d %d %d\n" % (offset, length, prime), "R")
+        if not 0 <= value < prime:
+            raise TransportError("impossible oracle residue %d mod %d" % (value, prime))
+        return value
 
 
 def serve_oracle(doc: Document, reader, writer) -> int:

@@ -36,6 +36,8 @@ VERSION = 1
 MAX_TRIALS = 1000
 
 MIN_RATIO = 2.05
+# The vertex table has ratio*m entries; past this it only wastes memory.
+MAX_RATIO = 100
 
 
 class RatioTooLowError(RuntimeError):
@@ -130,8 +132,8 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     """Construct an ordered minimal perfect hash for ``words``.
 
     ``ratio`` is n/m; values at or below 2 make acceptance vanishingly rare
-    and are refused.  Raises RatioTooLowError if 1000 consecutive trial
-    graphs are rejected.
+    and are refused, and so are values above MAX_RATIO.  Raises
+    RatioTooLowError if 1000 consecutive trial graphs are rejected.
     """
     start = time.perf_counter()
     if rng is None:
@@ -149,6 +151,8 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
         raise ValueError("ratio must be finite")
     if ratio < MIN_RATIO:
         raise ValueError("ratio must be >= %.2f" % MIN_RATIO)
+    if ratio > MAX_RATIO:
+        raise ValueError("ratio must be <= %d" % MAX_RATIO)
     n = -(-int(ratio * m * 2**20) // 2**20)  # ceil without float edge cases
     if n <= 2 * m:
         n = 2 * m + 1

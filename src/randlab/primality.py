@@ -24,6 +24,10 @@ WITNESS_SCAN_LIMIT = 10**6
 # Give up drawing random candidates after this many composite rejections.
 PRIME_SEARCH_LIMIT = 10**6
 
+# Open intervals of at most this many integers below 2**32 are checked for a
+# prime by trial division before any draw.
+SMALL_SPAN = 64
+
 
 class PrimelessIntervalError(RuntimeError):
     """Raised when random prime search keeps drawing composites."""
@@ -51,6 +55,11 @@ def algorithm_p_single(n: int, x: int) -> bool:
     if not 1 < x < n:
         raise ValueError("need 1 < x < n")
     k, q = decompose_two_power(n)
+    return _strong_round(n, k, q, x)
+
+
+def _strong_round(n: int, k: int, q: int, x: int) -> bool:
+    """The round body of ``algorithm_p_single`` for n - 1 = 2**k * q."""
     y = pow(x, q, n)
     if y == 1:
         return True
@@ -115,7 +124,8 @@ def witness_density(n: int) -> Fraction:
         raise ValueError("n too large for exhaustive scan (limit %d)" % WITNESS_SCAN_LIMIT)
     if _is_prime_by_trial_division(n):
         raise ValueError("n must be composite")
-    count = sum(1 for x in range(2, n) if algorithm_p_single(n, x))
+    k, q = decompose_two_power(n)
+    count = sum(1 for x in range(2, n) if _strong_round(n, k, q, x))
     return Fraction(count, n - 2)
 
 
@@ -124,12 +134,17 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
 
     Raises PrimelessIntervalError after 10**6 consecutive composite draws,
     which for any interval actually containing primes is overwhelmingly
-    unlikely.
+    unlikely.  A span of at most SMALL_SPAN integers below 2**32 is first
+    checked by trial division, so one holding no prime fails at once,
+    without a draw.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if hi <= lo + 1:
         raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
+    if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32
+            and not any(_is_prime_by_trial_division(c) for c in range(lo + 1, hi))):
+        raise PrimelessIntervalError("no probable prime in (%d, %d): trial division finds none" % (lo, hi))
     for _ in range(PRIME_SEARCH_LIMIT):
         candidate = rng.uniform_natural_in(lo, hi)
         if is_probable_prime(candidate, rounds, rng).is_probably_prime:

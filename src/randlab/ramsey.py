@@ -8,23 +8,25 @@ subsets (s-cliques plus independent t-sets) and cooling geometrically until
 a zero-violation graph appears.  A census helper converts "we kept finding
 the same solutions" into a confidence statement: if there were one more
 equally findable solution than the c seen, r uniform draws would all have
-missed it with probability (c/(c+1))**r.
+missed it with probability (c/(c+1))**r.  The census counts isomorphism
+classes up to complement: each graph gets a canonical form from colour
+refinement and individualization (McKay & Piperno, "Practical graph
+isomorphism II", 2014), for graphs of at most MAX_VERTICES vertices.
 
-Adjacency is one bitmask per vertex, which keeps the subset-counting inner
-loops at word speed.
+Adjacency is one bitmask per vertex, which keeps the subset-counting and
+refinement inner loops at word speed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .rng import SplitMix64
 
-MAX_VERTICES = 24  # exact violation counting beyond this is not desk-scale
+MAX_VERTICES = 24  # exact violation counts and canonical forms: desk-scale up to here
 EXHAUSTIVE_EDGE_LIMIT = 21  # enumerate at most 2^21 labeled graphs
-CANONICAL_EXACT_LIMIT = 10  # brute-force relabelings up to this many vertices
 STAGNATION_LIMIT = 10**5  # moves without improvement before a restart
 
 
@@ -295,22 +297,121 @@ def _bitstring(g: GraphColoring, order) -> int:
     return bits
 
 
-def canonical_form(g: GraphColoring) -> bytes:
-    """Representative bytes equal across relabelings and complementation.
+def _refine(adj: list[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Split the ordered partition ``cells`` until it is equitable.
 
-    Exact (minimum adjacency bit-string over all vertex orders, then over
-    the complement as well) up to 10 vertices; larger graphs fall back to
-    the labeled bit-string, still minimized against the complement.
+    Each splitter is a vertex mask W; every cell is split by the neighbour
+    count (adj[v] & W).bit_count(), its pieces kept in place in increasing
+    order of that count, and each piece queued as a further splitter.  As
+    every new cell is queued, on return all vertices of a cell have the
+    same number of neighbours in each cell.  Nothing here depends on vertex
+    labels: relabelling the graph relabels the result.
     """
-    if g.n > 255:
-        raise ValueError("canonical_form supports at most 255 vertices")
-    comp = g.complement()
-    if g.n <= CANONICAL_EXACT_LIMIT:
-        best = min(min(_bitstring(g, p) for p in permutations(range(g.n))),
-                   min(_bitstring(comp, p) for p in permutations(range(g.n))))
-    else:
-        identity = list(range(g.n))
-        best = min(_bitstring(g, identity), _bitstring(comp, identity))
+    n = len(adj)
+    i = 0
+    while i < len(splitters) and len(cells) < n:
+        w = splitters[i]
+        i += 1
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                pieces: dict[int, list[int]] = {}
+                for v in cell:
+                    pieces.setdefault((adj[v] & w).bit_count(), []).append(v)
+                if len(pieces) > 1:
+                    for count in sorted(pieces):
+                        out.append(pieces[count])
+                        splitters.append(sum(1 << v for v in pieces[count]))
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _min_leaf(g: GraphColoring) -> int:
+    """Smallest leaf bit-string in the individualization-refinement tree of g.
+
+    A node is an equitable ordered partition; its children individualize
+    each vertex of the first smallest non-singleton cell in turn (the vertex
+    moves to a singleton at the front of that cell) and refine.  A discrete
+    partition is a leaf, read as a vertex order.  A later leaf with the
+    first leaf's bit-string gives an automorphism, the map from the first
+    leaf's order onto its own; the subtree it lies in then repeats one
+    already searched, so the search returns to where the two paths part.
+    A node also skips every vertex in the orbit of one it already tried,
+    under the automorphisms found so far that fix its path.
+    """
+    n, adj = g.n, g.adj
+    autos: list[list[int]] = []
+    first: tuple[int, list[int], list[int]] | None = None  # value, order, path
+    best = 1 << n * (n - 1) // 2  # above every leaf bit-string
+
+    def visit(cells: list[list[int]], path: list[int]) -> int:
+        # Returns the depth the search resumes at: len(path) to go on.
+        nonlocal first, best
+        depth = len(path)
+        if len(cells) == n:
+            order = [cell[0] for cell in cells]
+            value = _bitstring(g, order)
+            if first is None:
+                first = (value, order, path)
+            elif value == first[0]:
+                gamma = [0] * n
+                for a, b in zip(first[1], order):
+                    gamma[a] = b
+                autos.append(gamma)
+                return next(k for k, (a, b) in enumerate(zip(first[2], path)) if a != b)
+            best = min(best, value)
+            return depth
+        t = min((i for i, cell in enumerate(cells) if len(cell) > 1),
+                key=lambda i: len(cells[i]))
+        target = cells[t]
+        orbit = list(range(n))  # union-find forest over the vertices
+
+        def root(x: int) -> int:
+            while orbit[x] != x:
+                orbit[x] = x = orbit[orbit[x]]
+            return x
+
+        folded = 0
+        tried: list[int] = []
+        for v in target:
+            if tried:
+                for gamma in autos[folded:]:
+                    if all(gamma[p] == p for p in path):
+                        for x in range(n):
+                            orbit[root(x)] = root(gamma[x])
+                folded = len(autos)
+                r = root(v)
+                if any(root(u) == r for u in tried):
+                    continue
+            tried.append(v)
+            child = cells[:t] + [[v], [u for u in target if u != v]] + cells[t + 1:]
+            back = visit(_refine(adj, child, [1 << v]), path + [v])
+            if back < depth:
+                return back
+        return depth
+
+    visit(_refine(adj, [list(range(n))], [(1 << n) - 1]), [])
+    return best
+
+
+def canonical_form(g: GraphColoring) -> bytes:
+    """Representative bytes equal exactly for graphs isomorphic up to complement.
+
+    The form is n followed by the smallest leaf bit-string of the
+    individualization-refinement search trees of g and of its complement
+    (both trees are needed: refinement orders cells the other way round on
+    the complement).  Every leaf is g or its complement under some vertex
+    order, so equal forms mean graphs isomorphic up to complement; the trees
+    of a relabelled graph hold the same bit-strings (pruning skips only
+    subtrees that repeat searched ones), so isomorphic graphs get equal
+    forms.  Graphs above MAX_VERTICES are refused: the search is not
+    desk-scale there on highly symmetric graphs.
+    """
+    if g.n > MAX_VERTICES:
+        raise ValueError("canonical_form supports at most %d vertices" % MAX_VERTICES)
+    best = min(_min_leaf(g), _min_leaf(g.complement()))
     width = (g.n * (g.n - 1) // 2 + 7) // 8
     return bytes([g.n]) + best.to_bytes(width, "big")
 

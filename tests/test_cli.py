@@ -1,9 +1,10 @@
 import io
 import json
+import random
 
 import pytest
 
-from randlab import mphf, primality
+from randlab import mphf, primality, ramsey
 from randlab.cli import main
 
 
@@ -163,6 +164,15 @@ def test_mphf_build_rejects_non_finite_ratio(ratio, tmp_path, capsys):
     assert capsys.readouterr().err == "error: ratio must be finite\n"
 
 
+@pytest.mark.parametrize("ratio", ["1e308", "100.001"])
+def test_mphf_build_rejects_ratio_past_cap(ratio, tmp_path, capsys):
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("alpha\nbeta\n")
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio", ratio]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: ratio must be <= %d\n" % mphf.MAX_RATIO
+
+
 def test_mphf_build_trial_budget_exhausted_exits_one(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(mphf, "MAX_TRIALS", 2)  # seed 0 draws two cyclic graphs
     wordlist = tmp_path / "words.txt"
@@ -221,6 +231,30 @@ def test_ramsey_anneal_and_census(tmp_path, capsys):
     assert doc["result"]["runs"] == 3
     assert 1 <= doc["result"]["distinct"] <= 3
     assert doc["result"]["confidence"].startswith("0.")
+
+
+def test_ramsey_census_counts_paley17_relabelings_once(tmp_path, capsys):
+    residues = {1, 2, 4, 8, 9, 13, 15, 16}  # the nonzero squares mod 17
+    edges = [(u, v) for u in range(17) for v in range(u + 1, 17) if (v - u) % 17 in residues]
+    rng = random.Random(17)
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    for i in range(8):
+        perm = list(range(17))
+        rng.shuffle(perm)
+        g = ramsey.GraphColoring.from_edges(17, [(perm[u], perm[v]) for u, v in edges])
+        (graphs / ("p%d.txt" % i)).write_text(ramsey.graph_to_text(g))
+    code, doc = run_cli(["ramsey", "census", "--dir", str(graphs)])
+    assert code == 0
+    assert (doc["result"]["runs"], doc["result"]["distinct"]) == (8, 1)
+
+
+def test_ramsey_census_rejects_graph_past_vertex_limit(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "big.txt").write_text(ramsey.graph_to_text(ramsey.GraphColoring(25)))
+    assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: canonical_form supports at most 24 vertices\n"
 
 
 def test_ramsey_anneal_not_found_exit(tmp_path, capsys):

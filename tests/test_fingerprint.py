@@ -173,6 +173,20 @@ def test_stream_oracle_malformed_response():
         oracle.residue(0, 1, 101)
 
 
+@pytest.mark.parametrize("reply", ["R -1\n", "R 101\n", "R 5000\n"])
+def test_stream_oracle_rejects_residue_outside_range(reply):
+    oracle = StreamOracle(io.StringIO(reply), io.StringIO())
+    with pytest.raises(TransportError):
+        oracle.residue(0, 1, 101)
+
+
+def test_stream_oracle_rejects_negative_length():
+    oracle = StreamOracle(io.StringIO("L -3\nL 0\n"), io.StringIO())
+    with pytest.raises(TransportError):
+        oracle.length()
+    assert oracle.length() == 0
+
+
 def test_serve_oracle_rejects_malformed_request():
     with pytest.raises(TransportError):
         serve_oracle(Document(b"x"), io.StringIO("Q 1 2\n"), io.StringIO())

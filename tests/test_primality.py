@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from randlab import primality
 from randlab.primality import (
     COMPOSITE,
     PROBABLY_PRIME,
@@ -128,6 +129,24 @@ def test_random_prime_in_primeless_interval():
     # (24, 28) contains only 25, 26, 27: all composite by trial division.
     with pytest.raises(PrimelessIntervalError):
         random_prime_in(24, 28, 20, SplitMix64(0))
+
+
+def test_random_prime_in_small_primeless_span_draws_nothing():
+    for lo, hi in ((24, 28), (1327, 1361), (4294967231, 4294967279)):
+        rng = SplitMix64(7)
+        with pytest.raises(PrimelessIntervalError):
+            random_prime_in(lo, hi, 20, rng)
+        assert rng.state == SplitMix64(7).state
+
+
+def test_random_prime_in_wide_primeless_span_gives_up_after_draw_limit(monkeypatch):
+    # 31397 and 31469 are consecutive primes: 71 composites, too many to
+    # enumerate up front, so the search draws until the limit.
+    monkeypatch.setattr(primality, "PRIME_SEARCH_LIMIT", 50)
+    rng = SplitMix64(7)
+    with pytest.raises(PrimelessIntervalError, match="after 50 draws"):
+        random_prime_in(31397, 31469, 20, rng)
+    assert rng.state != SplitMix64(7).state
 
 
 def test_random_prime_in_validates():

@@ -196,6 +196,88 @@ def test_canonical_form_separates_nonisomorphic():
     assert canonical_form(p3) != canonical_form(k3)
 
 
+def relabeled(g, perm):
+    return GraphColoring.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shuffled(n, rng):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):  # Fisher-Yates
+        j = rng.uniform_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def test_canonical_form_counts_classes_up_to_complement():
+    # Every labeled graph on n <= 6 vertices.  Equal forms already mean
+    # isomorphic up to complement (a form is a relabeled bit-string), so
+    # hitting the class count (g(n) + sc(n)) / 2 means no class is split.
+    counts = []
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        forms = set()
+        for mask in range(1 << len(pairs)):
+            forms.add(canonical_form(GraphColoring.from_edges(
+                n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])))
+        counts.append(len(forms))
+    assert counts == [1, 1, 2, 6, 18, 78]
+
+
+def test_canonical_form_invariant_on_random_graphs():
+    rng = SplitMix64(44)
+    for n in (6, 8, 17):
+        for _ in range(10):
+            g = GraphColoring.random(n, rng)
+            form = canonical_form(g)
+            assert canonical_form(relabeled(g, shuffled(n, rng))) == form
+            assert canonical_form(g.complement()) == form
+
+
+def cycles(*lengths):
+    edges, base = [], 0
+    for k in lengths:
+        edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return GraphColoring.from_edges(base, edges)
+
+
+def test_canonical_form_regular_graphs_that_refinement_cannot_split():
+    # Every vertex has the same degree, so refinement leaves one cell, yet
+    # the vertices are not all alike: the form must not depend on which
+    # vertex the search happens to individualize first.
+    frucht = GraphColoring.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [
+        (0, 7), (1, 11), (2, 10), (3, 5), (4, 9), (6, 8)])  # cubic, no symmetry
+    rng = SplitMix64(45)
+    for g in (cycles(3, 4), cycles(3, 5), cycles(4, 5), cycles(3, 3, 4), cycles(3, 4, 5, 6), frucht):
+        form = canonical_form(g)
+        for _ in range(10):
+            assert canonical_form(relabeled(g, shuffled(g.n, rng))) == form
+    assert canonical_form(cycles(3, 4)) != canonical_form(cycles(7))
+
+
+def test_canonical_form_symmetric_graphs_on_24_vertices():
+    # Large automorphism groups exercise the pruning; K24 and the empty
+    # graph would need 24! leaves without it.
+    affine = [(5 * v + 3) % 24 for v in range(24)]
+    for edges in (
+        list(combinations(range(24), 2)),  # K24
+        [],  # empty
+        [(2 * i, 2 * i + 1) for i in range(12)],  # 12 K2
+        [(3 * i + a, 3 * i + b) for i in range(8) for a, b in ((0, 1), (0, 2), (1, 2))],  # 8 K3
+        [(u, v) for u in range(12) for v in range(12, 24)],  # K12,12
+    ):
+        g = GraphColoring.from_edges(24, edges)
+        form = canonical_form(g)
+        assert canonical_form(g.complement()) == form
+        assert canonical_form(relabeled(g, affine)) == form
+
+
+def test_canonical_form_vertex_limit():
+    canonical_form(GraphColoring(24))
+    with pytest.raises(ValueError, match="at most 24 vertices"):
+        canonical_form(GraphColoring(25))
+
+
 def test_graph_text_round_trip():
     g = cycle5()
     assert graph_from_text(graph_to_text(g)) == g
