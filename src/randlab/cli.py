@@ -7,6 +7,9 @@ can be replayed bit-for-bit from its own output.  Diagnostics go to stderr.
 Exit codes: 0 success, 1 negative domain verdict (composite / mismatch /
 exhausted / not-found), 2 usage or argument error, 3 internal invariant
 violation.
+
+The argument parser is built once, when this module is imported, and every
+``main`` call reuses it.
 """
 
 from __future__ import annotations
@@ -158,6 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once, at import: a one-shot process pays for one build either way, and
+# a process that calls main() many times reuses it.
+PARSER = _build_parser()
+
+
 def _cmd_prime(args, manifest, stdout) -> int:
     rng = SplitMix64(args.seed)
     if args.subcommand == "test":
@@ -291,6 +299,7 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64) -> list[int]:
 def _cmd_route(args, manifest, stdout) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    route.check_dimension(args.d)  # before any permutation is built
     rows = []
     for trial in range(args.trials):
         rng = derive_stream(args.seed, trial)
@@ -386,9 +395,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None, stdout=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     stdout = stdout or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     name = "%s.%s" % (args.command, args.subcommand)

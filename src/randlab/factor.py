@@ -29,6 +29,10 @@ PM1_BASES = (2, 3, 5, 7)
 _VALIDATION_ROUNDS = 16
 _VALIDATION_SEED = 0x5EED
 
+# Largest smoothness bound (p-1 bound, ECM b1): the sieve takes a byte per
+# integer up to it, and the stage-1 exponent about 1.44 bits.
+MAX_BOUND = 10**6
+
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -51,6 +55,11 @@ class FactorOutcome:
         return self.divisor is not None
 
 
+def _check_bound(name: str, bound: int) -> None:
+    if not 2 <= bound <= MAX_BOUND:
+        raise ValueError("%s must be in [2, %d]" % (name, MAX_BOUND))
+
+
 def _sieve_primes(limit: int) -> list[int]:
     if limit < 2:
         return []
@@ -64,8 +73,7 @@ def _sieve_primes(limit: int) -> list[int]:
 
 def smooth_exponent(bound: int) -> int:
     """Product of all prime powers r**e <= bound; annihilates smooth orders."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_bound("bound", bound)
     M = 1
     for r in _sieve_primes(bound):
         pw = r
@@ -125,8 +133,7 @@ def pollard_pm1(N: int, bound: int) -> FactorOutcome:
     tried; a gcd of 1 means the bound is too small and the search reports
     exhaustion.
     """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_bound("bound", bound)
     _check_target(N)
     M = smooth_exponent(bound)
     for trials, base in enumerate(PM1_BASES, start=1):
@@ -183,8 +190,7 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
     1 and N ends the search; a full collapse (divisor N) just discards the
     curve.
     """
-    if b1 < 2:
-        raise ValueError("b1 must be >= 2")
+    _check_bound("b1", b1)
     if max_curves < 1:
         raise ValueError("max_curves must be >= 1")
     _check_target(N, require_coprime_6=True)

@@ -15,6 +15,10 @@ in-process oracle and a line-oriented text protocol for genuinely remote use:
     response  R <residue-decimal>\n
     request   L\n                 (document length)
     response  L <length>\n
+    response  E <reason>\n        (to a malformed or out-of-range request)
+
+The server answers a bad request with ``E`` and keeps serving; the client
+treats an ``E`` reply as a transport failure.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ class StreamOracle:
         except (OSError, ValueError) as exc:
             raise TransportError("oracle I/O failed: %s" % exc) from exc
         parts = line.split()
+        if parts and parts[0] == "E":
+            raise TransportError("oracle refused %r: %s" % (request, line[1:].strip()))
         if len(parts) != 2 or parts[0] != tag:
             raise TransportError("malformed oracle response: %r" % line)
         try:
@@ -129,32 +135,41 @@ class StreamOracle:
 
 
 def serve_oracle(doc: Document, reader, writer) -> int:
-    """Answer protocol requests for ``doc``; returns the queries served.
+    """Answer protocol requests for ``doc``; returns the queries answered.
 
     Serves until EOF or until the first line that is not a protocol request
     (end of session: the peer has started printing its own report on the
-    shared channel).  A line that starts like a request but is malformed
-    raises TransportError.
+    shared channel).  A request that is malformed or out of range gets an
+    ``E <reason>`` reply, and serving goes on.
     """
     served = 0
     for line in reader:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "L" and len(parts) == 1:
-            writer.write("L %d\n" % len(doc))
-        elif parts[0] == "Q":
-            if len(parts) != 4:
-                raise TransportError("malformed oracle request: %r" % line)
-            offset, length, prime = (int(p) for p in parts[1:])
-            writer.write("R %d\n" % doc.residue(prime, offset, length))
-            served += 1
-        elif parts[0] == "L":
-            raise TransportError("malformed oracle request: %r" % line)
-        else:
+        if parts[0] not in ("L", "Q"):
             break
+        try:
+            reply = _answer(doc, parts)
+        except ValueError as exc:
+            reply = "E %s\n" % exc
+        else:
+            served += parts[0] == "Q"
+        writer.write(reply)
         writer.flush()
     return served
+
+
+def _answer(doc: Document, parts: list[str]) -> str:
+    """The reply line to one L or Q request; ValueError if it is bad."""
+    if parts[0] == "L":
+        if len(parts) != 1:
+            raise ValueError("L takes no arguments")
+        return "L %d\n" % len(doc)
+    if len(parts) != 4:
+        raise ValueError("Q takes offset, length and prime")
+    offset, length, prime = (int(p) for p in parts[1:])
+    return "R %d\n" % doc.residue(prime, offset, length)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ MAX_TRIALS = 1000
 MIN_RATIO = 2.05
 # The vertex table has ratio*m entries; past this it only wastes memory.
 MAX_RATIO = 100
+# Longest build word in bytes: each trial draws 2 * 256 table entries per byte.
+MAX_WORD_LEN = 64
 
 
 class RatioTooLowError(RuntimeError):
@@ -132,8 +134,9 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     """Construct an ordered minimal perfect hash for ``words``.
 
     ``ratio`` is n/m; values at or below 2 make acceptance vanishingly rare
-    and are refused, and so are values above MAX_RATIO.  Raises
-    RatioTooLowError if 1000 consecutive trial graphs are rejected.
+    and are refused, and so are values above MAX_RATIO and words longer
+    than MAX_WORD_LEN bytes.  Raises RatioTooLowError if 1000 consecutive
+    trial graphs are rejected.
     """
     start = time.perf_counter()
     if rng is None:
@@ -157,6 +160,8 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     if n <= 2 * m:
         n = 2 * m + 1
     max_len = max(len(w) for w in words)
+    if max_len > MAX_WORD_LEN:
+        raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)
     seed_state = rng.state
 
     for trial in range(1, MAX_TRIALS + 1):

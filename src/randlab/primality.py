@@ -91,11 +91,22 @@ def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
     if n == 3:
         # (1, 3) contains only x = 2; handle directly rather than loop on it.
         return PrimalityVerdict(PROBABLY_PRIME, 0, bound)
-    for used in range(1, rounds + 1):
-        x = rng.uniform_natural_in(1, n)  # arbitrary-precision draw from (1, n)
-        if not algorithm_p_single(n, x):
-            return PrimalityVerdict(COMPOSITE, used, bound)
+    used = _first_witness_round(n, rounds, rng)
+    if used:
+        return PrimalityVerdict(COMPOSITE, used, bound)
     return PrimalityVerdict(PROBABLY_PRIME, rounds, bound)
+
+
+def _first_witness_round(n: int, rounds: int, rng: SplitMix64) -> int:
+    """Run up to ``rounds`` rounds on odd n >= 5, each with a base drawn
+    uniformly from (1, n); return the number of the first round whose base
+    witnesses that n is composite, or 0 if every round passes."""
+    k, q = decompose_two_power(n)
+    draw = rng.sampler(n - 2)
+    for used in range(1, rounds + 1):
+        if not _strong_round(n, k, q, 2 + draw()):
+            return used
+    return 0
 
 
 def _is_prime_by_trial_division(n: int) -> bool:
@@ -145,10 +156,17 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32
             and not any(_is_prime_by_trial_division(c) for c in range(lo + 1, hi))):
         raise PrimelessIntervalError("no probable prime in (%d, %d): trial division finds none" % (lo, hi))
+    first = lo + 1
+    draw = rng.sampler(hi - first)
     for _ in range(PRIME_SEARCH_LIMIT):
-        candidate = rng.uniform_natural_in(lo, hi)
-        if is_probable_prime(candidate, rounds, rng).is_probably_prime:
-            return candidate
+        n = first + draw()
+        # As in is_probable_prime: 2 and 3 are prime, other even and small
+        # candidates composite, all without a draw.
+        if n % 2 and n > 3:
+            if not _first_witness_round(n, rounds, rng):
+                return n
+        elif n == 2 or n == 3:
+            return n
     raise PrimelessIntervalError(
         "no probable prime in (%d, %d) after %d draws" % (lo, hi, PRIME_SEARCH_LIMIT)
     )

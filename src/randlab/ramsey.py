@@ -26,6 +26,7 @@ from itertools import combinations
 from .rng import SplitMix64
 
 MAX_VERTICES = 24  # exact violation counts and canonical forms: desk-scale up to here
+_TOO_MANY_VERTICES = "canonical_form supports at most %d vertices" % MAX_VERTICES
 EXHAUSTIVE_EDGE_LIMIT = 21  # enumerate at most 2^21 labeled graphs
 STAGNATION_LIMIT = 10**5  # moves without improvement before a restart
 
@@ -410,7 +411,7 @@ def canonical_form(g: GraphColoring) -> bytes:
     desk-scale there on highly symmetric graphs.
     """
     if g.n > MAX_VERTICES:
-        raise ValueError("canonical_form supports at most %d vertices" % MAX_VERTICES)
+        raise ValueError(_TOO_MANY_VERTICES)
     best = min(_min_leaf(g), _min_leaf(g.complement()))
     width = (g.n * (g.n - 1) // 2 + 7) // 8
     return bytes([g.n]) + best.to_bytes(width, "big")
@@ -429,7 +430,12 @@ def graph_from_text(text: str) -> GraphColoring:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
-    g = GraphColoring(int(lines[0]))
+    n = int(lines[0])
+    if n > MAX_VERTICES:
+        # The count is read from a file: refuse it before GraphColoring
+        # allocates a slot per vertex, as no larger graph has a census form.
+        raise ValueError(_TOO_MANY_VERTICES)
+    g = GraphColoring(n)  # refuses n < 1 before allocating
     for line in lines[1:]:
         head, _, rest = line.partition(":")
         v = int(head)

@@ -56,7 +56,7 @@ class SplitMix64:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if bound > MASK64 + 1:
-            return self._bits_below(bound)
+            return self.sampler(bound)()
         # Largest multiple of bound that fits in 2^64; values past it would
         # make low residues more likely, so they are re-drawn.
         limit = (MASK64 + 1) - ((MASK64 + 1) % bound)
@@ -65,19 +65,37 @@ class SplitMix64:
             if r < limit:
                 return r % bound
 
-    def _bits_below(self, span: int) -> int:
-        """Uniform in [0, span) for arbitrary-precision span, by rejection
-        on bit-strings as wide as the span."""
+    def sampler(self, span: int):
+        """Function of no arguments drawing uniform integers in [0, span).
+
+        Exact by rejection on bit-strings as wide as the span: a span of at
+        most 64 bits takes one raw output per try, a wider one assembles as
+        many words as it needs, low word first.  The span's width and mask
+        are worked out once, here, for every draw of the returned function.
+        """
+        if span < 1:
+            raise ValueError("span must be >= 1")
         bits = span.bit_length()
-        words = (bits + 63) // 64
         mask = (1 << bits) - 1
-        while True:
-            r = 0
-            for i in range(words):
-                r |= self.next_u64() << (64 * i)
-            r &= mask
-            if r < span:
+        next_u64 = self.next_u64
+        if bits <= 64:
+            word = next_u64
+        else:
+            shifts = range(0, bits, 64)
+
+            def word() -> int:
+                r = 0
+                for s in shifts:
+                    r |= next_u64() << s
                 return r
+
+        def draw() -> int:
+            while True:
+                r = word() & mask
+                if r < span:
+                    return r
+
+        return draw
 
     def uniform_natural_in(self, lo: int, hi: int) -> int:
         """Uniform integer strictly between lo and hi (both ends excluded).
@@ -87,7 +105,7 @@ class SplitMix64:
         """
         if hi <= lo + 1:
             raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
-        return lo + 1 + self._bits_below(hi - lo - 1)
+        return lo + 1 + self.sampler(hi - lo - 1)()
 
 
 def derive_stream(seed: int, index: int) -> SplitMix64:

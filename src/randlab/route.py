@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .rng import SplitMix64
 
+# Largest cube dimension: a run holds 2**d packets and their routes.
+MAX_DIMENSION = 16
+
 
 @dataclass(frozen=True)
 class RunStats:
@@ -31,10 +34,15 @@ class RunStats:
     phase1_steps: int | None = None  # two-phase runs only
 
 
+def check_dimension(d: int) -> None:
+    """Refuse a cube dimension outside [1, MAX_DIMENSION]."""
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValueError("d must be in [1, %d]" % MAX_DIMENSION)
+
+
 def bit_reversal(d: int) -> list[int]:
     """The permutation sending each d-bit label to its reversal."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_dimension(d)
     out = []
     for v in range(1 << d):
         r = 0
@@ -58,8 +66,7 @@ def leading_bit_path(src: int, dst: int) -> list[int]:
 
 
 def _check_permutation(d: int, perm) -> list[int]:
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_dimension(d)
     N = 1 << d
     perm = list(perm)
     if sorted(perm) != list(range(N)):

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
-from randlab import mphf, primality, ramsey
+from randlab import factor, mphf, primality, ramsey, route
 from randlab.cli import main
+from replay import normalize
 
 
 def run_cli(argv):
@@ -322,3 +327,85 @@ def test_randomized_subcommands_replay_identically(argv, capsys):
     code2, doc2 = run_cli(argv)
     assert code1 == code2
     assert normalized(doc1) == normalized(doc2)
+
+
+def main_peak_bytes(argv):
+    """Exit code of one main() call and the peak of memory it allocated."""
+    tracemalloc.start()
+    try:
+        code = main(argv, stdout=io.StringIO())
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["route", "sim", "--d", str(route.MAX_DIMENSION + 1), "--perm", "random"],
+     "d must be in [1, %d]" % route.MAX_DIMENSION),
+    (["factor", "pm1", "187", "--bound", str(factor.MAX_BOUND + 1)],
+     "bound must be in [2, %d]" % factor.MAX_BOUND),
+    (["factor", "ecm", "2761103", "--b1", str(factor.MAX_BOUND + 1)],
+     "b1 must be in [2, %d]" % factor.MAX_BOUND),
+], ids=["route-d", "pm1-bound", "ecm-b1"])
+def test_argument_past_cap_exits_two_before_allocating(argv, message, capsys):
+    code, peak = main_peak_bytes(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert peak < 2**20
+
+
+def test_mphf_build_rejects_word_past_length_cap(tmp_path, capsys):
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("alpha\n" + "w" * (mphf.MAX_WORD_LEN + 1) + "\n")
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm")]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: words must be at most %d bytes long\n" % mphf.MAX_WORD_LEN
+
+
+def test_ramsey_census_refuses_vertex_count_before_allocating(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "huge.txt").write_text("1000000\n0: 1\n")
+    code, peak = main_peak_bytes(["ramsey", "census", "--dir", str(graphs)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: canonical_form supports at most 24 vertices\n"
+    assert peak < 2**20
+
+
+def test_fingerprint_serve_keeps_serving_after_bad_requests(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(b"hello world")
+    requests = "Q x 1 7\nQ 0 50 7\nQ 0 1 1\nL 5\nL\nQ 0 11 101\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(requests))
+    out = io.StringIO()
+    assert main(["fingerprint", "serve", str(doc)], stdout=out) == 0
+    replies = out.getvalue().splitlines()
+    assert [r[0] for r in replies] == ["E", "E", "E", "E", "L", "R"]
+    assert replies[4:] == ["L 11", "R %d" % (int.from_bytes(b"hello world", "big") % 101)]
+    assert capsys.readouterr().err == "served 1 queries\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_process_document(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "randlab"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, normalize(proc.stdout)
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    calls = [
+        (["prime", "random", "--lo", "1000", "--hi", "100000", "--rounds", "5",
+          "--seed", "3"], 0),
+        (["route", "sim", "--d", "4", "--perm", "random", "--algo", "valiant",
+          "--phase-barrier", "--seed", "2"], 0),
+        (["prime", "test", "7", "--rounds", "x"], 2),
+        (["prime", "random", "--lo", "10", "--hi", "20"], 0),
+    ]
+    for argv, expected_code in calls:
+        out = io.StringIO()
+        assert main(argv, stdout=out) == expected_code
+        assert (expected_code, normalize(out.getvalue())) == fresh_process_document(argv)

@@ -187,9 +187,23 @@ def test_stream_oracle_rejects_negative_length():
     assert oracle.length() == 0
 
 
-def test_serve_oracle_rejects_malformed_request():
-    with pytest.raises(TransportError):
-        serve_oracle(Document(b"x"), io.StringIO("Q 1 2\n"), io.StringIO())
+@pytest.mark.parametrize("request_line", ["Q 1 2", "Q x 1 7", "Q 0 50 7", "Q 0 1 1", "L 5"],
+                         ids=["short-Q", "non-numeric", "out-of-range", "prime-below-2",
+                              "L-with-argument"])
+def test_serve_oracle_answers_bad_request_and_keeps_serving(request_line):
+    doc = Document(b"hello world")  # 11 bytes
+    out = io.StringIO()
+    served = serve_oracle(doc, io.StringIO(request_line + "\nQ 0 11 101\n"), out)
+    error, answer = out.getvalue().splitlines()
+    assert error.startswith("E ")
+    assert answer == "R %d" % doc.residue(101)
+    assert served == 1
+
+
+def test_stream_oracle_raises_on_error_reply():
+    oracle = StreamOracle(io.StringIO("E byte range out of bounds\n"), io.StringIO())
+    with pytest.raises(TransportError, match="refused .*byte range out of bounds"):
+        oracle.residue(0, 50, 101)
 
 
 def test_serve_oracle_stops_at_non_protocol_line():

@@ -149,6 +149,53 @@ def test_random_prime_in_wide_primeless_span_gives_up_after_draw_limit(monkeypat
     assert rng.state != SplitMix64(7).state
 
 
+def reference_is_probable_prime(n, rounds, rng):
+    """The strong test made of public pieces: one uniform_natural_in draw
+    and one algorithm_p_single call per round."""
+    if n < 2 or (n % 2 == 0 and n != 2):
+        return False, 0
+    if n <= 3:
+        return True, 0
+    for used in range(1, rounds + 1):
+        if not algorithm_p_single(n, rng.uniform_natural_in(1, n)):
+            return False, used
+    return True, rounds
+
+
+def reference_random_prime_in(lo, hi, rounds, rng):
+    """Candidate loop made of public pieces: one uniform_natural_in draw and
+    one is_probable_prime call per candidate."""
+    while True:
+        candidate = rng.uniform_natural_in(lo, hi)
+        if is_probable_prime(candidate, rounds, rng).is_probably_prime:
+            return candidate
+
+
+def test_is_probable_prime_matches_reference_draws():
+    for n in list(range(40)) + [561, 1729, 2047, 3215031751, 2**61 - 1, 2**64 + 13,
+                                (2**64 - 59) * (2**61 - 1)]:
+        for seed in range(8):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            verdict = is_probable_prime(n, 6, rng)
+            assert (verdict.is_probably_prime, verdict.rounds_used) == \
+                reference_is_probable_prime(n, 6, ref), (n, seed)
+            assert rng.state == ref.state
+
+
+@pytest.mark.parametrize("lo, span", [
+    (0, 3), (1, 4), (0, 10), (2, 2), (3, 2), (10**9, 10**9), (2**40, 2**20),
+    (10**20, 2**64 - 1), (10**20, 2**64), (10**20, 2**64 + 1), (2**64, 2**64 - 1),
+])
+def test_random_prime_in_matches_reference_draws(lo, span):
+    hi = lo + span + 1  # the open interval (lo, hi) holds ``span`` integers
+    for seed in range(6):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for rounds in (1, 8):
+            assert random_prime_in(lo, hi, rounds, rng) == \
+                reference_random_prime_in(lo, hi, rounds, ref)
+            assert rng.state == ref.state
+
+
 def test_random_prime_in_validates():
     with pytest.raises(ValueError):
         random_prime_in(10, 10, 5, SplitMix64(0))

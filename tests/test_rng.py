@@ -114,6 +114,39 @@ def test_uniform_natural_in_handles_huge_bounds():
         assert lo < rng.uniform_natural_in(lo, hi) < hi
 
 
+def reference_bits_below(rng, span):
+    """Uniform in [0, span) by rejection on bit-strings as wide as the span,
+    low word first: the draw ``sampler`` must reproduce word for word."""
+    bits = span.bit_length()
+    words = (bits + 63) // 64
+    mask = (1 << bits) - 1
+    while True:
+        r = 0
+        for i in range(words):
+            r |= rng.next_u64() << (64 * i)
+        r &= mask
+        if r < span:
+            return r
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 10**9, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
+                                  2**64 + 1, 2**128 - 1, 2**128, 3**100])
+def test_sampler_matches_reference_draw(span):
+    for seed in range(20):
+        ref, new, natural = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+        draw = new.sampler(span)
+        for _ in range(5):
+            expected = reference_bits_below(ref, span)
+            assert draw() == expected
+            assert natural.uniform_natural_in(-1, span) == expected
+        assert new.state == ref.state == natural.state
+
+
+def test_sampler_rejects_empty_span():
+    with pytest.raises(ValueError):
+        SplitMix64(0).sampler(0)
+
+
 def test_derive_stream_deterministic_and_decorrelated():
     assert derive_stream(10, 3).next_u64() == derive_stream(10, 3).next_u64()
     seed_rng = SplitMix64(999)
