@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
@@ -299,6 +300,8 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64) -> list[int]:
 def _cmd_route(args, manifest, stdout) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.trials > route.MAX_TRIALS:
+        raise ValueError("--trials must be <= %d" % route.MAX_TRIALS)
     route.check_dimension(args.d)  # before any permutation is built
     rows = []
     for trial in range(args.trials):
@@ -364,8 +367,6 @@ def _cmd_ramsey(args, manifest, stdout) -> int:
             "sample": ramsey.graph_to_text(graphs[0]) if graphs else None,
         }, stdout)
         return 0 if graphs else 1
-    import os
-
     forms = set()
     files = sorted(os.listdir(args.dir))
     for name in files:

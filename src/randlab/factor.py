@@ -32,6 +32,8 @@ _VALIDATION_SEED = 0x5EED
 # Largest smoothness bound (p-1 bound, ECM b1): the sieve takes a byte per
 # integer up to it, and the stage-1 exponent about 1.44 bits.
 MAX_BOUND = 10**6
+# Most ECM curves in one call; each costs a stage-1 scalar multiplication.
+MAX_CURVES = 10**4
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,8 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
     curve.
     """
     _check_bound("b1", b1)
-    if max_curves < 1:
-        raise ValueError("max_curves must be >= 1")
+    if not 1 <= max_curves <= MAX_CURVES:
+        raise ValueError("curves must be in [1, %d]" % MAX_CURVES)
     _check_target(N, require_coprime_6=True)
     M = smooth_exponent(b1)
     for curve in range(1, max_curves + 1):

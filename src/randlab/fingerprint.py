@@ -23,6 +23,7 @@ treats an ``E`` reply as a transport failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -187,8 +188,6 @@ class VerifyReport:
 
 
 def _interval_prime_count(lo: int, hi: int) -> int:
-    import math
-
     if (lo, hi) == (DEFAULT_PRIME_LO, DEFAULT_PRIME_HI):
         return PRIMES_IN_DEFAULT_INTERVAL
     # Prime-number-theorem estimate, good to a few percent at these sizes.

@@ -4,14 +4,17 @@ Given m distinct words, pick two random functions f1, f2 mapping words to
 vertices {0..n-1} (n about 3m) and view each word as the edge
 (f1(w), f2(w)).  If the resulting multigraph has a repeated edge, a
 self-loop, or any cycle, throw the functions away and redraw; with n = 3m
-the expected number of draws is only about sqrt(3).  On an acyclic graph a
-vertex table g is filled in by walking each tree: fix the root at 0, and
-along the edge for word number j set the far endpoint so that
+the expected number of draws is only about sqrt(3).  Acyclicity is decided
+by peeling: strip degree-1 vertices, each taking its one remaining edge,
+until no edge is left (a forest) or none can be stripped (a cycle).  A
+vertex table g starts at 0 and is then filled in reverse peel order: for
+the edge of word number j, peeled from vertex x, set g[x] so that
 
     h(w) = (g[f1(w)] + g[f2(w)]) mod m
 
-comes out to exactly j.  The result is an ordered minimal perfect hash:
-h(w_j) = j for every build word.
+comes out to exactly j.  No edge handled later touches x, so the sum stays
+fixed.  The result is an ordered minimal perfect hash: h(w_j) = j for every
+build word.
 
 The per-word vertex functions are byte-table sums: f_i(w) = sum over
 positions of T_i[position][byte] mod n, with both tables drawn from the
@@ -67,7 +70,6 @@ class MphfFunction:
 @dataclass(frozen=True)
 class BuildReport:
     trials: int
-    seed: int  # generator state when the build started
     elapsed_seconds: float
 
 
@@ -88,45 +90,50 @@ def query(fn: MphfFunction, word: bytes) -> int:
     return (fn.g[u] + fn.g[v]) % fn.m
 
 
+def _peel(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """(edge, vertex it was peeled from) pairs in peel order, or None on a cycle.
+
+    Each vertex keeps only its degree and the XOR of its incident edge ids,
+    so a degree-1 vertex names its last edge directly.  Stripping such
+    vertices removes every edge of a forest; a cycle never peels, and a
+    repeated edge is a 2-cycle.  Self-loops are refused up front.
+    """
+    degree = [0] * n
+    xor = [0] * n
+    for idx, (u, v) in enumerate(edges):
+        if u == v:
+            return None
+        degree[u] += 1
+        degree[v] += 1
+        xor[u] ^= idx
+        xor[v] ^= idx
+    order = []
+    queue = [v for v in range(n) if degree[v] == 1]
+    for v in queue:  # grows while it is walked
+        if degree[v] != 1:
+            continue  # the other end of a peeled last edge
+        idx = xor[v]
+        order.append((idx, v))
+        a, b = edges[idx]
+        other = a ^ b ^ v  # the endpoint that is not v
+        degree[v] = 0
+        degree[other] -= 1
+        xor[other] ^= idx
+        if degree[other] == 1:
+            queue.append(other)
+    return order if len(order) == len(edges) else None
+
+
 def is_acyclic(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     """True iff the multigraph on n vertices has no cycle.
 
     Self-loops and repeated edges count as cycles.  Checked by peeling:
     repeatedly strip degree-1 vertices; a forest peels down to nothing.
     """
-    seen = set()
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    degree = [0] * n
-    for idx, (u, v) in enumerate(edges):
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("vertex out of range: (%d, %d)" % (u, v))
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return False
-        seen.add(key)
-        adjacency.setdefault(u, []).append((v, idx))
-        adjacency.setdefault(v, []).append((u, idx))
-        degree[u] += 1
-        degree[v] += 1
-    removed = [False] * len(edges)
-    stack = [v for v in adjacency if degree[v] == 1]
-    peeled = 0
-    while stack:
-        v = stack.pop()
-        if degree[v] != 1:
-            continue
-        for other, idx in adjacency[v]:
-            if removed[idx]:
-                continue
-            removed[idx] = True
-            peeled += 1
-            degree[v] -= 1
-            degree[other] -= 1
-            if degree[other] == 1:
-                stack.append(other)
-    return peeled == len(edges)
+    return _peel(n, edges) is not None
 
 
 def build(words: Sequence[bytes], ratio: float = 3.0,
@@ -162,46 +169,26 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     max_len = max(len(w) for w in words)
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)
-    seed_state = rng.state
 
     for trial in range(1, MAX_TRIALS + 1):
         t1 = tuple(tuple(rng.uniform_below(n) for _ in range(256)) for _ in range(max_len))
         t2 = tuple(tuple(rng.uniform_below(n) for _ in range(256)) for _ in range(max_len))
         edges = [_vertex_pair(w, t1, t2, n) for w in words]
-        if not is_acyclic(n, edges):
+        order = _peel(n, edges)
+        if order is None:
             continue
-        g = _assign(n, m, edges)
-        fn = MphfFunction(m, n, max_len, t1, t2, tuple(g))
-        for j, w in enumerate(words):  # ordered property, checked exhaustively
-            if query(fn, w) != j:
+        # In reverse peel order no later edge touches the vertex an edge was
+        # peeled from, so setting it fixes that edge's sum for good.
+        g = [0] * n
+        for idx, v in reversed(order):
+            a, b = edges[idx]
+            g[v] = (idx - g[a ^ b ^ v]) % m  # a ^ b ^ v: the other endpoint
+        for j, (u, v) in enumerate(edges):  # ordered property, checked exhaustively
+            if (g[u] + g[v]) % m != j:
                 raise RuntimeError("internal error: assignment broke h(w_%d) = %d" % (j, j))
-        return fn, BuildReport(trial, seed_state, time.perf_counter() - start)
+        return (MphfFunction(m, n, max_len, t1, t2, tuple(g)),
+                BuildReport(trial, time.perf_counter() - start))
     raise RatioTooLowError("%d consecutive cyclic graphs at ratio %.3f" % (MAX_TRIALS, ratio))
-
-
-def _assign(n: int, m: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Fill g by depth-first search so edge j sums to j mod m."""
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for idx, (u, v) in enumerate(edges):
-        adjacency.setdefault(u, []).append((v, idx))
-        adjacency.setdefault(v, []).append((u, idx))
-    g = [0] * n
-    visited = [False] * n
-    for root in adjacency:
-        if visited[root]:
-            continue
-        visited[root] = True
-        g[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, idx in adjacency[u]:
-                if visited[v]:
-                    continue
-                visited[v] = True
-                g[v] = (idx - g[u]) % m
-                stack.append(v)
-    return g
 
 
 def serialize(fn: MphfFunction) -> bytes:

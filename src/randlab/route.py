@@ -23,6 +23,8 @@ from .rng import SplitMix64
 
 # Largest cube dimension: a run holds 2**d packets and their routes.
 MAX_DIMENSION = 16
+# Most trials in one `route sim` call: its document keeps a row per trial.
+MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True)

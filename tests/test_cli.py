@@ -346,12 +346,24 @@ def main_peak_bytes(argv):
      "bound must be in [2, %d]" % factor.MAX_BOUND),
     (["factor", "ecm", "2761103", "--b1", str(factor.MAX_BOUND + 1)],
      "b1 must be in [2, %d]" % factor.MAX_BOUND),
-], ids=["route-d", "pm1-bound", "ecm-b1"])
+    (["route", "sim", "--d", "1", "--trials", str(route.MAX_TRIALS + 1)],
+     "--trials must be <= %d" % route.MAX_TRIALS),
+    (["factor", "ecm", "2761103", "--b1", "100", "--curves", str(factor.MAX_CURVES + 1)],
+     "curves must be in [1, %d]" % factor.MAX_CURVES),
+], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves"])
 def test_argument_past_cap_exits_two_before_allocating(argv, message, capsys):
     code, peak = main_peak_bytes(argv)
     assert code == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert peak < 2**20
+
+
+def test_trial_and_curve_caps_are_inclusive(capsys):
+    code, doc = run_cli(["route", "sim", "--d", "1", "--trials", str(route.MAX_TRIALS)])
+    assert code == 0 and doc["result"]["summary"]["runs"] == route.MAX_TRIALS
+    code, doc = run_cli(["factor", "ecm", "2761103", "--b1", "100",
+                         "--curves", str(factor.MAX_CURVES), "--seed", "7"])
+    assert code == 0 and doc["result"]["found"]
 
 
 def test_mphf_build_rejects_word_past_length_cap(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
 
 from randlab.mphf import (
+    MIN_RATIO,
     FormatError,
     RatioTooLowError,
     build,
@@ -130,6 +132,57 @@ def test_expected_trials_near_sqrt3():
     words = random_words(300, 8, seed=7)
     total = sum(build(words, 3.0, SplitMix64(seed))[1].trials for seed in range(60))
     assert 1.2 <= total / 60 <= 2.4
+
+
+# (m, ratio, seed) -> (trials, rng.state after the build), recorded from the
+# adjacency-list peel that preceded the degree-and-XOR peel: acceptance is
+# unchanged, so every build draws exactly as it did.
+DRAWS = {
+    (3, 2.1, 0): (4, 0x66d2c7ddf743f000),
+    (3, 2.1, 1): (2, 0x336963eefba1f801),
+    (3, 2.1, 2): (1, 0x99b4b1f77dd0fc02),
+    (3, 3.0, 0): (1, 0x99b4b1f77dd0fc00),
+    (3, 3.0, 1): (1, 0x99b4b1f77dd0fc01),
+    (3, 3.0, 2): (1, 0x99b4b1f77dd0fc02),
+    (40, 2.1, 0): (1, 0x99b4b1f77dd0fc00),
+    (40, 2.1, 1): (3, 0xcd1e15e67972f401),
+    (40, 2.1, 2): (5, 0x008779d57514ec02),
+    (40, 3.0, 0): (1, 0x99b4b1f77dd0fc00),
+    (40, 3.0, 1): (1, 0x99b4b1f77dd0fc01),
+    (40, 3.0, 2): (1, 0x99b4b1f77dd0fc02),
+    (300, 2.1, 0): (2, 0x336963eefba1f800),
+    (300, 2.1, 1): (2, 0x336963eefba1f801),
+    (300, 2.1, 2): (3, 0xcd1e15e67972f402),
+    (300, 3.0, 0): (2, 0x336963eefba1f800),
+    (300, 3.0, 1): (1, 0x99b4b1f77dd0fc01),
+    (300, 3.0, 2): (1, 0x99b4b1f77dd0fc02),
+}
+
+
+def test_trials_and_draws_pinned():
+    got = {}
+    for m, ratio, seed in DRAWS:
+        rng = SplitMix64(seed)
+        _, report = build(random_words(m, 6, seed=m), ratio, rng)
+        got[m, ratio, seed] = (report.trials, rng.state)
+    assert got == DRAWS
+
+
+def test_serialized_function_pinned():
+    # Any change to the tables or to how g is assigned changes these bytes.
+    fn, _ = build(random_words(200, 5, seed=11), 3.0, SplitMix64(4))
+    assert hashlib.sha256(serialize(fn)).hexdigest() == \
+        "5ea7e768b46dc60d9c2e8d560bbd6698955244cd768b4f5ee42daa92d79fa96a"
+
+
+def test_small_sparse_builds_are_ordered():
+    # Near MIN_RATIO small graphs are forests of many trees and isolated
+    # vertices; every build must still hash word j to j.
+    for m in range(1, 41):
+        words = random_words(m, 1, seed=m)
+        for seed in range(50):
+            fn, _ = build(words, MIN_RATIO, SplitMix64(seed))
+            assert [query(fn, w) for w in words] == list(range(m)), (m, seed)
 
 
 def test_serialize_round_trip():
