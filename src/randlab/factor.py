@@ -4,18 +4,20 @@ Both methods find a prime factor p of N when a group of order close to p is
 smooth.  Pollard p-1 uses the fixed multiplicative group mod p (order p-1);
 the elliptic-curve method re-rolls the group itself by drawing random curves
 y^2 = x^3 + ax + b, whose point-group orders scatter across the Hasse
-interval around p, until a smooth one turns up.  Failure of modular
-inversion during curve arithmetic is the success event: the blocking divisor
-is a factor of N.  Returned divisors are re-verified by exact division, so
-answers are always correct and only the runtime is random.
+interval around p, until a smooth one turns up.  Curve points are kept in
+Jacobian coordinates (X, Y, Z), so no step inverts anything mod N; a point
+is the identity mod p exactly when p divides Z.  The point is multiplied by
+each prime power up to the bound in turn, and after each one a gcd(Z, N)
+strictly between 1 and N is the success event.  Returned divisors are
+re-verified by exact division, so answers are always correct and only the
+runtime is random.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .natnum import NotInvertible, mod_inverse
 from .primality import is_probable_prime
 from .rng import SplitMix64
 
@@ -34,16 +36,6 @@ _VALIDATION_SEED = 0x5EED
 MAX_BOUND = 10**6
 # Most ECM curves in one call; each costs a stage-1 scalar multiplication.
 MAX_CURVES = 10**4
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    x: int
-    y: int
-    at_infinity: bool = False
-
-
-INFINITY = CurvePoint(0, 0, at_infinity=True)
 
 
 @dataclass(frozen=True)
@@ -73,16 +65,21 @@ def _sieve_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if flags[i]]
 
 
-def smooth_exponent(bound: int) -> int:
-    """Product of all prime powers r**e <= bound; annihilates smooth orders."""
+def _prime_powers(bound: int) -> list[int]:
+    """The largest power r**e <= bound of each prime r <= bound, ascending."""
     _check_bound("bound", bound)
-    M = 1
+    powers = []
     for r in _sieve_primes(bound):
         pw = r
         while pw * r <= bound:
             pw *= r
-        M *= pw
-    return M
+        powers.append(pw)
+    return powers
+
+
+def smooth_exponent(bound: int) -> int:
+    """Product of all prime powers r**e <= bound; annihilates smooth orders."""
+    return prod(_prime_powers(bound))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -149,37 +146,47 @@ def pollard_pm1(N: int, bound: int) -> FactorOutcome:
     return FactorOutcome(None, len(PM1_BASES), bound)
 
 
-def curve_add(P: CurvePoint, Q: CurvePoint, a: int, N: int) -> CurvePoint:
-    """Chord-tangent addition on y^2 = x^3 + ax + b mod N.
+def _double(P: tuple[int, int, int], a: int, N: int) -> tuple[int, int, int]:
+    """2P on y^2 = x^3 + ax + b mod N, Jacobian (X, Y, Z) ~ (X/Z^2, Y/Z^3)."""
+    X, Y, Z = P
+    YY = Y * Y % N
+    S = 4 * X * YY % N
+    ZZ = Z * Z % N
+    M = (3 * X * X + a * ZZ * ZZ) % N
+    X3 = (M * M - 2 * S) % N
+    return X3, (M * (S - X3) - 8 * YY * YY) % N, 2 * Y * Z % N
 
-    Over composite N this is only a pseudo-group: the slope denominator may
-    be non-invertible, in which case NotInvertible escapes carrying a
-    divisor of N -- the factoring event.
+
+def _add(P: tuple[int, int, int], Q: tuple[int, int, int], N: int) -> tuple[int, int, int]:
+    """P + Q in Jacobian coordinates, both Z arbitrary (b and a drop out).
+
+    Where P and Q agree mod a prime p | N (say P == Q), the result has
+    Z = 0 mod p although P + Q is not the identity mod p; affine addition
+    fails to invert at the same inputs, so for factoring both are the event.
+    Once Z = 0 mod p, every later sum and double keeps it so.
     """
-    if P.at_infinity:
-        return Q
-    if Q.at_infinity:
-        return P
-    if P.x == Q.x and (P.y + Q.y) % N == 0:
-        return INFINITY
-    if P.x == Q.x and P.y == Q.y:
-        num = (3 * P.x * P.x + a) % N
-        den = (2 * P.y) % N
-    else:
-        num = (Q.y - P.y) % N
-        den = (Q.x - P.x) % N
-    slope = num * mod_inverse(den, N) % N
-    x3 = (slope * slope - P.x - Q.x) % N
-    y3 = (slope * (P.x - x3) - P.y) % N
-    return CurvePoint(x3, y3)
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    Z1Z1 = Z1 * Z1 % N
+    Z2Z2 = Z2 * Z2 % N
+    U1 = X1 * Z2Z2 % N
+    S1 = Y1 * Z2 * Z2Z2 % N
+    H = (X2 * Z1Z1 - U1) % N
+    R = (Y2 * Z1 * Z1Z1 - S1) % N
+    HH = H * H % N
+    HHH = H * HH % N
+    V = U1 * HH % N
+    X3 = (R * R - HHH - 2 * V) % N
+    return X3, (R * (V - X3) - S1 * HHH) % N, Z1 * Z2 * H % N
 
 
-def _scalar_mul(P: CurvePoint, k: int, a: int, N: int) -> CurvePoint:
-    R = INFINITY
-    for i in range(k.bit_length() - 1, -1, -1):
-        R = curve_add(R, R, a, N)
-        if (k >> i) & 1:
-            R = curve_add(R, P, a, N)
+def _multiply(P: tuple[int, int, int], k: int, a: int, N: int) -> tuple[int, int, int]:
+    """kP for k >= 1: left-to-right double-and-add, starting from P."""
+    R = P
+    for bit in bin(k)[3:]:
+        R = _double(R, a, N)
+        if bit == "1":
+            R = _add(R, P, N)
     return R
 
 
@@ -187,16 +194,17 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
     """Stage-1 elliptic curve method: random curves, smoothness bound b1.
 
     Each curve draws a random point and coefficient a, derives b so the
-    point lies on the curve, and multiplies the point by the product of
-    prime powers <= b1.  An inversion failure with divisor strictly between
-    1 and N ends the search; a full collapse (divisor N) just discards the
-    curve.
+    point lies on the curve, and multiplies the point by each prime power
+    r**e <= b1 in turn, taking d = gcd(Z, N) after each one.  A d strictly
+    between 1 and N ends the search; d == N (the point became the identity
+    mod every factor at once) discards the curve; d == 1 goes on to the next
+    prime power.
     """
     _check_bound("b1", b1)
     if not 1 <= max_curves <= MAX_CURVES:
         raise ValueError("curves must be in [1, %d]" % MAX_CURVES)
     _check_target(N, require_coprime_6=True)
-    M = smooth_exponent(b1)
+    powers = _prime_powers(b1)
     for curve in range(1, max_curves + 1):
         x0 = rng.uniform_below(N)
         y0 = rng.uniform_below(N)
@@ -207,10 +215,12 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
             continue  # singular against every factor; useless curve
         if disc > 1:
             return FactorOutcome(_verified(disc, N), curve, b1)
-        try:
-            _scalar_mul(CurvePoint(x0, y0), M, a, N)
-        except NotInvertible as blocked:
-            if blocked.divisor == N:
-                continue  # order smooth for all factors at once; re-roll
-            return FactorOutcome(_verified(blocked.divisor, N), curve, b1)
+        P = (x0, y0, 1)
+        for q in powers:
+            P = _multiply(P, q, a, N)
+            d = gcd(P[2], N)
+            if d == N:
+                break  # order smooth for all factors at once; re-roll
+            if d > 1:
+                return FactorOutcome(_verified(d, N), curve, b1)
     return FactorOutcome(None, max_curves, b1)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .primality import random_prime_in
+from .primality import check_rounds, random_prime_in
 from .rng import SplitMix64
 
 MATCH = "match"
@@ -220,8 +220,7 @@ def verify(local: Document, remote, rounds: int, rng: SplitMix64,
     different length are reported as a mismatch without any residue rounds
     (flagged on the report, since no residue pair witnesses it).
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_rounds("rounds", rounds)
     remote_len = remote.length()
     if remote_len != len(local):
         return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
@@ -249,8 +248,7 @@ def localize(local: Document, remote, rounds_per_probe: int, rng: SplitMix64,
     probe uses ``rounds_per_probe`` fresh primes, so a corruption escapes
     notice only with the per-probe false-match probability.
     """
-    if rounds_per_probe < 1:
-        raise ValueError("rounds_per_probe must be >= 1")
+    check_rounds("rounds_per_probe", rounds_per_probe)
     if remote.length() != len(local):
         raise ValueError("localize requires documents of equal length")
 

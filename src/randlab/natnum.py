@@ -1,44 +1,12 @@
-"""Natural-number arithmetic kernels shared by the whole package.
+"""Natural-number helpers shared by the whole package.
 
-Values are plain Python ints restricted to be non-negative; modular powers
-and gcds are the builtins ``pow`` and ``math.gcd``.  What this module adds
-is a modular inverse with an explicit failure witness, the 2-power split of
-n - 1 used by the strong pseudoprime test, and string parsing for
-arbitrary-size CLI inputs.  The inverse deliberately reports the blocking
-divisor instead of a bare error: elliptic-curve factoring treats that
-divisor as its answer.
+Values are plain Python ints restricted to be non-negative; modular powers,
+inverses and gcds are the builtins ``pow`` and ``math.gcd``.  What this
+module adds is the 2-power split of n - 1 used by the strong pseudoprime
+test, and string parsing for arbitrary-size CLI inputs.
 """
 
 from __future__ import annotations
-
-import math
-
-
-class NotInvertible(Exception):
-    """Raised when ``a`` has no inverse modulo ``m``.
-
-    Carries ``divisor`` = gcd(a, m) > 1 (or m itself when a == 0), which is a
-    nontrivial divisor of the modulus whenever the modulus is composite.
-    """
-
-    def __init__(self, divisor: int):
-        super().__init__("not invertible; blocking divisor %d" % divisor)
-        self.divisor = divisor
-
-
-def mod_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo modulus, or NotInvertible carrying gcd(a, modulus).
-
-    Requires 0 <= a < modulus and modulus >= 2.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if not 0 <= a < modulus:
-        raise ValueError("need 0 <= a < modulus")
-    try:
-        return pow(a, -1, modulus)
-    except ValueError:
-        raise NotInvertible(math.gcd(a, modulus)) from None
 
 
 def decompose_two_power(n: int) -> tuple[int, int]:

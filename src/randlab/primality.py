@@ -24,6 +24,10 @@ WITNESS_SCAN_LIMIT = 10**6
 # Give up drawing random candidates after this many composite rejections.
 PRIME_SEARCH_LIMIT = 10**6
 
+# Most rounds per test (error bound 4**-128 = 2**-256).  The bound is an exact
+# Fraction that grows by two bits a round, so the count must be capped.
+MAX_ROUNDS = 128
+
 # Open intervals of at most this many integers below 2**32 are checked for a
 # prime by trial division before any draw.
 SMALL_SPAN = 64
@@ -72,15 +76,20 @@ def _strong_round(n: int, k: int, q: int, x: int) -> bool:
     return False
 
 
+def check_rounds(name: str, rounds: int) -> None:
+    """ValueError naming ``name`` unless 1 <= rounds <= MAX_ROUNDS."""
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError("%s must be in [1, %d]" % (name, MAX_ROUNDS))
+
+
 def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
-    """Run up to ``rounds`` independent random-base rounds on n.
+    """Run up to ``rounds`` (at most MAX_ROUNDS) random-base rounds on n.
 
     Composite answers are exact and returned at the first witnessing round;
     probably-prime means every round passed, which for composite n has
     probability below 4**-rounds.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_rounds("rounds", rounds)
     bound = Fraction(1, 4**rounds)
     if n < 2:
         return PrimalityVerdict(COMPOSITE, 0, bound)
@@ -147,10 +156,10 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     which for any interval actually containing primes is overwhelmingly
     unlikely.  A span of at most SMALL_SPAN integers below 2**32 is first
     checked by trial division, so one holding no prime fails at once,
-    without a draw.
+    without a draw.  Each candidate gets up to ``rounds`` (at most
+    MAX_ROUNDS) rounds.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_rounds("rounds", rounds)
     if hi <= lo + 1:
         raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
     if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32

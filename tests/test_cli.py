@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -350,9 +351,25 @@ def main_peak_bytes(argv):
      "--trials must be <= %d" % route.MAX_TRIALS),
     (["factor", "ecm", "2761103", "--b1", "100", "--curves", str(factor.MAX_CURVES + 1)],
      "curves must be in [1, %d]" % factor.MAX_CURVES),
-], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves"])
-def test_argument_past_cap_exits_two_before_allocating(argv, message, capsys):
-    code, peak = main_peak_bytes(argv)
+    (["prime", "test", "1000003", "--rounds", str(primality.MAX_ROUNDS + 1)],
+     "rounds must be in [1, %d]" % primality.MAX_ROUNDS),
+    (["prime", "random", "--lo", "1000000000", "--hi", "2000000000",
+      "--rounds", str(primality.MAX_ROUNDS + 1)],
+     "rounds must be in [1, %d]" % primality.MAX_ROUNDS),
+    (["fingerprint", "verify", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--rounds", str(primality.MAX_ROUNDS + 1)],
+     "rounds must be in [1, %d]" % primality.MAX_ROUNDS),
+    (["fingerprint", "localize", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--rounds-per-probe", str(primality.MAX_ROUNDS + 1)],
+     "rounds_per_probe must be in [1, %d]" % primality.MAX_ROUNDS),
+], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves",
+        "prime-test-rounds", "prime-random-rounds", "fp-verify-rounds",
+        "fp-localize-rounds"])
+def test_argument_past_cap_exits_two_before_allocating(argv, message, tmp_path, capsys):
+    (tmp_path / "doc.bin").write_bytes(b"fingerprinted document")
+    start = time.perf_counter()
+    code, peak = main_peak_bytes([arg.format(tmp=tmp_path) for arg in argv])
+    assert time.perf_counter() - start < 0.5
     assert code == 2
     assert capsys.readouterr().err == "error: %s\n" % message
     assert peak < 2**20
@@ -364,6 +381,11 @@ def test_trial_and_curve_caps_are_inclusive(capsys):
     code, doc = run_cli(["factor", "ecm", "2761103", "--b1", "100",
                          "--curves", str(factor.MAX_CURVES), "--seed", "7"])
     assert code == 0 and doc["result"]["found"]
+    rounds = str(primality.MAX_ROUNDS)
+    code, doc = run_cli(["prime", "test", "1000003", "--rounds", rounds])
+    assert code == 0 and doc["result"]["rounds"] == primality.MAX_ROUNDS
+    code, doc = run_cli(["prime", "random", "--lo", "1000", "--hi", "2000", "--rounds", rounds])
+    assert code == 0 and 1000 < int(doc["result"]["prime"]) < 2000
 
 
 def test_mphf_build_rejects_word_past_length_cap(tmp_path, capsys):

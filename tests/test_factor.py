@@ -3,15 +3,15 @@ import math
 import pytest
 
 from randlab.factor import (
-    INFINITY,
-    CurvePoint,
-    curve_add,
+    _add,
+    _double,
+    _multiply,
+    _prime_powers,
     ecm_stage1,
     is_perfect_power,
     pollard_pm1,
     smooth_exponent,
 )
-from randlab.natnum import NotInvertible
 from randlab.rng import SplitMix64
 
 
@@ -35,17 +35,59 @@ def multiplicative_order(base, p):
     return order
 
 
+# Affine reference group law over a prime p: points are (x, y) pairs and
+# None is the point at infinity.
 def enumerate_curve_points(p, a, b):
-    pts = [INFINITY]
+    pts = [None]
     for x in range(p):
         rhs = (x * x * x + a * x + b) % p
         for y in range(p):
             if y * y % p == rhs:
-                pts.append(CurvePoint(x, y))
+                pts.append((x, y))
     return pts
 
 
+def reference_add(P, Q, a, p):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def jacobian(P, z, p):
+    """Affine P as Jacobian (x z^2, y z^3, z), so Z need not be 1."""
+    x, y = P
+    return x * z * z % p, y * z * z * z % p, z
+
+
+def affine(J, p):
+    """Normalise Jacobian J to Z = 1; None when Z = 0 mod p."""
+    X, Y, Z = J
+    if Z % p == 0:
+        return None
+    zi = pow(Z, -1, p)
+    return X * zi * zi % p, Y * zi * zi * zi % p
+
+
+def nonsingular_curves(primes):
+    for p in primes:
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    yield p, a, b
+
+
 def test_smooth_exponent_small():
+    assert _prime_powers(10) == [8, 9, 5, 7]
     assert smooth_exponent(5) == 60  # 2^2 * 3 * 5
     assert smooth_exponent(2) == 2
     assert smooth_exponent(10) == 2520
@@ -115,38 +157,47 @@ def test_pollard_pm1_success_predictor_exhaustive():
                 assert 1 < out.divisor < N and N % out.divisor == 0
 
 
-def test_curve_add_identity_and_inverse():
-    N = 187
-    P = CurvePoint(5, 11)
-    assert curve_add(P, INFINITY, 3, N) == P
-    assert curve_add(INFINITY, P, 3, N) == P
-    neg = CurvePoint(P.x, N - P.y)
-    assert curve_add(P, neg, 3, N).at_infinity
+def test_add_and_double_match_affine_reference():
+    # Over a prime modulus, normalising Z to 1 must give the affine sum,
+    # and Z = 0 exactly where the affine sum is infinity: P + (-P), and 2P
+    # for a 2-torsion point (y = 0).  Inputs carry Z = 2 and Z = 3.
+    for p, a, b in nonsingular_curves((5, 7, 11)):
+        pts = enumerate_curve_points(p, a, b)[1:]
+        for P in pts:
+            assert affine(_double(jacobian(P, 2, p), a, p), p) == reference_add(P, P, a, p)
+            for Q in pts:
+                if Q != P:
+                    got = _add(jacobian(P, 2, p), jacobian(Q, 3, p), p)
+                    assert affine(got, p) == reference_add(P, Q, a, p)
 
 
-def test_curve_add_two_torsion_doubles_to_infinity():
-    # y = 0 points are their own inverse.
-    P = CurvePoint(3, 0)
-    assert curve_add(P, P, 1, 11).at_infinity
-
-
-def test_curve_add_closure_against_enumeration():
-    # Pseudo-group oracle: over a prime modulus the sum of any two points is
-    # a point of the same curve (or infinity).
-    for p in (5, 7):
-        for a in range(p):
-            for b in range(p):
-                if (4 * a**3 + 27 * b * b) % p == 0:
-                    continue
-                pts = enumerate_curve_points(p, a, b)
-                on_curve = set(pts)
-                for P in pts:
-                    for Q in pts:
-                        assert curve_add(P, Q, a, p) in on_curve
+def test_multiply_matches_affine_reference_up_to_the_point_order():
+    # kP for k below the point's order is the affine multiple; Z = 0 first
+    # at k = order, and that order divides the group size.  The chain
+    # starts from a base point with Z != 1, as every prime power after the
+    # first one does in ecm_stage1.
+    for p, a, b in nonsingular_curves((5, 7, 11)):
+        pts = enumerate_curve_points(p, a, b)
+        size = len(pts)
+        for P in pts[1:]:
+            base = jacobian(P, 3, p)
+            multiple = P
+            for k in range(1, size + 1):
+                got = _multiply(base, k, a, p)
+                if multiple is None:
+                    assert got[2] % p == 0
+                    assert size % k == 0
+                    break
+                assert affine(got, p) == multiple
+                multiple = reference_add(multiple, P, a, p)
+            else:
+                raise AssertionError("no multiple of %r vanished" % (P,))
 
 
 def test_point_orders_divide_group_order_mod_7():
-    # a = 1 curves mod 7; group orders land in the printed window (0.7, 11.3)
+    # a = 1 curves mod 7; group orders land in the printed window (0.7, 11.3).
+    # Repeated general addition walks the subgroup of P with Z growing, and
+    # reaches Z = 0 at an order dividing the group size.
     p, a = 7, 1
     for b in range(p):
         if (4 * a**3 + 27 * b * b) % p == 0:
@@ -155,10 +206,11 @@ def test_point_orders_divide_group_order_mod_7():
         size = len(pts)
         assert p - 1 - 2 * math.sqrt(p) < size < p - 1 + 2 * math.sqrt(p)
         for P in pts[1:]:
-            order = 1
-            Q = P
-            while not Q.at_infinity:
-                Q = curve_add(Q, P, a, p)
+            base = jacobian(P, 1, p)
+            order = 2
+            Q = _double(base, a, p)
+            while Q[2] % p:
+                Q = _add(Q, base, p)
                 order += 1
             assert size % order == 0
 
@@ -220,9 +272,9 @@ def test_ecm_validates_input():
 
 
 def test_not_invertible_is_the_factoring_channel():
-    # Adding points that differ mod one factor only must expose that factor.
+    # Adding points whose x agree mod one factor only gives a Z that is not
+    # invertible mod N: gcd(Z, N) is that factor.
     N = 35  # 5 * 7
-    with pytest.raises(NotInvertible) as info:
-        # x-coordinates congruent mod 5 (both 1) but not mod N
-        curve_add(CurvePoint(1, 2), CurvePoint(21, 3), 0, N)
-    assert info.value.divisor in (5, 7)
+    # x-coordinates congruent mod 5 (both 1) but not mod N
+    _, _, Z = _add((1, 2, 1), (21, 3, 1), N)
+    assert math.gcd(Z, N) == 5

@@ -15,6 +15,7 @@ from randlab.fingerprint import (
     structural_bound,
     verify,
 )
+from randlab.primality import MAX_ROUNDS
 from randlab.rng import SplitMix64
 
 
@@ -85,8 +86,11 @@ def test_verify_length_mismatch_flagged():
 
 
 def test_verify_rejects_zero_rounds():
-    with pytest.raises(ValueError):
-        verify(Document(b"x"), LocalOracle(Document(b"x")), 0, SplitMix64(0))
+    for rounds in (0, MAX_ROUNDS + 1):
+        with pytest.raises(ValueError):
+            verify(Document(b"x"), LocalOracle(Document(b"x")), rounds, SplitMix64(0))
+        with pytest.raises(ValueError):
+            localize(Document(b"x"), LocalOracle(Document(b"x")), rounds, SplitMix64(0))
 
 
 def test_structural_bound_values():

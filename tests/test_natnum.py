@@ -1,41 +1,6 @@
 import pytest
 
-from randlab.natnum import NotInvertible, decompose_two_power, mod_inverse, parse_natural
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 97) == 1
-    with pytest.raises(NotInvertible) as info:
-        mod_inverse(11, 187)
-    assert info.value.divisor == 11
-
-
-def test_mod_inverse_zero_reports_modulus():
-    with pytest.raises(NotInvertible) as info:
-        mod_inverse(0, 12)
-    assert info.value.divisor == 12
-
-
-def test_mod_inverse_contract_exhaustive_small_moduli():
-    for m in range(2, 80):
-        for a in range(m):
-            try:
-                v = mod_inverse(a, m)
-            except NotInvertible as e:
-                g = e.divisor
-                assert 1 < g <= m
-                assert m % g == 0
-                assert a == 0 or a % g == 0
-            else:
-                assert a * v % m == 1
-
-
-def test_mod_inverse_validates_arguments():
-    with pytest.raises(ValueError):
-        mod_inverse(3, 1)
-    with pytest.raises(ValueError):
-        mod_inverse(9, 7)
+from randlab.natnum import decompose_two_power, parse_natural
 
 
 def test_decompose_two_power_examples():

@@ -5,6 +5,7 @@ import pytest
 from randlab import primality
 from randlab.primality import (
     COMPOSITE,
+    MAX_ROUNDS,
     PROBABLY_PRIME,
     PrimelessIntervalError,
     algorithm_p_single,
@@ -70,8 +71,11 @@ def test_verdict_error_bound_exact():
 
 
 def test_verdict_rejects_zero_rounds():
-    with pytest.raises(ValueError):
-        is_probable_prime(97, 0, SplitMix64(0))
+    for rounds in (0, MAX_ROUNDS + 1):
+        with pytest.raises(ValueError):
+            is_probable_prime(97, rounds, SplitMix64(0))
+        with pytest.raises(ValueError):
+            random_prime_in(90, 100, rounds, SplitMix64(0))
 
 
 def test_verdict_deterministic_replay():
