@@ -171,6 +171,43 @@ def test_add_and_double_match_affine_reference():
                     assert affine(got, p) == reference_add(P, Q, a, p)
 
 
+def test_curve_add_identity_and_inverse():
+    # P + (-P) has Z = 0 mod N, in any scaling of either point; the identity
+    # Z = 0 absorbs, so later sums and doubles keep Z = 0.
+    N, a = 187, 3
+    P = (5, 11, 1)
+    neg = (5, N - 11, 1)
+    assert _add(P, neg, N)[2] == 0
+    assert _add(jacobian((5, 11), 2, N), jacobian((5, N - 11), 3, N), N)[2] == 0
+    identity = _add(P, neg, N)
+    assert _add(identity, P, N)[2] == 0
+    assert _add(P, identity, N)[2] == 0
+    assert _double(identity, a, N)[2] == 0
+
+
+def test_curve_add_two_torsion_doubles_to_infinity():
+    # y = 0 points are their own inverse: doubling gives Z = 0, and so does
+    # adding the point to itself written with a different Z.
+    P = (3, 0)
+    assert _double(jacobian(P, 1, 11), 1, 11)[2] == 0
+    assert _double(jacobian(P, 5, 11), 1, 11)[2] == 0
+    assert _add(jacobian(P, 2, 11), jacobian(P, 3, 11), 11)[2] % 11 == 0
+
+
+def test_curve_add_closure_against_enumeration():
+    # Pseudo-group oracle: over a prime modulus the sum of any two points is
+    # a point of the same curve (or infinity), whatever Z the inputs carry.
+    for p, a, b in nonsingular_curves((5, 7)):
+        pts = enumerate_curve_points(p, a, b)
+        on_curve = set(pts)
+        for P in pts[1:]:
+            assert affine(_double(jacobian(P, 3, p), a, p), p) in on_curve
+            for Q in pts[1:]:
+                if Q != P:
+                    got = _add(jacobian(P, 2, p), jacobian(Q, 4, p), p)
+                    assert affine(got, p) in on_curve
+
+
 def test_multiply_matches_affine_reference_up_to_the_point_order():
     # kP for k below the point's order is the affine multiple; Z = 0 first
     # at k = order, and that order divides the group size.  The chain
