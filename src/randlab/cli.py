@@ -203,6 +203,9 @@ def _cmd_fingerprint(args, manifest, stdout) -> int:
         served = fingerprint.serve_oracle(doc, sys.stdin, stdout)
         print("served %d queries" % served, file=sys.stderr)
         return 0
+    # Refuse a past-cap round count before reading either document.
+    rounds_arg = "rounds" if args.subcommand == "verify" else "rounds_per_probe"
+    primality.check_rounds(rounds_arg, getattr(args, rounds_arg))
     rng = SplitMix64(args.seed)
     local = fingerprint.Document.from_file(args.local)
     oracle = _make_oracle(args)

@@ -36,6 +36,10 @@ _VALIDATION_SEED = 0x5EED
 MAX_BOUND = 10**6
 # Most ECM curves in one call; each costs a stage-1 scalar multiplication.
 MAX_CURVES = 10**4
+# Widest N, in bits: the perfect-power and compositeness checks and every
+# stage-1 product grow with it, and factors are reported in decimal, which
+# Python refuses past 4,300 digits.
+MAX_TARGET_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,8 @@ def is_perfect_power(n: int) -> bool:
 
 
 def _check_target(N: int, require_coprime_6: bool = False) -> None:
+    if N.bit_length() > MAX_TARGET_BITS:
+        raise ValueError("N must be at most %d bits" % MAX_TARGET_BITS)
     if N % 2 == 0 or N <= 3:
         raise ValueError("N must be odd and > 3")
     if require_coprime_6 and N % 3 == 0:

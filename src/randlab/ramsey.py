@@ -2,19 +2,27 @@
 
 Such (s, t, n)-graphs exist exactly when n is below the Ramsey number
 R(s, t).  Small cases are settled exactly by enumerating every labeled graph;
-beyond that, simulated annealing walks the space of graphs on n vertices,
-flipping one edge at a time, scoring a graph by the number of violating
-subsets (s-cliques plus independent t-sets) and cooling geometrically until
-a zero-violation graph appears.  A census helper converts "we kept finding
-the same solutions" into a confidence statement: if there were one more
-equally findable solution than the c seen, r uniform draws would all have
-missed it with probability (c/(c+1))**r.  The census counts isomorphism
-classes up to complement: each graph gets a canonical form from colour
-refinement and individualization (McKay & Piperno, "Practical graph
-isomorphism II", 2014), for graphs of at most MAX_VERTICES vertices.
+beyond that, simulated annealing (Kirkpatrick, Gelatt & Vecchi 1983) walks
+the space of graphs on n vertices, flipping one edge at a time, scoring a
+graph by the number of violating subsets (s-cliques plus independent
+t-sets) and cooling geometrically until a zero-violation graph appears.
+A census helper converts "we kept finding the same solutions" into a
+confidence statement: if there were one more equally findable solution than
+the c seen, r uniform draws would all have missed it with probability
+(c/(c+1))**r.  The census counts isomorphism classes up to complement:
+each graph gets a canonical form from colour refinement and
+individualization (McKay & Piperno, "Practical graph isomorphism II",
+2014), for graphs of at most MAX_VERTICES vertices.
 
 Adjacency is one bitmask per vertex, which keeps the subset-counting and
-refinement inner loops at word speed.
+refinement inner loops at word speed.  Both searches score a move with one
+flip kernel, built once per (n, s, t) by ``_flip_counter``: flipping edge
+(u, v) changes only the subsets holding both endpoints, so the energy change
+is a count of (s-2)-cliques among the common neighbours against
+(t-2)-independent sets among the common non-neighbours, unrolled without
+recursion for sizes up to 3.  Annealing applies an accepted flip by XOR on
+the two adjacency masks; the exhaustive search walks the labeled graphs in
+Gray-code order (Gray 1953), so each step is also a single flip.
 """
 
 from __future__ import annotations
@@ -74,9 +82,6 @@ class GraphColoring:
             self.adj[u] &= ~(1 << v)
             self.adj[v] &= ~(1 << u)
 
-    def flip_edge(self, u: int, v: int) -> None:
-        self.set_edge(u, v, not self.has_edge(u, v))
-
     def complement(self) -> "GraphColoring":
         full = (1 << self.n) - 1
         return GraphColoring(self.n, [(~self.adj[v] & full) & ~(1 << v) for v in range(self.n)])
@@ -124,20 +129,60 @@ def count_violations(g: GraphColoring, s: int, t: int) -> int:
     return _count_cliques(g.adj, s, full) + _count_cliques(g.adj, t, full, -1)
 
 
-def _flip_delta(g: GraphColoring, u: int, v: int, s: int, t: int) -> int:
-    """Energy change from flipping edge (u, v); counts only affected subsets.
+def _subset_counter(size: int, flip: int):
+    """count(adj, m): what ``_count_cliques(adj, size, m, flip)`` returns.
+
+    Sizes up to 3 are unrolled into loops over the low set bit of m, with
+    ``bit_count`` for the last level; larger sizes recurse.
+    """
+    if size == 0:
+        return lambda adj, m: 1
+    if size == 1:
+        return lambda adj, m: m.bit_count()
+    if size == 2:
+        def count(adj: list[int], m: int) -> int:
+            total = 0
+            while m:
+                low = m & -m
+                m ^= low
+                total += (m & (adj[low.bit_length() - 1] ^ flip)).bit_count()
+            return total
+        return count
+    if size == 3:
+        def count(adj: list[int], m: int) -> int:
+            total = 0
+            while m:
+                low = m & -m
+                m ^= low
+                c = m & (adj[low.bit_length() - 1] ^ flip)
+                while c:
+                    low = c & -c
+                    c ^= low
+                    total += (c & (adj[low.bit_length() - 1] ^ flip)).bit_count()
+            return total
+        return count
+    return lambda adj, m: _count_cliques(adj, size, m, flip)
+
+
+def _flip_counter(n: int, s: int, t: int):
+    """delta(adj, u, v): energy change from flipping edge (u, v) of adj.
 
     Subsets not containing both endpoints are untouched, so the delta is the
-    number of (s-2)-cliques among common neighbors (cliques gained or lost)
-    against the (t-2)-independent-sets among common non-neighbors.
+    number of (s-2)-cliques among common neighbours (cliques gained or lost)
+    against the (t-2)-independent sets among common non-neighbours.  The
+    counters are built once per instance; anneal, its temperature
+    calibration and exhaustive_search all score flips with this one kernel.
     """
-    adj = g.adj
-    others = ((1 << g.n) - 1) ^ (1 << u) ^ (1 << v)
-    cliques = _count_cliques(adj, s - 2, adj[u] & adj[v])
-    indeps = _count_cliques(adj, t - 2, others & ~(adj[u] | adj[v]), -1)
-    if g.has_edge(u, v):  # flipping removes the edge
-        return indeps - cliques
-    return cliques - indeps
+    full = (1 << n) - 1
+    cliques = _subset_counter(s - 2, 0)
+    indeps = _subset_counter(t - 2, -1)
+
+    def delta(adj: list[int], u: int, v: int) -> int:
+        au, av = adj[u], adj[v]
+        d = cliques(adj, au & av) - indeps(adj, full & ~(au | av | 1 << u | 1 << v))
+        return -d if au >> v & 1 else d  # flipping a present edge removes it
+
+    return delta
 
 
 @dataclass
@@ -181,12 +226,11 @@ class AnnealOutcome:
         return self.graph is not None
 
 
-def _calibrate_temperature(g: GraphColoring, pairs, s: int, t: int,
-                           rng: SplitMix64) -> float:
+def _calibrate_temperature(adj: list[int], pairs, delta, rng: SplitMix64) -> float:
     total = 0
     for _ in range(100):
-        u, v = pairs[rng.uniform_below(len(pairs))]
-        total += abs(_flip_delta(g, u, v, s, t))
+        u, v, _, _ = pairs[rng.uniform_below(len(pairs))]
+        total += abs(delta(adj, u, v))
     return max(total / 100.0, 1.0)
 
 
@@ -195,36 +239,49 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     """Anneal from a random graph toward zero violations.
 
     Single-edge-flip moves; downhill always accepted, uphill with
-    probability exp(-delta/T).  Any zero-energy graph is re-checked with the
-    exact counter before being returned.  ``debug`` audits the incremental
-    energy against a full recount every 1000 moves.
+    probability exp(-delta/T).  Each move is scored by the instance's flip
+    kernel (``_flip_counter``) and applied by XOR on the two endpoints'
+    adjacency masks; the edge draw is ``uniform_below``'s rejection rule
+    inlined, so the draws are the same.  Any zero-energy graph is
+    re-checked with the exact counter before being returned.  ``debug``
+    audits the incremental energy against a full recount every 1000 moves.
     """
     _check_params(n, s, t)
     if cfg is None:
         cfg = AnnealConfig()
     cfg.validate()
-    pairs = list(combinations(range(n), 2))
-    block = cfg.steps_per_temperature or len(pairs)
+    pairs = [(u, v, 1 << u, 1 << v) for u, v in combinations(range(n), 2)]
+    npairs = len(pairs)
+    limit = 2**64 - 2**64 % npairs  # as in SplitMix64.uniform_below(npairs)
+    block = cfg.steps_per_temperature or npairs
+    max_steps, stagnation = cfg.max_total_steps, STAGNATION_LIMIT
+    delta = _flip_counter(n, s, t)
+    next_u64, next_float, exp = rng.next_u64, rng.next_float, math.exp
 
     g = GraphColoring.random(n, rng)
+    adj = g.adj
     energy = count_violations(g, s, t)
-    temperature = cfg.initial_temperature or _calibrate_temperature(g, pairs, s, t, rng)
+    temperature = cfg.initial_temperature or _calibrate_temperature(adj, pairs, delta, rng)
     best = energy
     steps = 0
     restarts_used = 0
     since_improvement = 0
     in_block = 0
 
-    while steps < cfg.max_total_steps:
+    while steps < max_steps:
         if energy == 0:
             if count_violations(g, s, t) != 0:
                 raise RuntimeError("internal error: incremental energy drifted")
             return AnnealOutcome(g, steps, restarts_used, 0)
-        u, v = pairs[rng.uniform_below(len(pairs))]
-        delta = _flip_delta(g, u, v, s, t)
-        if delta <= 0 or rng.next_float() < math.exp(-delta / temperature):
-            g.flip_edge(u, v)
-            energy += delta
+        r = next_u64()
+        while r >= limit:
+            r = next_u64()
+        u, v, bu, bv = pairs[r % npairs]
+        d = delta(adj, u, v)
+        if d <= 0 or next_float() < exp(-d / temperature):
+            adj[u] ^= bv
+            adj[v] ^= bu
+            energy += d
         steps += 1
         in_block += 1
         if debug and steps % 1000 == 0:
@@ -238,13 +295,15 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
         if in_block >= block:
             in_block = 0
             temperature = max(temperature * cfg.cooling, 1e-9)
-        if since_improvement >= STAGNATION_LIMIT and restarts_used < cfg.restarts:
+        if since_improvement >= stagnation and restarts_used < cfg.restarts:
             restarts_used += 1
             since_improvement = 0
             in_block = 0
             g = GraphColoring.random(n, rng)
+            adj = g.adj
             energy = count_violations(g, s, t)
-            temperature = cfg.initial_temperature or _calibrate_temperature(g, pairs, s, t, rng)
+            temperature = (cfg.initial_temperature
+                           or _calibrate_temperature(adj, pairs, delta, rng))
             if energy < best:
                 best = energy
     if energy == 0:
@@ -255,7 +314,14 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
 
 
 def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
-    """Every labeled graph on n vertices with zero violations (n <= 7)."""
+    """Every labeled graph on n vertices with zero violations (n <= 7).
+
+    Graph number ``mask`` has edge ``pairs[i]`` exactly when bit i of mask
+    is set.  The masks are walked in Gray-code order from the empty graph:
+    step i flips the edge at the lowest set bit of i, so each step is one
+    flip scored by the instance's flip kernel (``_flip_counter``) rather
+    than a full recount.  The graphs are returned in increasing mask order.
+    """
     _check_params(n, s, t)
     pairs = list(combinations(range(n), 2))
     if len(pairs) > EXHAUSTIVE_EDGE_LIMIT:
@@ -263,15 +329,23 @@ def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
             "C(%d, 2) = %d edge slots is past the 2^%d enumeration limit; use anneal"
             % (n, len(pairs), EXHAUSTIVE_EDGE_LIMIT)
         )
-    out = []
-    for mask in range(1 << len(pairs)):
-        g = GraphColoring(n)
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                g.set_edge(u, v, True)
-        if count_violations(g, s, t) == 0:
-            out.append(g)
-    return out
+    delta = _flip_counter(n, s, t)
+    flips = [(u, v, 1 << u, 1 << v) for u, v in pairs]
+    adj = [0] * n
+    energy = count_violations(GraphColoring(n), s, t)
+    found = [] if energy else [0]
+    for i in range(1, 1 << len(pairs)):
+        u, v, bu, bv = flips[(i & -i).bit_length() - 1]
+        energy += delta(adj, u, v)
+        adj[u] ^= bv
+        adj[v] ^= bu
+        if energy == 0:
+            found.append(i ^ i >> 1)  # the mask of the graph after step i
+    if energy != count_violations(GraphColoring(n, adj), s, t):
+        raise RuntimeError("internal error: incremental energy drifted")
+    found.sort()
+    return [GraphColoring.from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+            for mask in found]
 
 
 def census_confidence(distinct_found: int, total_runs: int) -> float:

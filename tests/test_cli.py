@@ -362,11 +362,25 @@ def main_peak_bytes(argv):
     (["fingerprint", "localize", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
       "--rounds-per-probe", str(primality.MAX_ROUNDS + 1)],
      "rounds_per_probe must be in [1, %d]" % primality.MAX_ROUNDS),
+    # The round count is refused before either document is read.
+    (["fingerprint", "verify", "{tmp}/big.bin", "--remote", "{tmp}/big.bin",
+      "--rounds", str(primality.MAX_ROUNDS + 1)],
+     "rounds must be in [1, %d]" % primality.MAX_ROUNDS),
+    (["fingerprint", "localize", "{tmp}/big.bin", "--remote", "{tmp}/big.bin",
+      "--rounds-per-probe", str(primality.MAX_ROUNDS + 1)],
+     "rounds_per_probe must be in [1, %d]" % primality.MAX_ROUNDS),
+    (["factor", "pm1", "0x" + "f" * 3999 + "b", "--bound", "100"],
+     "N must be at most %d bits" % factor.MAX_TARGET_BITS),
+    (["factor", "ecm", "%#x" % (2**factor.MAX_TARGET_BITS + 1), "--b1", "100"],
+     "N must be at most %d bits" % factor.MAX_TARGET_BITS),
 ], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves",
         "prime-test-rounds", "prime-random-rounds", "fp-verify-rounds",
-        "fp-localize-rounds"])
+        "fp-localize-rounds", "fp-verify-rounds-big-doc", "fp-localize-rounds-big-doc",
+        "pm1-target-bits", "ecm-target-bits"])
 def test_argument_past_cap_exits_two_before_allocating(argv, message, tmp_path, capsys):
     (tmp_path / "doc.bin").write_bytes(b"fingerprinted document")
+    if any("big.bin" in arg for arg in argv):
+        (tmp_path / "big.bin").write_bytes(bytes(4 * 2**20))  # 4 MiB
     start = time.perf_counter()
     code, peak = main_peak_bytes([arg.format(tmp=tmp_path) for arg in argv])
     assert time.perf_counter() - start < 0.5
@@ -386,6 +400,17 @@ def test_trial_and_curve_caps_are_inclusive(capsys):
     assert code == 0 and doc["result"]["rounds"] == primality.MAX_ROUNDS
     code, doc = run_cli(["prime", "random", "--lo", "1000", "--hi", "2000", "--rounds", rounds])
     assert code == 0 and 1000 < int(doc["result"]["prime"]) < 2000
+
+
+def test_factor_target_cap_is_inclusive(capsys):
+    N = 2**factor.MAX_TARGET_BITS - 1  # divisible by 15
+    code, doc = run_cli(["factor", "pm1", "%#x" % N, "--bound", "5"])
+    assert code == 0 and int(doc["result"]["divisor"]) * int(doc["result"]["cofactor"]) == N
+    N = 5 * (2**(factor.MAX_TARGET_BITS - 3) + 3)  # coprime to 6, 4096 bits
+    assert N.bit_length() == factor.MAX_TARGET_BITS
+    code, doc = run_cli(["factor", "ecm", "%#x" % N, "--b1", "100", "--curves", "5",
+                         "--seed", "1"])
+    assert code == 0 and int(doc["result"]["divisor"]) * int(doc["result"]["cofactor"]) == N
 
 
 def test_mphf_build_rejects_word_past_length_cap(tmp_path, capsys):

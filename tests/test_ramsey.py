@@ -2,9 +2,12 @@ from itertools import combinations
 
 import pytest
 
+from randlab import ramsey
 from randlab.ramsey import (
     AnnealConfig,
     GraphColoring,
+    _count_cliques,
+    _subset_counter,
     anneal,
     canonical_form,
     census_confidence,
@@ -71,6 +74,17 @@ def test_count_violations_complement_duality_exhaustive():
                 assert count_violations(g, s, t) == count_violations(g.complement(), t, s)
 
 
+def test_unrolled_subset_counts_match_recursion():
+    rng = SplitMix64(7)
+    for _ in range(20):
+        g = GraphColoring.random(12, rng)
+        m = rng.next_u64() & 0xFFF
+        for size in range(6):
+            for flip in (0, -1):
+                assert _subset_counter(size, flip)(g.adj, m) == \
+                    _count_cliques(g.adj, size, m, flip)
+
+
 def test_count_violations_guards():
     with pytest.raises(ValueError):
         count_violations(GraphColoring(5), 1, 3)
@@ -84,7 +98,7 @@ def test_graph_basics():
     g = GraphColoring(4)
     g.set_edge(0, 3, True)
     assert g.has_edge(3, 0)
-    g.flip_edge(0, 3)
+    g.set_edge(3, 0, False)
     assert not g.has_edge(0, 3)
     with pytest.raises(ValueError):
         g.set_edge(1, 1, True)
@@ -128,6 +142,74 @@ def test_anneal_deterministic_replay():
     assert a.graph == b.graph
 
 
+# Replayed anneal runs: (n, s, t, seed, config, debug) and what they must
+# return, down to the generator state after the last draw, so a change to
+# the move loop must keep every draw and every accepted flip.  Recorded from
+# the recursive per-move recount that the flip kernel replaced.
+ANNEAL_PINS = [
+    # (n, s, t, seed, cfg, debug), (steps, restarts_used, best_energy, final adj, rng.state)
+    ((5, 3, 3, 0, None, False), (104, 0, 0, [6, 9, 17, 18, 12], 6688773790079164609)),
+    ((5, 3, 3, 1, None, False), (12, 0, 0, [24, 20, 10, 5, 3], 1998715050314828417)),
+    ((5, 3, 3, 2, None, False), (38, 0, 0, [10, 5, 18, 17, 12], 11978766303238853880)),
+    ((8, 3, 4, 0, None, False),
+     (719, 0, 0, [112, 24, 160, 98, 3, 13, 137, 68], 10157082693573096967)),
+    ((8, 3, 4, 1, None, False),
+     (1134, 0, 0, [98, 137, 224, 50, 72, 13, 21, 6], 16188634132647396517)),
+    ((8, 3, 4, 2, None, False),
+     (1924, 0, 0, [140, 28, 35, 67, 130, 68, 40, 17], 15823020377510626931)),
+    ((13, 3, 5, 0, None, False),
+     (36807, 0, 0, [6660, 6216, 297, 534, 4488, 5252, 898, 2160, 1108, 1097, 2848, 1155, 51],
+      13966506229775683055)),
+    ((13, 3, 5, 3, None, False),
+     (35760, 0, 0, [2580, 864, 4417, 3840, 1409, 7170, 1158, 6224, 30, 4107, 120, 169, 676],
+      5551936278779133335)),
+    ((7, 4, 3, 1, None, False), (41, 0, 0, [108, 28, 75, 23, 42, 81, 37], 1848731606965990148)),
+    ((8, 3, 4, 0, AnnealConfig(initial_temperature=2.0, steps_per_temperature=10), False),
+     (1120, 0, 0, [22, 193, 9, 164, 161, 88, 34, 26], 17516602833307243254)),
+    # Budget exhausted with no solution: (3,3,6) is infeasible; the others
+    # stop early, at sizes 2 and 4 of the subset counts.
+    ((6, 3, 3, 0, AnnealConfig(max_total_steps=3000), False),
+     (3000, 0, 2, None, 13472215570709145544)),
+    ((17, 4, 4, 0, AnnealConfig(max_total_steps=4000), False),
+     (4000, 0, 25, None, 6916708642319657074)),
+    ((12, 3, 6, 0, AnnealConfig(max_total_steps=3000), False),
+     (3000, 0, 1, None, 15678202641982324213)),
+    # debug=True audits at moves 1000, 2000 and 3000 and draws nothing extra.
+    ((8, 3, 4, 5, None, True),
+     (3911, 0, 0, [76, 112, 49, 145, 14, 134, 131, 104], 13013906949833049677)),
+]
+
+# The same with STAGNATION_LIMIT = 40, so restarts happen.
+ANNEAL_RESTART_PINS = [
+    ((8, 3, 4, 0, None, False),
+     (1011, 23, 0, [152, 176, 88, 37, 7, 10, 132, 67], 615430896856959735)),
+    ((8, 3, 4, 5, None, False),
+     (282, 5, 0, [6, 73, 161, 162, 96, 28, 146, 76], 7465739004123589195)),
+    ((7, 3, 4, 2, None, False),
+     (162, 3, 0, [72, 12, 66, 19, 40, 80, 37], 17524961124136824321)),
+    ((6, 3, 3, 1, AnnealConfig(max_total_steps=3000), False),
+     (3000, 74, 2, None, 10692123265143291565)),
+]
+
+
+def replayed(n, s, t, seed, cfg, debug):
+    rng = SplitMix64(seed)
+    out = anneal(n, s, t, cfg, rng, debug=debug)
+    return out.steps, out.restarts_used, out.best_energy, \
+        out.graph.adj if out.found else None, rng.state
+
+
+@pytest.mark.parametrize("args, pinned", ANNEAL_PINS)
+def test_anneal_replays_pinned_runs(args, pinned):
+    assert replayed(*args) == pinned
+
+
+@pytest.mark.parametrize("args, pinned", ANNEAL_RESTART_PINS)
+def test_anneal_replays_pinned_restarts(args, pinned, monkeypatch):
+    monkeypatch.setattr(ramsey, "STAGNATION_LIMIT", 40)
+    assert replayed(*args) == pinned
+
+
 def test_anneal_validates_config():
     with pytest.raises(ValueError):
         anneal(5, 3, 3, AnnealConfig(cooling=1.5), SplitMix64(0))
@@ -152,6 +234,31 @@ def test_exhaustive_search_r22():
 def test_exhaustive_search_guard():
     with pytest.raises(ValueError):
         exhaustive_search(8, 3, 3)  # C(8,2) = 28 > 21
+
+
+def reference_exhaustive(n, s, t):
+    # Mask-order brute force: graph number mask has edge pairs[i] exactly
+    # when bit i is set, each one counted from scratch.
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        g = GraphColoring(n)
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                g.set_edge(u, v, True)
+        if count_violations(g, s, t) == 0:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n, s, t", [
+    (n, s, t) for n in range(2, 6) for s in range(2, n + 1) for t in range(2, n + 1)
+] + [(6, 3, 4)])
+def test_exhaustive_search_matches_mask_order_reference(n, s, t):
+    found = exhaustive_search(n, s, t)
+    assert found == reference_exhaustive(n, s, t)
+    if (n, s, t) == (6, 3, 4):
+        assert len(found) == 2812
 
 
 def test_census_confidence_values():
