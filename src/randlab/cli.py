@@ -295,8 +295,19 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64) -> list[int]:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
     if kind.startswith("file:"):
+        # One label a line, at most 5 digits (route.MAX_DIMENSION = 16); read
+        # no more than 64 characters a line and one label past N, so a hostile
+        # file costs no memory that grows with it.
+        perm = []
         with open(kind[5:], "r", encoding="utf-8") as fh:
-            return [int(line) for line in fh if line.strip()]
+            while line := fh.readline(65):
+                if len(line) > 64:
+                    raise ValueError("--perm file lines must be at most 64 characters")
+                if line.strip():
+                    if len(perm) == N:
+                        raise ValueError("--perm file holds more than %d labels" % N)
+                    perm.append(int(line))
+        return perm
     raise ValueError("unknown permutation %r" % kind)
 
 

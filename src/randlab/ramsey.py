@@ -66,9 +66,6 @@ class GraphColoring:
                     g.set_edge(u, v, True)
         return g
 
-    def copy(self) -> "GraphColoring":
-        return GraphColoring(self.n, self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 

@@ -6,7 +6,9 @@ perm[j].  Greedy ("leading bit") routing repeatedly flips the highest-order
 bit where the current and destination labels differ.  Each directed edge
 carries at most one packet per time step; waiting packets sit in one FIFO
 queue per directed edge, and simultaneous arrivals enter a queue in packet-id
-order, which makes every run bit-for-bit reproducible.
+order, which makes every run bit-for-bit reproducible.  The step loop only
+moves packets: which packets pass a vertex is fixed by the routes, so vertex
+throughput is counted from them, and queue depth is read as packets join.
 
 Greedy routing is fast on average but has bad permutations: under
 bit-reversal, every packet whose source has at least d/2 trailing zeros is
@@ -76,76 +78,77 @@ def _check_permutation(d: int, perm) -> list[int]:
     return perm
 
 
-def _simulate(N: int, d: int, routes: list[list[int]], debug: bool = False,
+def _simulate(N: int, d: int, routes: list[list[int]],
               checkpoints: list[int] | None = None):
     """Run the synchronous queueing model over fixed per-packet routes.
 
-    Returns (total_steps, latencies, throughput (vertex, count), max queue
-    depth, latest checkpoint-crossing step).  ``checkpoints`` gives a route
-    position per packet whose arrival step is tracked (phase boundaries).
-    Aborts if delivery exceeds N*d steps, which the leading-bit discipline
-    never approaches.
+    Returns (total_steps, latencies, max queue depth, latest
+    checkpoint-crossing step).  ``checkpoints`` gives a route position per
+    packet whose arrival step is tracked (phase boundaries).  A queue is
+    longest right after its arrivals, since each step pops every queue
+    before anything joins one, so depth is read as packets join.  Aborts if
+    delivery exceeds N*d steps, which the leading-bit discipline never
+    approaches.
     """
     delivered = [0] * len(routes)
     position = [0] * len(routes)
-    through = [set() for _ in range(N)]
     queues: dict[tuple[int, int], list[int]] = {}
     max_depth = 0
     checkpoint_step = 0
-    for j, route in enumerate(routes):  # ascending id: initial tie-break order
-        through[route[0]].add(j)
-        if len(route) > 1:
-            queues.setdefault((route[0], route[1]), []).append(j)
-    if queues:
-        max_depth = max(len(q) for q in queues.values())
     step = 0
-    while queues:
+    # Every packet "arrives" at its source at step 0.  Arrivals join their
+    # next queue in ascending id order, which breaks ties reproducibly.
+    arrivals = range(len(routes))
+    while True:
+        for j in arrivals:
+            route = routes[j]
+            here = position[j]
+            if checkpoints is not None and here == checkpoints[j]:
+                checkpoint_step = step
+            if here == len(route) - 1:
+                delivered[j] = step
+            else:
+                queue = queues.setdefault((route[here], route[here + 1]), [])
+                queue.append(j)
+                if len(queue) > max_depth:
+                    max_depth = len(queue)
+        if not queues:
+            return step, tuple(delivered), max_depth, checkpoint_step
         step += 1
         if step > N * d:
             raise RuntimeError("internal error: no delivery after %d steps" % (N * d))
         arrivals = []
-        used_edges = set()
         for edge, queue in list(queues.items()):
-            packet = queue.pop(0)
-            if debug:
-                if edge in used_edges:
-                    raise RuntimeError("internal error: edge %r carried two packets" % (edge,))
-                used_edges.add(edge)
+            j = queue.pop(0)
             if not queue:
                 del queues[edge]
-            arrivals.append(packet)
-        arrivals.sort()
-        for j in arrivals:
-            route = routes[j]
             position[j] += 1
-            here = route[position[j]]
-            through[here].add(j)
-            if checkpoints is not None and position[j] == checkpoints[j]:
-                checkpoint_step = step
-            if position[j] == len(route) - 1:
-                delivered[j] = step
-            else:
-                queues.setdefault((here, route[position[j] + 1]), []).append(j)
-        if queues:
-            depth = max(len(q) for q in queues.values())
-            if depth > max_depth:
-                max_depth = depth
-    counts = [len(s) for s in through]
-    busiest = max(range(N), key=lambda v: (counts[v], -v))
-    return step, tuple(delivered), (busiest, counts[busiest]), max_depth, checkpoint_step
+            arrivals.append(j)
+        arrivals.sort()
 
 
-def run_oblivious(d: int, perm, debug: bool = False) -> RunStats:
+def _busiest(N: int, routes: list[list[int]]) -> tuple[int, int]:
+    """(vertex, packets) for the vertex on the most routes, lowest on a tie;
+    a packet counts once however often its route revisits a vertex."""
+    counts = [0] * N
+    for route in routes:
+        for v in set(route):
+            counts[v] += 1
+    most = max(counts)
+    return counts.index(most), most
+
+
+def run_oblivious(d: int, perm) -> RunStats:
     """Route permutation ``perm`` greedily; returns timing and congestion."""
     perm = _check_permutation(d, perm)
     N = 1 << d
     routes = [leading_bit_path(j, perm[j]) for j in range(N)]
-    steps, latency, throughput, depth, _ = _simulate(N, d, routes, debug)
-    return RunStats(steps, latency, throughput, depth)
+    steps, latency, depth, _ = _simulate(N, d, routes)
+    return RunStats(steps, latency, _busiest(N, routes), depth)
 
 
 def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
-                phase_barrier: bool = False, debug: bool = False) -> RunStats:
+                phase_barrier: bool = False) -> RunStats:
     """Two-phase randomized routing: j -> sigma(j) -> perm(j), both greedy.
 
     sigma is drawn as N independent uniform vertex choices (collisions
@@ -160,24 +163,18 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
         sigma = [rng.uniform_below(N) for _ in range(N)]
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
+    phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]
+    phase2 = [leading_bit_path(sigma[j], perm[j]) for j in range(N)]
 
     if phase_barrier:
-        phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]
-        s1, lat1, thr1, depth1, _ = _simulate(N, d, phase1, debug)
-        phase2 = [leading_bit_path(sigma[j], perm[j]) for j in range(N)]
-        s2, lat2, thr2, depth2, _ = _simulate(N, d, phase2, debug)
-        latency = tuple(a + s1 for a in lat2) if s1 else lat2
+        s1, _, depth1, _ = _simulate(N, d, phase1)
+        s2, lat2, depth2, _ = _simulate(N, d, phase2)
         # Throughput maxima are per-phase; report the larger hot spot.
-        throughput = max(thr1, thr2, key=lambda t: (t[1], -t[0]))
-        return RunStats(s1 + s2, latency, throughput, max(depth1, depth2), phase1_steps=s1)
+        throughput = max(_busiest(N, phase1), _busiest(N, phase2), key=lambda t: (t[1], -t[0]))
+        return RunStats(s1 + s2, tuple(a + s1 for a in lat2), throughput,
+                        max(depth1, depth2), phase1_steps=s1)
 
-    routes = []
-    boundaries = []
-    for j in range(N):
-        first = leading_bit_path(j, sigma[j])
-        routes.append(first + leading_bit_path(sigma[j], perm[j])[1:])
-        boundaries.append(len(first) - 1)
-    steps, latency, throughput, depth, phase1_steps = _simulate(
-        N, d, routes, debug, checkpoints=boundaries
-    )
-    return RunStats(steps, latency, throughput, depth, phase1_steps=phase1_steps)
+    routes = [a + b[1:] for a, b in zip(phase1, phase2)]
+    steps, latency, depth, phase1_steps = _simulate(
+        N, d, routes, checkpoints=[len(a) - 1 for a in phase1])
+    return RunStats(steps, latency, _busiest(N, routes), depth, phase1_steps=phase1_steps)

@@ -213,6 +213,19 @@ def test_route_sim_permutation_file(tmp_path, capsys):
     assert doc["result"]["trials"][0]["total_steps"] >= 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\n" * 2_000_000, "--perm file holds more than 4 labels"),
+    ("0" * 4_000_000, "--perm file lines must be at most 64 characters"),
+], ids=["many-lines", "one-long-line"])
+def test_route_sim_permutation_file_read_is_bounded(text, message, tmp_path, capsys):
+    pfile = tmp_path / "perm.txt"
+    pfile.write_text(text)  # 4 MB either way
+    code, peak = main_peak_bytes(["route", "sim", "--d", "2", "--perm", "file:%s" % pfile])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert peak < 2**20
+
+
 def test_ramsey_exhaustive(capsys):
     code, doc = run_cli(["ramsey", "exhaustive", "--n", "5", "--s", "3", "--t", "3"])
     assert code == 0
