@@ -282,7 +282,8 @@ def _cmd_mphf(args, manifest, stdout) -> int:
     return 0 if not bad else 1
 
 
-def _load_permutation(kind: str, d: int, rng: SplitMix64) -> list[int]:
+def _load_permutation(kind: str, d: int, rng: SplitMix64 | None) -> list[int]:
+    """The permutation ``kind`` names; ``rng`` is drawn from for "random" only."""
     N = 1 << d
     if kind == "bitrev":
         return route.bit_reversal(d)
@@ -317,15 +318,23 @@ def _cmd_route(args, manifest, stdout) -> int:
     if args.trials > route.MAX_TRIALS:
         raise ValueError("--trials must be <= %d" % route.MAX_TRIALS)
     route.check_dimension(args.d)  # before any permutation is built
+    # Only a random permutation and two-phase routing draw per trial.  Any
+    # other permutation is built (a file read) once, and greedy routing of
+    # it is simulated once, its row repeated for every trial.
+    fixed = None if args.perm == "random" else _load_permutation(args.perm, args.d, None)
+    greedy = None
+    if fixed is not None and args.algo == "greedy":
+        greedy = route.run_oblivious(args.d, fixed)
     rows = []
     for trial in range(args.trials):
         rng = derive_stream(args.seed, trial)
-        perm = _load_permutation(args.perm, args.d, rng)
-        if args.algo == "greedy":
+        perm = fixed if fixed is not None else _load_permutation(args.perm, args.d, rng)
+        if greedy is not None:
+            stats = greedy
+        elif args.algo == "greedy":
             stats = route.run_oblivious(args.d, perm)
         else:
-            stats = route.run_valiant(args.d, perm, rng,
-                                      phase_barrier=args.phase_barrier)
+            stats = route.run_valiant(args.d, perm, rng, phase_barrier=args.phase_barrier)
         rows.append({
             "trial": trial,
             "d": args.d,

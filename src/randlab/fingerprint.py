@@ -4,8 +4,9 @@ Two parties each hold a byte sequence, read as a big-endian integer.  Per
 round one side draws a random prime p in (10**9, 2*10**9), both reduce their
 integer mod p, and the residues are compared: unequal residues prove the
 documents differ, while equal residues on every round make inequality
-extremely unlikely (a difference has few prime divisors above 2**30 compared
-with the tens of millions of primes in the interval).  Corrupted regions are
+extremely unlikely (a difference of n-byte documents has at most
+8n / log2(10**9 + 1) prime divisors above 10**9, compared with the tens of
+millions of primes in the interval).  Corrupted regions are
 then pinned down by bisecting the byte range and fingerprinting the halves.
 
 The remote side is abstracted as a residue oracle; this module ships an
@@ -195,16 +196,27 @@ def _interval_prime_count(lo: int, hi: int) -> int:
     return max(1, int(est))
 
 
+def max_prime_divisors(doc_len: int, prime_lo: int = DEFAULT_PRIME_LO) -> int:
+    """Most distinct primes above ``prime_lo`` dividing a nonzero difference
+    of two ``doc_len``-byte documents.
+
+    The difference is below 256**doc_len and each such prime is at least
+    prime_lo + 1 (and at least 2), so there are at most
+    floor(8 * doc_len / log2(prime_lo + 1)) of them.
+    """
+    return math.floor(8 * doc_len / math.log2(max(prime_lo + 1, 2)))
+
+
 def structural_bound(doc_len: int, rounds: int, prime_lo: int = DEFAULT_PRIME_LO,
                      prime_hi: int = DEFAULT_PRIME_HI) -> Fraction:
     """Per-report false-positive bound from the divisor-counting argument.
 
     A nonzero difference of documents this long has at most
-    bitlen(256**doc_len) // 30 prime divisors above 2**30, against the number
-    of primes available in the drawing interval; rounds multiply.
+    ``max_prime_divisors(doc_len, prime_lo)`` prime divisors in the drawing
+    interval, against the number of primes in it; rounds multiply.
     """
-    max_divisors = (8 * doc_len) // 30
-    per_round = Fraction(max_divisors, _interval_prime_count(prime_lo, prime_hi))
+    per_round = Fraction(max_prime_divisors(doc_len, prime_lo),
+                         _interval_prime_count(prime_lo, prime_hi))
     if per_round > 1:
         per_round = Fraction(1)
     return per_round**rounds

@@ -204,6 +204,33 @@ def test_route_sim_trials_fanout(capsys):
     assert doc["result"]["summary"]["runs"] == 3
 
 
+def test_route_sim_greedy_fixed_permutation_simulated_once(monkeypatch, capsys):
+    calls = []
+    real = route.run_oblivious
+    monkeypatch.setattr(route, "run_oblivious", lambda d, perm: calls.append(d) or real(d, perm))
+    code, doc = run_cli(["route", "sim", "--d", "6", "--perm", "bitrev", "--trials", "50"])
+    assert code == 0 and len(calls) == 1
+    rows = doc["result"]["trials"]
+    assert [r["trial"] for r in rows] == list(range(50))
+    for trial, row in enumerate(rows):
+        _, one = run_cli(["route", "sim", "--d", "6", "--perm", "bitrev", "--trials", "1"])
+        assert row == dict(one["result"]["trials"][0], trial=trial)
+
+
+def test_route_sim_permutation_file_read_once(tmp_path, monkeypatch, capsys):
+    pfile = tmp_path / "perm.txt"
+    pfile.write_text("".join("%d\n" % v for v in (3, 2, 1, 0)))
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda path, *a, **k: opened.append(path) or real_open(path, *a, **k))
+    for algo in ("greedy", "valiant"):
+        opened.clear()
+        code, doc = run_cli(["route", "sim", "--d", "2", "--perm", "file:%s" % pfile,
+                             "--algo", algo, "--trials", "5"])
+        assert code == 0 and doc["result"]["summary"]["runs"] == 5
+        assert opened == [str(pfile)]
+
+
 def test_route_sim_permutation_file(tmp_path, capsys):
     pfile = tmp_path / "perm.txt"
     pfile.write_text("".join("%d\n" % v for v in (3, 2, 1, 0)))

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -9,13 +10,15 @@ from randlab.fingerprint import (
     LocalOracle,
     StreamOracle,
     TransportError,
+    PRIMES_IN_DEFAULT_INTERVAL,
     localize,
+    max_prime_divisors,
     residue,
     serve_oracle,
     structural_bound,
     verify,
 )
-from randlab.primality import MAX_ROUNDS
+from randlab.primality import MAX_ROUNDS, is_probable_prime
 from randlab.rng import SplitMix64
 
 
@@ -94,11 +97,34 @@ def test_verify_rejects_zero_rounds():
 
 
 def test_structural_bound_values():
-    # 256-byte docs: floor(2048/30) = 68 candidate divisors out of ~4.7e7 primes
+    # 256-byte docs: floor(2048/log2(10**9 + 1)) = 68 candidate divisors out
+    # of 47,374,753 primes
     bound = structural_bound(256, 1)
-    assert float(bound) < 1.5e-6
+    assert bound == Fraction(68, PRIMES_IN_DEFAULT_INTERVAL)
     assert structural_bound(256, 10) == bound**10
+    assert structural_bound(1024, 1) == Fraction(274, PRIMES_IN_DEFAULT_INTERVAL)
+    assert max_prime_divisors(1024) == 274
+    assert max_prime_divisors(1024, 1000) == 821
+    assert max_prime_divisors(10, 0) == 80  # every prime is at least 2
     assert structural_bound(10**9, 1) <= 1  # clamped even for absurd sizes
+
+
+@pytest.mark.parametrize("doc_len, prime_lo", [(1024, 10**9), (1024, 1000), (64, 1), (100, 0)])
+def test_max_prime_divisors_covers_densest_difference(doc_len, prime_lo):
+    # The product of the smallest primes above prime_lo that stays below
+    # 256**doc_len is a difference of two doc_len-byte documents with as
+    # many prime divisors above prime_lo as any can have: 274 of them for
+    # 1024 bytes above 10**9, exactly the bound.
+    product, count, n = 1, 0, prime_lo
+    while True:
+        n += 1
+        if not is_probable_prime(n, 32, SplitMix64(n)).is_probably_prime:
+            continue
+        if product * n >= 256**doc_len:
+            break
+        product *= n
+        count += 1
+    assert count <= max_prime_divisors(doc_len, prime_lo)
 
 
 def test_false_positive_bound_reported_on_match():

@@ -10,6 +10,9 @@ The test never writes.  To re-pin after a change that is meant to alter
 replayed output, run this module as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints, for each case, whether the document changed and whether only
+``manifest.version`` did.
 """
 
 import io
@@ -107,6 +110,23 @@ def test_golden_document(name, inputs, monkeypatch):
     assert stdout == render(pinned["document"])
 
 
+def _without_version(pinned):
+    masked = json.loads(json.dumps(pinned))
+    masked["document"]["manifest"].pop("version", None)
+    return masked
+
+
+def _change(old, new):
+    """How a re-pinned case differs from the document pinned before it."""
+    if old is None:
+        return "new case"
+    if old == new:
+        return "unchanged"
+    if _without_version(old) == _without_version(new):
+        return "only manifest.version changed"
+    return "CHANGED beyond manifest.version"
+
+
 def _repin():
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
@@ -115,8 +135,10 @@ def _repin():
         for name in sorted(CASES):
             code, stdout = run_case(name)
             pinned = {"exit_code": code, "document": json.loads(stdout)}
-            (GOLDEN_DIR / (name + ".json")).write_text(render(pinned))
-            print("pinned %s (exit %d)" % (name, code))
+            path = GOLDEN_DIR / (name + ".json")
+            old = json.loads(path.read_text()) if path.exists() else None
+            path.write_text(render(pinned))
+            print("pinned %s (exit %d): %s" % (name, code, _change(old, pinned)))
 
 
 if __name__ == "__main__":

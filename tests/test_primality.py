@@ -166,11 +166,18 @@ def reference_is_probable_prime(n, rounds, rng):
     return True, rounds
 
 
+SMALL_ODD_PRIMES = [p for p in range(3, 200, 2) if sieve(200)[p]]
+
+
 def reference_random_prime_in(lo, hi, rounds, rng):
-    """Candidate loop made of public pieces: one uniform_natural_in draw and
-    one is_probable_prime call per candidate."""
+    """Candidate loop made of public pieces: one uniform_natural_in draw per
+    candidate, and one is_probable_prime call per candidate unless it is odd,
+    above 3 and has an odd prime factor below 200 other than itself."""
     while True:
         candidate = rng.uniform_natural_in(lo, hi)
+        if candidate % 2 and candidate > 3 and any(
+                candidate % p == 0 and candidate != p for p in SMALL_ODD_PRIMES):
+            continue
         if is_probable_prime(candidate, rounds, rng).is_probably_prime:
             return candidate
 
@@ -198,6 +205,33 @@ def test_random_prime_in_matches_reference_draws(lo, span):
             assert random_prime_in(lo, hi, rounds, rng) == \
                 reference_random_prime_in(lo, hi, rounds, ref)
             assert rng.state == ref.state
+
+
+def test_random_prime_in_sieve_keeps_every_prime(monkeypatch):
+    # With the span pre-check off and one candidate allowed, the one-integer
+    # interval (n - 1, n + 1) gives n back exactly when n is prime, and an
+    # odd composite with a factor below 200 costs its candidate draw only.
+    monkeypatch.setattr(primality, "SMALL_SPAN", 0)
+    monkeypatch.setattr(primality, "PRIME_SEARCH_LIMIT", 1)
+    flags = sieve(2 * 10**5)
+    for n in range(2 * 10**5):
+        rng = SplitMix64(n)
+        try:
+            found = random_prime_in(n - 1, n + 1, 8, rng) == n
+        except PrimelessIntervalError:
+            found = False
+        assert found == bool(flags[n]), n
+        if n % 2 and n > 3 and not flags[n] and any(n % p == 0 for p in SMALL_ODD_PRIMES):
+            ref = SplitMix64(n)
+            ref.uniform_natural_in(n - 1, n + 1)
+            assert rng.state == ref.state, n
+
+
+def test_random_prime_in_one_prime_interval_below_1000():
+    flags = sieve(1000)
+    for p in range(1000):
+        if flags[p]:
+            assert random_prime_in(p - 1, p + 1, 8, SplitMix64(p)) == p
 
 
 def test_random_prime_in_validates():
