@@ -203,9 +203,12 @@ def _cmd_fingerprint(args, manifest, stdout) -> int:
         served = fingerprint.serve_oracle(doc, sys.stdin, stdout)
         print("served %d queries" % served, file=sys.stderr)
         return 0
-    # Refuse a past-cap round count before reading either document.
+    # Refuse a past-cap round count or prime interval before reading either
+    # document.
     rounds_arg = "rounds" if args.subcommand == "verify" else "rounds_per_probe"
     primality.check_rounds(rounds_arg, getattr(args, rounds_arg))
+    lo, hi = parse_natural(args.prime_lo), parse_natural(args.prime_hi)
+    primality.check_prime_interval(lo, hi)
     rng = SplitMix64(args.seed)
     local = fingerprint.Document.from_file(args.local)
     oracle = _make_oracle(args)
@@ -213,7 +216,6 @@ def _cmd_fingerprint(args, manifest, stdout) -> int:
         # stdout is the protocol channel in stdio-remote mode; the report
         # moves to stderr so the peer never sees it as a request.
         stdout = sys.stderr
-    lo, hi = parse_natural(args.prime_lo), parse_natural(args.prime_hi)
     if args.subcommand == "verify":
         report = fingerprint.verify(local, oracle, args.rounds, rng, lo, hi)
         _emit(manifest, {

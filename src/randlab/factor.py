@@ -211,10 +211,11 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
         raise ValueError("curves must be in [1, %d]" % MAX_CURVES)
     _check_target(N, require_coprime_6=True)
     powers = _prime_powers(b1)
+    residue = rng.sampler(N)
     for curve in range(1, max_curves + 1):
-        x0 = rng.uniform_below(N)
-        y0 = rng.uniform_below(N)
-        a = rng.uniform_below(N)
+        x0 = residue()
+        y0 = residue()
+        a = residue()
         b = (y0 * y0 - x0 * x0 * x0 - a * x0) % N
         disc = gcd((4 * a * a * a + 27 * b * b) % N, N)
         if disc == N:

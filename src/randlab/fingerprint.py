@@ -16,7 +16,8 @@ in-process oracle and a line-oriented text protocol for genuinely remote use:
     response  R <residue-decimal>\n
     request   L\n                 (document length)
     response  L <length>\n
-    response  E <reason>\n        (to a malformed or out-of-range request)
+    response  E <reason>\n        (to a malformed or out-of-range request,
+                                  or a prime wider than MAX_PRIME_BITS)
 
 The server answers a bad request with ``E`` and keeps serving; the client
 treats an ``E`` reply as a transport failure.
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .primality import check_rounds, random_prime_in
+from .primality import MAX_PRIME_BITS, check_rounds, random_prime_in
 from .rng import SplitMix64
 
 MATCH = "match"
@@ -171,6 +172,8 @@ def _answer(doc: Document, parts: list[str]) -> str:
     if len(parts) != 4:
         raise ValueError("Q takes offset, length and prime")
     offset, length, prime = (int(p) for p in parts[1:])
+    if prime.bit_length() > MAX_PRIME_BITS:
+        raise ValueError("prime must be at most %d bits" % MAX_PRIME_BITS)
     return "R %d\n" % doc.residue(prime, offset, length)
 
 

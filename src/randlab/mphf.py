@@ -124,18 +124,6 @@ def _peel(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | N
     return order if len(order) == len(edges) else None
 
 
-def is_acyclic(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    """True iff the multigraph on n vertices has no cycle.
-
-    Self-loops and repeated edges count as cycles.  Checked by peeling:
-    repeatedly strip degree-1 vertices; a forest peels down to nothing.
-    """
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError("vertex out of range: (%d, %d)" % (u, v))
-    return _peel(n, edges) is not None
-
-
 def build(words: Sequence[bytes], ratio: float = 3.0,
           rng: SplitMix64 | None = None) -> tuple[MphfFunction, BuildReport]:
     """Construct an ordered minimal perfect hash for ``words``.
@@ -170,9 +158,10 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)
 
+    vertex = rng.sampler(n)
     for trial in range(1, MAX_TRIALS + 1):
-        t1 = tuple(tuple(rng.uniform_below(n) for _ in range(256)) for _ in range(max_len))
-        t2 = tuple(tuple(rng.uniform_below(n) for _ in range(256)) for _ in range(max_len))
+        t1 = tuple(tuple(vertex() for _ in range(256)) for _ in range(max_len))
+        t2 = tuple(tuple(vertex() for _ in range(256)) for _ in range(max_len))
         edges = [_vertex_pair(w, t1, t2, n) for w in words]
         order = _peel(n, edges)
         if order is None:

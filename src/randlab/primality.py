@@ -35,6 +35,10 @@ PRIME_SEARCH_LIMIT = 10**6
 # Fraction that grows by two bits a round, so the count must be capped.
 MAX_ROUNDS = 128
 
+# Widest prime random_prime_in draws (a 128-round fingerprint verify takes
+# about 1 s at 256 bits, 7 s at 512).
+MAX_PRIME_BITS = 256
+
 # Open intervals of at most this many integers below 2**32 are checked for a
 # prime by trial division before any draw.
 SMALL_SPAN = 64
@@ -87,6 +91,14 @@ def check_rounds(name: str, rounds: int) -> None:
     """ValueError naming ``name`` unless 1 <= rounds <= MAX_ROUNDS."""
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError("%s must be in [1, %d]" % (name, MAX_ROUNDS))
+
+
+def check_prime_interval(lo: int, hi: int) -> None:
+    """ValueError unless (lo, hi) is nonempty and hi <= 2**MAX_PRIME_BITS."""
+    if hi > 1 << MAX_PRIME_BITS:
+        raise ValueError("hi must be at most 2**%d" % MAX_PRIME_BITS)
+    if hi <= lo + 1:
+        raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
 
 
 def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
@@ -165,19 +177,19 @@ def witness_density(n: int) -> Fraction:
 def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     """Uniformly draw from (lo, hi) until a probable prime appears.
 
-    Raises PrimelessIntervalError after PRIME_SEARCH_LIMIT = 10**6 candidate
-    draws without a probable prime, sieved ones included, which for any
-    interval actually containing primes is overwhelmingly unlikely.  A span of at most
-    SMALL_SPAN integers below 2**32 is first checked by trial division, so
-    one holding no prime fails at once, without a draw.  An odd candidate
-    above 3 with an odd prime factor below 200, other than itself, is
-    skipped without a base draw; every other odd candidate above 3 gets up
-    to ``rounds`` (at most MAX_ROUNDS) rounds.  The result stays uniform over
-    the probable primes of the interval.
+    ``hi`` is at most 2**MAX_PRIME_BITS.  Raises PrimelessIntervalError after
+    PRIME_SEARCH_LIMIT = 10**6 candidate draws without a probable prime,
+    sieved ones included, which for any interval actually containing primes
+    is overwhelmingly unlikely.  A span of at most SMALL_SPAN integers below
+    2**32 is first checked by trial division, so one holding no prime fails
+    at once, without a draw.  An odd candidate above 3 with an odd prime
+    factor below 200, other than itself, is skipped without a base draw;
+    every other odd candidate above 3 gets up to ``rounds`` (at most
+    MAX_ROUNDS) rounds.  The result stays uniform over the probable primes
+    of the interval.
     """
     check_rounds("rounds", rounds)
-    if hi <= lo + 1:
-        raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
+    check_prime_interval(lo, hi)
     if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32
             and not any(_is_prime_by_trial_division(c) for c in range(lo + 1, hi))):
         raise PrimelessIntervalError("no probable prime in (%d, %d): trial division finds none" % (lo, hi))

@@ -225,8 +225,9 @@ class AnnealOutcome:
 
 def _calibrate_temperature(adj: list[int], pairs, delta, rng: SplitMix64) -> float:
     total = 0
+    edge = rng.sampler(len(pairs))
     for _ in range(100):
-        u, v, _, _ = pairs[rng.uniform_below(len(pairs))]
+        u, v, _, _ = pairs[edge()]
         total += abs(delta(adj, u, v))
     return max(total / 100.0, 1.0)
 
@@ -238,22 +239,20 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     Single-edge-flip moves; downhill always accepted, uphill with
     probability exp(-delta/T).  Each move is scored by the instance's flip
     kernel (``_flip_counter``) and applied by XOR on the two endpoints'
-    adjacency masks; the edge draw is ``uniform_below``'s rejection rule
-    inlined, so the draws are the same.  Any zero-energy graph is
-    re-checked with the exact counter before being returned.  ``debug``
-    audits the incremental energy against a full recount every 1000 moves.
+    adjacency masks.  Any zero-energy graph is re-checked with the exact
+    counter before being returned.  ``debug`` audits the incremental energy
+    against a full recount every 1000 moves.
     """
     _check_params(n, s, t)
     if cfg is None:
         cfg = AnnealConfig()
     cfg.validate()
     pairs = [(u, v, 1 << u, 1 << v) for u, v in combinations(range(n), 2)]
-    npairs = len(pairs)
-    limit = 2**64 - 2**64 % npairs  # as in SplitMix64.uniform_below(npairs)
-    block = cfg.steps_per_temperature or npairs
+    edge = rng.sampler(len(pairs))
+    block = cfg.steps_per_temperature or len(pairs)
     max_steps, stagnation = cfg.max_total_steps, STAGNATION_LIMIT
     delta = _flip_counter(n, s, t)
-    next_u64, next_float, exp = rng.next_u64, rng.next_float, math.exp
+    next_float, exp = rng.next_float, math.exp
 
     g = GraphColoring.random(n, rng)
     adj = g.adj
@@ -270,10 +269,7 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             if count_violations(g, s, t) != 0:
                 raise RuntimeError("internal error: incremental energy drifted")
             return AnnealOutcome(g, steps, restarts_used, 0)
-        r = next_u64()
-        while r >= limit:
-            r = next_u64()
-        u, v, bu, bv = pairs[r % npairs]
+        u, v, bu, bv = pairs[edge()]
         d = delta(adj, u, v)
         if d <= 0 or next_float() < exp(-d / temperature):
             adj[u] ^= bv

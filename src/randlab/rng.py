@@ -5,6 +5,10 @@ mixing steps per output.  It is small enough to re-derive by hand, has
 published reference constants, and is bit-exact across platforms, which is
 what makes every experiment in this package replayable from a single seed.
 
+Every bounded draw goes through ``SplitMix64.sampler``: modulo rejection on
+as few 64-bit words as the bound needs (Lemire, ACM TOMACS 2019, without the
+multiply trick).
+
 Reference output for seed 0: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
 """
 
@@ -46,54 +50,39 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def uniform_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), exact by rejection (no modulo bias).
-
-        Bounds up to 2^64 draw single words and reject those at or above the
-        largest multiple of ``bound`` that fits; larger bounds assemble a
-        bit-string as wide as the bound and reject out-of-range values.
-        Consumes one or more raw outputs either way.
-        """
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        if bound > MASK64 + 1:
-            return self.sampler(bound)()
-        # Largest multiple of bound that fits in 2^64; values past it would
-        # make low residues more likely, so they are re-drawn.
-        limit = (MASK64 + 1) - ((MASK64 + 1) % bound)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % bound
+        """Uniform integer in [0, bound): one draw of ``sampler(bound)``."""
+        return self.sampler(bound)()
 
     def sampler(self, span: int):
         """Function of no arguments drawing uniform integers in [0, span).
 
-        Exact by rejection on bit-strings as wide as the span: a span of at
-        most 64 bits takes one raw output per try, a wider one assembles as
-        many words as it needs, low word first.  The span's width and mask
+        The package's one draw rule: a try is the fewest 64-bit words w >= 1
+        with 2**(64*w) >= span, low word first; tries at or past
+        2**(64*w) - 2**(64*w) % span, the largest multiple of span that fits,
+        are re-drawn, and the rest are returned mod span.  w and that limit
         are worked out once, here, for every draw of the returned function.
         """
         if span < 1:
             raise ValueError("span must be >= 1")
-        bits = span.bit_length()
-        mask = (1 << bits) - 1
+        width = 64 * max(1, ((span - 1).bit_length() + 63) // 64)
+        limit = (1 << width) - (1 << width) % span
         next_u64 = self.next_u64
-        if bits <= 64:
+        if width == 64:
             word = next_u64
         else:
-            shifts = range(0, bits, 64)
+            shifts = range(64, width, 64)
 
             def word() -> int:
-                r = 0
+                r = next_u64()
                 for s in shifts:
                     r |= next_u64() << s
                 return r
 
         def draw() -> int:
-            while True:
-                r = word() & mask
-                if r < span:
-                    return r
+            r = word()
+            while r >= limit:
+                r = word()
+            return r % span
 
         return draw
 

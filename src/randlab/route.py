@@ -160,7 +160,8 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
     perm = _check_permutation(d, perm)
     N = 1 << d
     if sigma is None:
-        sigma = [rng.uniform_below(N) for _ in range(N)]
+        vertex = rng.sampler(N)
+        sigma = [vertex() for _ in range(N)]
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
     phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]

@@ -380,6 +380,9 @@ def main_peak_bytes(argv):
         tracemalloc.stop()
 
 
+PRIME_CAP_MESSAGE = "hi must be at most 2**%d" % primality.MAX_PRIME_BITS
+
+
 @pytest.mark.parametrize("argv, message", [
     (["route", "sim", "--d", str(route.MAX_DIMENSION + 1), "--perm", "random"],
      "d must be in [1, %d]" % route.MAX_DIMENSION),
@@ -413,10 +416,24 @@ def main_peak_bytes(argv):
      "N must be at most %d bits" % factor.MAX_TARGET_BITS),
     (["factor", "ecm", "%#x" % (2**factor.MAX_TARGET_BITS + 1), "--b1", "100"],
      "N must be at most %d bits" % factor.MAX_TARGET_BITS),
+    # The prime interval is refused before either document is read, and
+    # before a single prime of that width is drawn.
+    (["prime", "random", "--lo", "0", "--hi", "%#x" % (2**primality.MAX_PRIME_BITS + 1)],
+     PRIME_CAP_MESSAGE),
+    (["fingerprint", "verify", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--prime-hi", "0x" + "f" * 500], PRIME_CAP_MESSAGE),
+    (["fingerprint", "localize", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--prime-hi", "0x" + "f" * 500], PRIME_CAP_MESSAGE),
+    (["fingerprint", "verify", "{tmp}/big.bin", "--remote", "{tmp}/big.bin",
+      "--prime-hi", "0x" + "f" * 1000], PRIME_CAP_MESSAGE),
+    (["fingerprint", "localize", "{tmp}/big.bin", "--remote", "{tmp}/big.bin",
+      "--prime-hi", "0x" + "f" * 1000], PRIME_CAP_MESSAGE),
 ], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves",
         "prime-test-rounds", "prime-random-rounds", "fp-verify-rounds",
         "fp-localize-rounds", "fp-verify-rounds-big-doc", "fp-localize-rounds-big-doc",
-        "pm1-target-bits", "ecm-target-bits"])
+        "pm1-target-bits", "ecm-target-bits", "prime-random-hi-bits",
+        "fp-verify-prime-hi-500-digits", "fp-localize-prime-hi-500-digits",
+        "fp-verify-prime-hi-1000-digits-big-doc", "fp-localize-prime-hi-1000-digits-big-doc"])
 def test_argument_past_cap_exits_two_before_allocating(argv, message, tmp_path, capsys):
     (tmp_path / "doc.bin").write_bytes(b"fingerprinted document")
     if any("big.bin" in arg for arg in argv):

@@ -18,7 +18,7 @@ from randlab.fingerprint import (
     structural_bound,
     verify,
 )
-from randlab.primality import MAX_ROUNDS, is_probable_prime
+from randlab.primality import MAX_PRIME_BITS, MAX_ROUNDS, is_probable_prime
 from randlab.rng import SplitMix64
 
 
@@ -217,9 +217,10 @@ def test_stream_oracle_rejects_negative_length():
     assert oracle.length() == 0
 
 
-@pytest.mark.parametrize("request_line", ["Q 1 2", "Q x 1 7", "Q 0 50 7", "Q 0 1 1", "L 5"],
+@pytest.mark.parametrize("request_line", ["Q 1 2", "Q x 1 7", "Q 0 50 7", "Q 0 1 1", "L 5",
+                                          "Q 0 11 %d" % (2**MAX_PRIME_BITS + 297)],
                          ids=["short-Q", "non-numeric", "out-of-range", "prime-below-2",
-                              "L-with-argument"])
+                              "L-with-argument", "prime-past-cap"])
 def test_serve_oracle_answers_bad_request_and_keeps_serving(request_line):
     doc = Document(b"hello world")  # 11 bytes
     out = io.StringIO()
@@ -228,6 +229,15 @@ def test_serve_oracle_answers_bad_request_and_keeps_serving(request_line):
     assert error.startswith("E ")
     assert answer == "R %d" % doc.residue(101)
     assert served == 1
+
+
+def test_serve_oracle_prime_cap_is_inclusive():
+    # 2**256 - 189 and 2**256 + 297 are the primes on either side of 2**256.
+    doc = Document(b"hello world")
+    out = io.StringIO()
+    widest = 2**MAX_PRIME_BITS - 189
+    assert serve_oracle(doc, io.StringIO("Q 0 11 %d\n" % widest), out) == 1
+    assert out.getvalue() == "R %d\n" % doc.residue(widest)
 
 
 def test_stream_oracle_raises_on_error_reply():
@@ -249,11 +259,12 @@ def test_completeness_random_unequal_pairs():
     from randlab.rng import derive_stream
 
     gen = SplitMix64(2718)
+    byte, flip = gen.sampler(256), gen.sampler(255)
     for trial in range(10**4):
-        data = bytearray(gen.uniform_below(256) for _ in range(256))
+        data = bytearray(byte() for _ in range(256))
         other = bytearray(data)
-        index = gen.uniform_below(256)
-        other[index] ^= 1 + gen.uniform_below(255)
+        index = byte()
+        other[index] ^= 1 + flip()
         report = verify(Document(bytes(data)), LocalOracle(Document(bytes(other))),
                         1, derive_stream(3141, trial))
         assert report.verdict == MISMATCH, trial

@@ -33,6 +33,10 @@ CASES = {
     "prime-test-m521": ["prime", "test", str(2**521 - 1), "--rounds", "10", "--seed", "5"],
     "prime-random": ["prime", "random", "--lo", "1000000000", "--hi", "2000000000",
                      "--seed", "3"],
+    # Candidates above 2**64: each Miller-Rabin base is drawn below n - 2 > 2**64,
+    # two words per try.
+    "prime-random-wide": ["prime", "random", "--lo", "0x10000000000000000",
+                          "--hi", "0x20000000000000000", "--seed", "3"],
     "prime-witness-density": ["prime", "witness-density", "561"],
     "fingerprint-verify": ["fingerprint", "verify", "a.bin", "--remote", "a-copy.bin",
                            "--rounds", "4", "--seed", "14"],

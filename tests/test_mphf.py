@@ -7,9 +7,9 @@ from randlab.mphf import (
     MIN_RATIO,
     FormatError,
     RatioTooLowError,
+    _peel,
     build,
     deserialize,
-    is_acyclic,
     query,
     serialize,
 )
@@ -52,16 +52,12 @@ def random_words(count, length, seed):
 
 
 def test_is_acyclic_examples():
-    assert is_acyclic(4, [(1, 2), (2, 3)]) is True
-    assert is_acyclic(4, [(1, 2), (2, 3), (3, 1)]) is False
-    assert is_acyclic(2, [(1, 1)]) is False  # self-loop counts as a cycle
-    assert is_acyclic(3, [(0, 1), (1, 0)]) is False  # duplicate edge too
-    assert is_acyclic(5, []) is True
-
-
-def test_is_acyclic_vertex_range_checked():
-    with pytest.raises(ValueError):
-        is_acyclic(3, [(0, 3)])
+    # The build decides acyclicity by peeling: None means a cycle.
+    assert _peel(4, [(1, 2), (2, 3)]) is not None
+    assert _peel(4, [(1, 2), (2, 3), (3, 1)]) is None
+    assert _peel(2, [(1, 1)]) is None  # self-loop counts as a cycle
+    assert _peel(3, [(0, 1), (1, 0)]) is None  # duplicate edge too
+    assert _peel(5, []) is not None
 
 
 def test_is_acyclic_exhaustive_against_forest_oracle():
@@ -69,7 +65,7 @@ def test_is_acyclic_exhaustive_against_forest_oracle():
     slots = [(u, v) for u in range(6) for v in range(u, 6)]
     for k in range(7):
         for edges in combinations_with_replacement(slots, k):
-            assert is_acyclic(6, edges) == forest_oracle(6, edges), edges
+            assert (_peel(6, edges) is None) == (not forest_oracle(6, edges)), edges
 
 
 def test_build_three_words_is_ordered():

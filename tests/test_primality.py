@@ -234,8 +234,15 @@ def test_random_prime_in_one_prime_interval_below_1000():
             assert random_prime_in(p - 1, p + 1, 8, SplitMix64(p)) == p
 
 
+def test_random_prime_in_prime_width_cap_is_inclusive():
+    top = 2**primality.MAX_PRIME_BITS  # 2**256 - 189 is the largest prime below it
+    assert random_prime_in(top - 190, top, 8, SplitMix64(0)) == top - 189
+
+
 def test_random_prime_in_validates():
     with pytest.raises(ValueError):
         random_prime_in(10, 10, 5, SplitMix64(0))
+    with pytest.raises(ValueError, match="hi must be at most 2\\*\\*256"):
+        random_prime_in(10, 2**primality.MAX_PRIME_BITS + 1, 5, SplitMix64(0))
     with pytest.raises(ValueError):
         random_prime_in(8, 12, 0, SplitMix64(0))

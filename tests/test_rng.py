@@ -114,29 +114,53 @@ def test_uniform_natural_in_handles_huge_bounds():
         assert lo < rng.uniform_natural_in(lo, hi) < hi
 
 
-def reference_bits_below(rng, span):
-    """Uniform in [0, span) by rejection on bit-strings as wide as the span,
-    low word first: the draw ``sampler`` must reproduce word for word."""
-    bits = span.bit_length()
-    words = (bits + 63) // 64
-    mask = (1 << bits) - 1
+def reference_modulo_below(rng, bound):
+    """The single-word modulo rejection rule, written out as ``uniform_below``
+    read up to 0.3.0, for 1 <= bound <= 2**64: re-draw words at or past the
+    largest multiple of bound that fits in 2**64, return the rest mod bound."""
+    limit = (1 << 64) - ((1 << 64) % bound)
     while True:
-        r = 0
-        for i in range(words):
-            r |= rng.next_u64() << (64 * i)
-        r &= mask
-        if r < span:
-            return r
+        r = rng.next_u64()
+        if r < limit:
+            return r % bound
 
 
+@pytest.mark.parametrize("span", [1, 2, 3, 136, 10**9, 2**32 + 1, 2**63, 2**63 + 1,
+                                  2**64 - 1, 2**64])
+def test_spans_up_to_64_bits_keep_the_modulo_rule(span):
+    for seed in range(20):
+        ref, new, below = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+        draw = new.sampler(span)
+        for _ in range(5):
+            expected = reference_modulo_below(ref, span)
+            assert draw() == expected
+            assert below.uniform_below(span) == expected
+        assert new.state == ref.state == below.state
+
+
+def reference_words_below(rng, span):
+    """Uniform in [0, span) by modulo rejection on the fewest 64-bit words
+    (at least one) whose range covers the span, low word first: the draw
+    ``sampler`` must reproduce word for word."""
+    words = 1
+    while 2 ** (64 * words) < span:
+        words += 1
+    top = 2 ** (64 * words)
+    while True:
+        r = sum(rng.next_u64() << (64 * i) for i in range(words))
+        if r < top - top % span:
+            return r % span
+
+
+# 2**127 + 1 re-draws about half its two-word tries.
 @pytest.mark.parametrize("span", [1, 2, 3, 10**9, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
-                                  2**64 + 1, 2**128 - 1, 2**128, 3**100])
+                                  2**64 + 1, 2**127 + 1, 2**128 - 1, 2**128, 3**100])
 def test_sampler_matches_reference_draw(span):
     for seed in range(20):
         ref, new, natural = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
         draw = new.sampler(span)
         for _ in range(5):
-            expected = reference_bits_below(ref, span)
+            expected = reference_words_below(ref, span)
             assert draw() == expected
             assert natural.uniform_natural_in(-1, span) == expected
         assert new.state == ref.state == natural.state
