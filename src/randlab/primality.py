@@ -98,7 +98,9 @@ def check_prime_interval(lo: int, hi: int) -> None:
     if hi > 1 << MAX_PRIME_BITS:
         raise ValueError("hi must be at most 2**%d" % MAX_PRIME_BITS)
     if hi <= lo + 1:
-        raise ValueError("open interval (%d, %d) is empty" % (lo, hi))
+        # hi is capped by now but lo is not: a wider lo is named by its width.
+        shown = "%d" % lo if lo <= 1 << MAX_PRIME_BITS else "a %d-bit lo" % lo.bit_length()
+        raise ValueError("open interval (%s, %d) is empty" % (shown, hi))
 
 
 def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:

@@ -6,9 +6,11 @@ perm[j].  Greedy ("leading bit") routing repeatedly flips the highest-order
 bit where the current and destination labels differ.  Each directed edge
 carries at most one packet per time step; waiting packets sit in one FIFO
 queue per directed edge, and simultaneous arrivals enter a queue in packet-id
-order, which makes every run bit-for-bit reproducible.  The step loop only
-moves packets: which packets pass a vertex is fixed by the routes, so vertex
-throughput is counted from them, and queue depth is read as packets join.
+order, which makes every run bit-for-bit reproducible.  No route or queue is
+stored: each packet computes its next hop as it arrives, and each queue is
+kept as the step at which its edge is next free, which gives a joining
+packet's leave step at once (see ``_simulate``).  ``leading_bit_path``
+spells out the route a packet walks.
 
 Greedy routing is fast on average but has bad permutations: under
 bit-reversal, every packet whose source has at least d/2 trailing zeros is
@@ -20,10 +22,11 @@ length.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from .rng import SplitMix64
 
-# Largest cube dimension: a run holds 2**d packets and their routes.
+# Largest cube dimension: a run holds 2**d packets and d * 2**d edges.
 MAX_DIMENSION = 16
 # Most trials in one `route sim` call: its document keeps a row per trial.
 MAX_TRIALS = 1000
@@ -47,12 +50,11 @@ def check_dimension(d: int) -> None:
 def bit_reversal(d: int) -> list[int]:
     """The permutation sending each d-bit label to its reversal."""
     check_dimension(d)
-    out = []
-    for v in range(1 << d):
-        r = 0
-        for i in range(d):
-            r |= ((v >> i) & 1) << (d - 1 - i)
-        out.append(r)
+    out = [0]
+    for _ in range(d):
+        # Each pass gives every label a new top bit, which its reversal
+        # takes as its new lowest bit.
+        out = [2 * r for r in out] + [2 * r + 1 for r in out]
     return out
 
 
@@ -78,73 +80,87 @@ def _check_permutation(d: int, perm) -> list[int]:
     return perm
 
 
-def _simulate(N: int, d: int, routes: list[list[int]],
-              checkpoints: list[int] | None = None):
-    """Run the synchronous queueing model over fixed per-packet routes.
+def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
+              then: list[int] | None = None):
+    """Run the synchronous queueing model, each packet walking greedily.
 
-    Returns (total_steps, latencies, max queue depth, latest
-    checkpoint-crossing step).  ``checkpoints`` gives a route position per
-    packet whose arrival step is tracked (phase boundaries).  A queue is
-    longest right after its arrivals, since each step pops every queue
-    before anything joins one, so depth is read as packets join.  Aborts if
-    delivery exceeds N*d steps, which the leading-bit discipline never
-    approaches.
+    Packet j starts at start[j] and walks its leading-bit path to goal[j],
+    then, when ``then`` is given, on to then[j].  Returns (total_steps,
+    latencies, busiest vertex, max queue depth, step at which the last
+    packet reached goal[j]).
+
+    No queue is stored.  A queue pops its head every step while it holds
+    anything, so a packet that joins edge e at step t leaves at
+    max(t + 1, free[e]), and e can next pop one step after that; the queue
+    it joined held leave - t packets, itself included.  Arrivals are taken
+    step by step in packet-id order, so FIFO order and id tie-breaks are
+    those of a step-by-step queue model.  The edge from u flipping bit b is
+    keyed u*d + b.  The busiest vertex is the one most packets pass, lowest
+    on a tie; a packet counts once at a vertex both its legs pass.
     """
-    delivered = [0] * len(routes)
-    position = [0] * len(routes)
-    queues: dict[tuple[int, int], list[int]] = {}
-    max_depth = 0
-    checkpoint_step = 0
-    step = 0
-    # Every packet "arrives" at its source at step 0.  Arrivals join their
-    # next queue in ascending id order, which breaks ties reproducibly.
-    arrivals = range(len(routes))
+    n = len(start)
+    here = list(start)
+    target = list(goal)
+    second = [False] * n  # packet j is on its leg toward then[j]
+    passes = [0] * N
+    latency = [0] * n
+    free = [0] * (N * d)  # edge key -> first step it can pop a newcomer
+    later: dict[int, list[int]] = {}  # step -> packets arriving then, past the next step
+    depth = goal_step = step = 0
+    arrivals = list(range(n))
     while True:
+        soon = step + 1
+        nxt = []  # packets arriving at step soon
         for j in arrivals:
-            route = routes[j]
-            here = position[j]
-            if checkpoints is not None and here == checkpoints[j]:
-                checkpoint_step = step
-            if here == len(route) - 1:
-                delivered[j] = step
+            u = here[j]
+            t = target[j]
+            if second[j]:
+                # The first leg passed w iff w has goal[j]'s bits from the
+                # lowest bit where w and start[j] differ upward: x is 0 or
+                # w ^ goal[j] lies wholly below x's lowest set bit.
+                x = u ^ start[j]
+                if x and (u ^ goal[j]) >= x & -x:
+                    passes[u] += 1
             else:
-                queue = queues.setdefault((route[here], route[here + 1]), [])
-                queue.append(j)
-                if len(queue) > max_depth:
-                    max_depth = len(queue)
-        if not queues:
-            return step, tuple(delivered), max_depth, checkpoint_step
-        step += 1
-        if step > N * d:
-            raise RuntimeError("internal error: no delivery after %d steps" % (N * d))
-        arrivals = []
-        for edge, queue in list(queues.items()):
-            j = queue.pop(0)
-            if not queue:
-                del queues[edge]
-            position[j] += 1
-            arrivals.append(j)
-        arrivals.sort()
-
-
-def _busiest(N: int, routes: list[list[int]]) -> tuple[int, int]:
-    """(vertex, packets) for the vertex on the most routes, lowest on a tie;
-    a packet counts once however often its route revisits a vertex."""
-    counts = [0] * N
-    for route in routes:
-        for v in set(route):
-            counts[v] += 1
-    most = max(counts)
-    return counts.index(most), most
+                passes[u] += 1
+                if u == t:
+                    goal_step = step
+                    if then is not None:
+                        second[j] = True
+                        t = target[j] = then[j]
+            x = u ^ t
+            if not x:
+                latency[j] = step
+                continue
+            b = x.bit_length() - 1
+            here[j] = u ^ (1 << b)
+            e = u * d + b
+            leave = free[e]
+            if leave <= soon:  # no packet ahead of j on e
+                free[e] = soon + 1
+                nxt.append(j)
+            else:
+                free[e] = leave + 1
+                depth = max(depth, leave - step)
+                later.setdefault(leave, []).append(j)
+        if soon in later:
+            nxt += later.pop(soon)
+            nxt.sort()
+        elif not nxt:
+            if step:  # a packet that moved met a queue of at least itself
+                depth = max(depth, 1)
+            busiest = max(passes)
+            return step, tuple(latency), (passes.index(busiest), busiest), depth, goal_step
+        step = soon
+        arrivals = nxt
 
 
 def run_oblivious(d: int, perm) -> RunStats:
     """Route permutation ``perm`` greedily; returns timing and congestion."""
     perm = _check_permutation(d, perm)
     N = 1 << d
-    routes = [leading_bit_path(j, perm[j]) for j in range(N)]
-    steps, latency, depth, _ = _simulate(N, d, routes)
-    return RunStats(steps, latency, _busiest(N, routes), depth)
+    steps, latency, busiest, depth, _ = _simulate(N, d, range(N), perm)
+    return RunStats(steps, latency, busiest, depth)
 
 
 def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
@@ -164,18 +180,14 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
         sigma = [vertex() for _ in range(N)]
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
-    phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]
-    phase2 = [leading_bit_path(sigma[j], perm[j]) for j in range(N)]
 
     if phase_barrier:
-        s1, _, depth1, _ = _simulate(N, d, phase1)
-        s2, lat2, depth2, _ = _simulate(N, d, phase2)
+        s1, _, busy1, depth1, _ = _simulate(N, d, range(N), sigma)
+        s2, lat2, busy2, depth2, _ = _simulate(N, d, sigma, perm)
         # Throughput maxima are per-phase; report the larger hot spot.
-        throughput = max(_busiest(N, phase1), _busiest(N, phase2), key=lambda t: (t[1], -t[0]))
+        throughput = max(busy1, busy2, key=lambda t: (t[1], -t[0]))
         return RunStats(s1 + s2, tuple(a + s1 for a in lat2), throughput,
                         max(depth1, depth2), phase1_steps=s1)
 
-    routes = [a + b[1:] for a, b in zip(phase1, phase2)]
-    steps, latency, depth, phase1_steps = _simulate(
-        N, d, routes, checkpoints=[len(a) - 1 for a in phase1])
-    return RunStats(steps, latency, _busiest(N, routes), depth, phase1_steps=phase1_steps)
+    steps, latency, busiest, depth, phase1_steps = _simulate(N, d, range(N), sigma, perm)
+    return RunStats(steps, latency, busiest, depth, phase1_steps=phase1_steps)

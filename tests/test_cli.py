@@ -446,6 +446,31 @@ def test_argument_past_cap_exits_two_before_allocating(argv, message, tmp_path, 
     assert peak < 2**20
 
 
+WIDE_LO = "0x" + "f" * 4000  # 16,000 bits: past the 4,300-digit str() limit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prime", "random", "--lo", WIDE_LO, "--hi", "100"],
+     "open interval (a 16000-bit lo, 100) is empty"),
+    (["fingerprint", "verify", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--prime-lo", WIDE_LO, "--prime-hi", "100"],
+     "open interval (a 16000-bit lo, 100) is empty"),
+    (["fingerprint", "localize", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--prime-lo", WIDE_LO, "--prime-hi", "100"],
+     "open interval (a 16000-bit lo, 100) is empty"),
+    (["prime", "random", "--lo", "100", "--hi", "101"], "open interval (100, 101) is empty"),
+    (["fingerprint", "verify", "{tmp}/doc.bin", "--remote", "{tmp}/doc.bin",
+      "--prime-lo", "%#x" % 2**primality.MAX_PRIME_BITS, "--prime-hi", "5"],
+     "open interval (%d, 5) is empty" % 2**primality.MAX_PRIME_BITS),
+], ids=["prime-random-wide-lo", "fp-verify-wide-lo", "fp-localize-wide-lo",
+        "prime-random-adjacent", "fp-verify-lo-at-cap"])
+def test_empty_prime_interval_exits_two_naming_it_empty(argv, message, tmp_path, capsys):
+    (tmp_path / "doc.bin").write_bytes(b"fingerprinted document")
+    code, _ = run_cli([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_trial_and_curve_caps_are_inclusive(capsys):
     code, doc = run_cli(["route", "sim", "--d", "1", "--trials", str(route.MAX_TRIALS)])
     assert code == 0 and doc["result"]["summary"]["runs"] == route.MAX_TRIALS

@@ -53,6 +53,10 @@ CASES = {
     "route-sim-greedy": ["route", "sim", "--d", "6", "--perm", "bitrev", "--algo", "greedy"],
     "route-sim-valiant": ["route", "sim", "--d", "6", "--perm", "random", "--algo", "valiant",
                           "--seed", "31", "--trials", "3"],
+    "route-sim-barrier": ["route", "sim", "--d", "7", "--perm", "random", "--algo", "valiant",
+                          "--phase-barrier", "--seed", "9", "--trials", "3"],
+    # Bit-reversal at d = 12: 64 packets funnel through vertex 0.
+    "route-sim-bitrev-12": ["route", "sim", "--d", "12", "--perm", "bitrev", "--algo", "greedy"],
     "ramsey-anneal-3-3-5": ["ramsey", "anneal", "--n", "5", "--s", "3", "--t", "3",
                             "--seed", "6"],
     "ramsey-anneal-3-5-13": ["ramsey", "anneal", "--n", "13", "--s", "3", "--t", "5",

@@ -5,6 +5,7 @@ import pytest
 
 from randlab.rng import SplitMix64, derive_stream
 from randlab.route import (
+    RunStats,
     bit_reversal,
     leading_bit_path,
     run_oblivious,
@@ -22,6 +23,12 @@ def test_bit_reversal_examples():
     perm = bit_reversal(6)
     assert all(perm[perm[v]] == v for v in range(64))  # involution
     assert sorted(perm) == list(range(64))
+
+
+def test_bit_reversal_matches_bitwise_definition():
+    for d in range(1, 13):
+        assert bit_reversal(d) == [int(format(v, "0%db" % d)[::-1], 2)
+                                   for v in range(1 << d)]
 
 
 def test_bit_reversal_rejects_bad_dimension():
@@ -285,8 +292,18 @@ PINNED_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("case, expected", PINNED_RUNS,
-                         ids=["-".join(map(str, case)) for case, _ in PINNED_RUNS])
+# Larger runs, pinned the same way from the queue-based simulator that
+# reference_run below writes out.
+PINNED_LARGE_RUNS = [
+    (('greedy', 12, 'bitrev', 0), (38, (0, 64), 16, None, '1a6dcc97e39a8ea2')),
+    (('valiant', 11, 'random', 3), (19, (1520, 23), 3, 12, '69ba80861de6f2ae')),
+    (('barrier', 10, 'bitrev', 4), (20, (485, 16), 5, 9, '1c95d951ebcca813')),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_RUNS + PINNED_LARGE_RUNS,
+                         ids=["-".join(map(str, case))
+                              for case, _ in PINNED_RUNS + PINNED_LARGE_RUNS])
 def test_pinned_run_stats(case, expected):
     algo, d, kind, seed = case
     rng = SplitMix64(seed)
@@ -298,3 +315,105 @@ def test_pinned_run_stats(case, expected):
     latency = ",".join(map(str, stats.per_packet_latency)).encode()
     assert (stats.total_steps, stats.max_vertex_throughput, stats.max_queue_depth,
             stats.phase1_steps, hashlib.sha256(latency).hexdigest()[:16]) == expected
+
+
+# A reference model: the queueing simulator written the direct way, over
+# fixed leading-bit routes, with one FIFO list per directed edge popped every
+# step, arrivals queued in packet-id order, and vertex throughput counted
+# from the set of vertices on each route.  run_oblivious and run_valiant
+# must give exactly its RunStats.
+
+def reference_simulate(routes, checkpoints=None):
+    delivered = [0] * len(routes)
+    position = [0] * len(routes)
+    queues = {}
+    max_depth = 0
+    checkpoint_step = 0
+    step = 0
+    arrivals = range(len(routes))
+    while True:
+        for j in arrivals:
+            route = routes[j]
+            here = position[j]
+            if checkpoints is not None and here == checkpoints[j]:
+                checkpoint_step = step
+            if here == len(route) - 1:
+                delivered[j] = step
+            else:
+                queue = queues.setdefault((route[here], route[here + 1]), [])
+                queue.append(j)
+                max_depth = max(max_depth, len(queue))
+        if not queues:
+            return step, tuple(delivered), max_depth, checkpoint_step
+        step += 1
+        arrivals = []
+        for edge, queue in list(queues.items()):
+            arrivals.append(queue.pop(0))
+            if not queue:
+                del queues[edge]
+        for j in arrivals:
+            position[j] += 1
+        arrivals.sort()
+
+
+def reference_busiest(N, routes):
+    counts = [0] * N
+    for route in routes:
+        for v in set(route):
+            counts[v] += 1
+    most = max(counts)
+    return counts.index(most), most
+
+
+def reference_run(d, perm, sigma=None, phase_barrier=False):
+    N = 1 << d
+    if sigma is None:
+        routes = [leading_bit_path(j, perm[j]) for j in range(N)]
+        steps, latency, depth, _ = reference_simulate(routes)
+        return RunStats(steps, latency, reference_busiest(N, routes), depth)
+    phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]
+    phase2 = [leading_bit_path(sigma[j], perm[j]) for j in range(N)]
+    if phase_barrier:
+        s1, _, depth1, _ = reference_simulate(phase1)
+        s2, lat2, depth2, _ = reference_simulate(phase2)
+        busiest = max(reference_busiest(N, phase1), reference_busiest(N, phase2),
+                      key=lambda t: (t[1], -t[0]))
+        return RunStats(s1 + s2, tuple(a + s1 for a in lat2), busiest,
+                        max(depth1, depth2), phase1_steps=s1)
+    routes = [a + b[1:] for a, b in zip(phase1, phase2)]
+    steps, latency, depth, phase1_steps = reference_simulate(
+        routes, checkpoints=[len(a) - 1 for a in phase1])
+    return RunStats(steps, latency, reference_busiest(N, routes), depth,
+                    phase1_steps=phase1_steps)
+
+
+def sigmas(d, perm, rng):
+    """Intermediate vertices to test against: drawn (with collisions), the
+    identity, the destination itself, and everything piled on two vertices."""
+    N = 1 << d
+    drawn = [rng.uniform_below(N) for _ in range(N)]
+    assert len(set(drawn)) < N or d == 1  # collisions
+    return {"drawn": drawn, "identity": list(range(N)), "perm": list(perm),
+            "two": [j % 2 * (N - 1) for j in range(N)]}
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_runs_match_reference_model(d):
+    for seed in range(3):
+        rng = SplitMix64(1000 * d + seed)
+        for perm in (shuffled(d, rng), bit_reversal(d)):
+            assert run_oblivious(d, perm) == reference_run(d, perm)
+            for name, sigma in sigmas(d, perm, rng).items():
+                for barrier in (False, True):
+                    assert (run_valiant(d, perm, rng, sigma=sigma, phase_barrier=barrier)
+                            == reference_run(d, perm, sigma, barrier)), (seed, name, barrier)
+
+
+def test_second_leg_reentering_first_leg_counts_packet_once():
+    # Packet 0 walks 0 -> 2 -> 3 to sigma = 3, then back to 2, its
+    # destination: it passes vertex 2 on both legs but counts there once.
+    # Packet 2 goes 2 -> 0 directly; packets 1 and 3 stay put.
+    perm, sigma = [2, 1, 0, 3], [3, 1, 2, 3]
+    stats = run_valiant(2, perm, SplitMix64(0), sigma=sigma)
+    assert stats == RunStats(3, (3, 0, 1, 0), (0, 2), 1, phase1_steps=2)
+    assert stats == reference_run(2, perm, sigma)
