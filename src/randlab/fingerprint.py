@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .primality import MAX_PRIME_BITS, check_rounds, random_prime_in
+from .primality import MAX_PRIME_BITS, _is_prime_exact, check_rounds, random_prime_in
 from .rng import SplitMix64
 
 MATCH = "match"
@@ -43,6 +43,10 @@ PRIMES_IN_DEFAULT_INTERVAL = 47_374_753
 
 # Probable-prime test rounds used when drawing the per-round primes.
 PRIME_DRAW_ROUNDS = 16
+
+# Other intervals of at most this many integers, below 2**64, are counted
+# exactly, one primality test per integer.
+EXACT_COUNT_SPAN = 2**17
 
 
 class TransportError(RuntimeError):
@@ -192,8 +196,13 @@ class VerifyReport:
 
 
 def _interval_prime_count(lo: int, hi: int) -> int:
+    """Primes in (lo, hi), at least 1: exact for the default interval and
+    for narrow ones, a prime-number-theorem estimate otherwise."""
     if (lo, hi) == (DEFAULT_PRIME_LO, DEFAULT_PRIME_HI):
         return PRIMES_IN_DEFAULT_INTERVAL
+    if hi <= 2**64 and hi - lo - 1 <= EXACT_COUNT_SPAN:
+        # A primeless interval fails its first draw before any bound is made.
+        return max(1, sum(map(_is_prime_exact, range(lo + 1, hi))))
     # Prime-number-theorem estimate, good to a few percent at these sizes.
     est = hi / (math.log(hi) - 1) - lo / (math.log(lo) - 1)
     return max(1, int(est))

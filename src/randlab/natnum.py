@@ -13,12 +13,9 @@ def decompose_two_power(n: int) -> tuple[int, int]:
     """Write odd n >= 3 as n = 2**k * q + 1 with q odd, k >= 1; return (k, q)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    q = n - 1
-    k = 0
-    while q % 2 == 0:
-        q //= 2
-        k += 1
-    return k, q
+    m = n - 1
+    k = (m & -m).bit_length() - 1  # m & -m is the lowest set bit of m
+    return k, m >> k
 
 
 def parse_natural(text: str) -> int:

@@ -11,6 +11,12 @@ product of the odd primes below 200 before any base is drawn, the standard
 trial-division step (Menezes et al., Handbook of Applied Cryptography, 4.4):
 about four in five odd candidates have such a factor and are skipped at the
 cost of that gcd instead of a Miller-Rabin round.
+
+Below 2**64 a fixed set of bases decides primality exactly (2, 7, 61 below
+4,759,123,141, Jaeschke 1993; seven bases below 2**64, Sinclair 2011), so once
+the first random round passes, n is settled with those bases; a prime then
+still makes the remaining random-base draws, which it would pass anyway, so
+the draws, round counts and results are those of the all-random test.
 """
 
 from __future__ import annotations
@@ -40,8 +46,15 @@ MAX_ROUNDS = 128
 MAX_PRIME_BITS = 256
 
 # Open intervals of at most this many integers below 2**32 are checked for a
-# prime by trial division before any draw.
+# prime with _is_prime_exact before any draw.
 SMALL_SPAN = 64
+
+# (bound, bases): an odd n >= 3 below bound that passes a strong round at
+# every base (reduced mod n, skipped where n divides it) is prime.
+_EXACT_BASES = (
+    (4_759_123_141, (2, 7, 61)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
 
 
 class PrimelessIntervalError(RuntimeError):
@@ -130,31 +143,55 @@ def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
 def _first_witness_round(n: int, rounds: int, rng: SplitMix64) -> int:
     """Run up to ``rounds`` rounds on odd n >= 5, each with a base drawn
     uniformly from (1, n); return the number of the first round whose base
-    witnesses that n is composite, or 0 if every round passes."""
+    witnesses that n is composite, or 0 if every round passes.
+
+    Below 2**64, once round 1 passes, n's fixed bases (when fewer than the
+    rounds left) settle it: a prime makes the remaining draws and returns 0.
+    """
     k, q = decompose_two_power(n)
     draw = rng.sampler(n - 2)
-    for used in range(1, rounds + 1):
+    if not _strong_round(n, k, q, 2 + draw()):
+        return 1
+    bases = _exact_bases(n)
+    if bases is not None and len(bases) < rounds - 1 and _passes_bases(n, k, q, bases):
+        # n is prime, so every later round passes: make its draws, skip its pow.
+        for _ in range(rounds - 1):
+            draw()
+        return 0
+    for used in range(2, rounds + 1):
         if not _strong_round(n, k, q, 2 + draw()):
             return used
     return 0
 
 
-def _is_prime_by_trial_division(n: int) -> bool:
+def _exact_bases(n: int) -> tuple[int, ...] | None:
+    """The bases of n's tier in _EXACT_BASES, or None at 2**64 and above."""
+    for bound, bases in _EXACT_BASES:
+        if n < bound:
+            return bases
+    return None
+
+
+def _passes_bases(n: int, k: int, q: int, bases: tuple[int, ...]) -> bool:
+    """Strong rounds on odd n - 1 = 2**k * q at each base mod n but 0."""
+    return all(_strong_round(n, k, q, a % n) for a in bases if a % n)
+
+
+def _is_prime_exact(n: int) -> bool:
+    """Whether 0 <= n < 2**64 is prime: small factors first, then the fixed
+    bases of n's tier."""
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    k, q = decompose_two_power(n)
+    return _passes_bases(n, k, q, _exact_bases(n))
 
 
 # The 45 odd primes below 200 and their product; random_prime_in skips an odd
 # candidate that shares a factor with _SIEVE, unless it is one of them.
-_SIEVE_PRIMES = frozenset(p for p in range(3, 200, 2) if _is_prime_by_trial_division(p))
+_SIEVE_PRIMES = frozenset(p for p in range(3, 200, 2) if _is_prime_exact(p))
 _SIEVE = math.prod(_SIEVE_PRIMES)
 
 
@@ -169,7 +206,7 @@ def witness_density(n: int) -> Fraction:
         raise ValueError("n must be odd and >= 9")
     if n > WITNESS_SCAN_LIMIT:
         raise ValueError("n too large for exhaustive scan (limit %d)" % WITNESS_SCAN_LIMIT)
-    if _is_prime_by_trial_division(n):
+    if _is_prime_exact(n):
         raise ValueError("n must be composite")
     k, q = decompose_two_power(n)
     count = sum(1 for x in range(2, n) if _strong_round(n, k, q, x))
@@ -183,7 +220,7 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     PRIME_SEARCH_LIMIT = 10**6 candidate draws without a probable prime,
     sieved ones included, which for any interval actually containing primes
     is overwhelmingly unlikely.  A span of at most SMALL_SPAN integers below
-    2**32 is first checked by trial division, so one holding no prime fails
+    2**32 is first checked with an exact test, so one holding no prime fails
     at once, without a draw.  An odd candidate above 3 with an odd prime
     factor below 200, other than itself, is skipped without a base draw;
     every other odd candidate above 3 gets up to ``rounds`` (at most
@@ -193,8 +230,8 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     check_rounds("rounds", rounds)
     check_prime_interval(lo, hi)
     if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32
-            and not any(_is_prime_by_trial_division(c) for c in range(lo + 1, hi))):
-        raise PrimelessIntervalError("no probable prime in (%d, %d): trial division finds none" % (lo, hi))
+            and not any(map(_is_prime_exact, range(lo + 1, hi)))):
+        raise PrimelessIntervalError("no probable prime in (%d, %d): an exact test finds none" % (lo, hi))
     first = lo + 1
     draw = rng.sampler(hi - first)
     for _ in range(PRIME_SEARCH_LIMIT):

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from randlab import factor, mphf, primality, ramsey, route
-from randlab.cli import main
+from randlab.cli import _probability, main
 from replay import normalize
 
 
@@ -124,6 +125,17 @@ def test_fingerprint_verify_files(tmp_path, capsys):
     code, doc = run_cli(["fingerprint", "verify", str(a), "--remote", str(b)])
     assert code == 1
     assert doc["result"]["verdict"] == "mismatch"
+
+
+def test_fingerprint_verify_interval_from_zero(tmp_path, capsys):
+    a = tmp_path / "a.bin"
+    a.write_bytes(b"fingerprinted document")
+    code, doc = run_cli(["fingerprint", "verify", str(a), "--remote", str(a),
+                         "--prime-lo", "0", "--prime-hi", "100000", "--rounds", "1"])
+    assert code == 0
+    assert doc["result"]["verdict"] == "match"
+    # 22 bytes: at most 176 prime divisors, against the 9,592 primes below 10**5.
+    assert doc["result"]["false_positive_bound"] == _probability(Fraction(176, 9592))
 
 
 def test_fingerprint_localize_files(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import io
+import random
 from fractions import Fraction
 
 import pytest
 
+from randlab import fingerprint
 from randlab.fingerprint import (
     MATCH,
     MISMATCH,
@@ -20,6 +22,7 @@ from randlab.fingerprint import (
 )
 from randlab.primality import MAX_PRIME_BITS, MAX_ROUNDS, is_probable_prime
 from randlab.rng import SplitMix64
+from test_primality import sieve
 
 
 def make_docs(length, corrupt_at, seed=1):
@@ -125,6 +128,26 @@ def test_max_prime_divisors_covers_densest_difference(doc_len, prime_lo):
         product *= n
         count += 1
     assert count <= max_prime_divisors(doc_len, prime_lo)
+
+
+def test_narrow_interval_prime_count_is_exact():
+    flags = sieve(10**6)
+    gen = random.Random(5)
+    intervals = [(0, 2), (0, 3), (0, 100), (1, 2), (1, 3), (1, 1000), (0, 10**5), (2, 4)]
+    while len(intervals) < 200:
+        lo = gen.randrange(10**6 - 2)
+        intervals.append((lo, gen.randrange(lo + 2, min(lo + 2**12, 10**6) + 1)))
+    for lo, hi in intervals:
+        # A primeless interval reads 1: it cannot be drawn from at all.
+        assert fingerprint._interval_prime_count(lo, hi) == max(1, sum(flags[lo + 1 : hi])), (lo, hi)
+
+
+def test_narrow_interval_prime_count_replaces_estimate():
+    assert fingerprint._interval_prime_count(10**7, 10**7 + 200) == 8
+    assert fingerprint._interval_prime_count(10**6, 10**6 + 100) == 6
+    assert fingerprint._interval_prime_count(0, 10**5) == 9592
+    # The default interval stays pinned.
+    assert fingerprint._interval_prime_count(10**9, 2 * 10**9) == PRIMES_IN_DEFAULT_INTERVAL
 
 
 def test_false_positive_bound_reported_on_match():

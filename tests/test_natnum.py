@@ -16,6 +16,19 @@ def test_decompose_two_power_reconstructs_every_odd_n():
         assert 2**k * q + 1 == n
 
 
+def halving_decomposition(n):
+    q, k = n - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        k += 1
+    return k, q
+
+
+def test_decompose_two_power_matches_halving_loop():
+    for n in list(range(3, 10**5, 2)) + [2**64 + 1, 2**200 + 1]:
+        assert decompose_two_power(n) == halving_decomposition(n), n
+
+
 def test_decompose_two_power_rejects_bad_input():
     for n in (0, 1, 2, 4, 100):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from randlab import primality
+from randlab.natnum import decompose_two_power
 from randlab.primality import (
     COMPOSITE,
     MAX_ROUNDS,
@@ -186,11 +188,70 @@ def test_is_probable_prime_matches_reference_draws():
     for n in list(range(40)) + [561, 1729, 2047, 3215031751, 2**61 - 1, 2**64 + 13,
                                 (2**64 - 59) * (2**61 - 1)]:
         for seed in range(8):
-            rng, ref = SplitMix64(seed), SplitMix64(seed)
-            verdict = is_probable_prime(n, 6, rng)
-            assert (verdict.is_probably_prime, verdict.rounds_used) == \
-                reference_is_probable_prime(n, 6, ref), (n, seed)
-            assert rng.state == ref.state
+            for rounds in (6, 16, 20):
+                rng, ref = SplitMix64(seed), SplitMix64(seed)
+                verdict = is_probable_prime(n, rounds, rng)
+                assert (verdict.is_probably_prime, verdict.rounds_used) == \
+                    reference_is_probable_prime(n, rounds, ref), (n, seed, rounds)
+                assert rng.state == ref.state
+
+
+def reference_first_witness_round(n, rounds, rng):
+    """The all-random-bases round loop, written out: one base per round."""
+    k, q = decompose_two_power(n)
+    draw = rng.sampler(n - 2)
+    for used in range(1, rounds + 1):
+        if not primality._strong_round(n, k, q, 2 + draw()):
+            return used
+    return 0
+
+
+# 4759123141 passes bases 2, 7 and 61, so it needs the 2**64 tier.
+FIXED_BASE_CASES = [7, 61, 3215031751, 4759123141, 3825123056546413051,
+                    2**61 - 1, 2**64 - 59, 2**64 + 13]
+
+
+def test_first_witness_round_matches_all_random_reference():
+    gen = random.Random(13)
+    cases = list(range(5, 2 * 10**4 + 1, 2)) + FIXED_BASE_CASES
+    cases += [gen.randrange(10**9 + 1, 2 * 10**9, 2) for _ in range(2000)]
+    cases += [gen.randrange(2**32 + 1, 2**64, 2) for _ in range(2000)]
+    for n in cases:
+        for rounds in (1, 2, 4, 5, 8, 9, 16, 20):
+            rng, ref = SplitMix64(n + rounds), SplitMix64(n + rounds)
+            assert primality._first_witness_round(n, rounds, rng) == \
+                reference_first_witness_round(n, rounds, ref), (n, rounds)
+            assert rng.state == ref.state, (n, rounds)
+
+
+def test_first_witness_round_catches_pseudoprimes_to_fixed_bases():
+    # A strong pseudoprime to every base of the smaller tier passes those
+    # bases, so only the 2**64 tier can settle it; with round 1 passing it
+    # must still be reported composite.
+    n = 4759123141
+    k, q = decompose_two_power(n)
+    assert all(primality._strong_round(n, k, q, a) for a in (2, 7, 61))
+    for seed in range(200):
+        assert primality._first_witness_round(n, 16, SplitMix64(seed)) > 0
+
+
+def test_is_prime_exact_matches_sieve_below_10_6():
+    flags = sieve(10**6)
+    assert [n for n in range(10**6) if primality._is_prime_exact(n)] == \
+        [n for n in range(10**6) if flags[n]]
+    # The base-2 strong pseudoprimes below 10**6, found by scan, are composite.
+    spsp2 = [n for n in range(5, 10**6, 2)
+             if not flags[n] and algorithm_p_single(n, 2)]
+    assert spsp2[:3] == [2047, 3277, 4033]
+    assert not any(map(primality._is_prime_exact, spsp2))
+
+
+def test_is_prime_exact_above_the_small_tier():
+    composites = [4759123141, 3825123056546413051, 2**64 - 1,
+                  (2**32 - 5) * (2**32 - 17), 3215031751 * 5]
+    primes = [4759123129, 4759123151, 2**61 - 1, 2**63 - 25, 2**64 - 59]
+    assert not any(map(primality._is_prime_exact, composites))
+    assert all(map(primality._is_prime_exact, primes))
 
 
 @pytest.mark.parametrize("lo, span", [
