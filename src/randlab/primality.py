@@ -45,7 +45,7 @@ MAX_ROUNDS = 128
 # about 1 s at 256 bits, 7 s at 512).
 MAX_PRIME_BITS = 256
 
-# Open intervals of at most this many integers below 2**32 are checked for a
+# Open intervals of at most this many integers below 2**64 are checked for a
 # prime with _is_prime_exact before any draw.
 SMALL_SPAN = 64
 
@@ -220,7 +220,7 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     PRIME_SEARCH_LIMIT = 10**6 candidate draws without a probable prime,
     sieved ones included, which for any interval actually containing primes
     is overwhelmingly unlikely.  A span of at most SMALL_SPAN integers below
-    2**32 is first checked with an exact test, so one holding no prime fails
+    2**64 is first checked with an exact test, so one holding no prime fails
     at once, without a draw.  An odd candidate above 3 with an odd prime
     factor below 200, other than itself, is skipped without a base draw;
     every other odd candidate above 3 gets up to ``rounds`` (at most
@@ -229,7 +229,7 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     """
     check_rounds("rounds", rounds)
     check_prime_interval(lo, hi)
-    if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**32
+    if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**64
             and not any(map(_is_prime_exact, range(lo + 1, hi)))):
         raise PrimelessIntervalError("no probable prime in (%d, %d): an exact test finds none" % (lo, hi))
     first = lo + 1

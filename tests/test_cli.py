@@ -138,6 +138,18 @@ def test_fingerprint_verify_interval_from_zero(tmp_path, capsys):
     assert doc["result"]["false_positive_bound"] == _probability(Fraction(176, 9592))
 
 
+def test_fingerprint_verify_wide_interval_from_zero(tmp_path, capsys):
+    # Too wide to count exactly: the Rosser-Schoenfeld lower bound on the
+    # primes below 10**6 gives 72,382 (of 78,498).
+    a = tmp_path / "a.bin"
+    a.write_bytes(b"fingerprinted document")
+    code, doc = run_cli(["fingerprint", "verify", str(a), "--remote", str(a),
+                         "--prime-lo", "0", "--prime-hi", "1000000"])
+    assert code == 0
+    assert doc["result"]["verdict"] == "match"
+    assert doc["result"]["false_positive_bound"] == _probability(Fraction(176, 72382) ** 10)
+
+
 def test_fingerprint_localize_files(tmp_path, capsys):
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"

@@ -6,13 +6,18 @@ import pytest
 
 from randlab import fingerprint
 from randlab.fingerprint import (
+    DEFAULT_PRIME_HI,
+    DEFAULT_PRIME_LO,
+    EXACT_COUNT_SPAN,
     MATCH,
     MISMATCH,
+    PRIME_DRAW_ROUNDS,
     Document,
     LocalOracle,
     StreamOracle,
     TransportError,
     PRIMES_IN_DEFAULT_INTERVAL,
+    VerifyReport,
     localize,
     max_prime_divisors,
     residue,
@@ -20,7 +25,7 @@ from randlab.fingerprint import (
     structural_bound,
     verify,
 )
-from randlab.primality import MAX_PRIME_BITS, MAX_ROUNDS, is_probable_prime
+from randlab.primality import MAX_PRIME_BITS, MAX_ROUNDS, is_probable_prime, random_prime_in
 from randlab.rng import SplitMix64
 from test_primality import sieve
 
@@ -49,16 +54,130 @@ def test_residue_matches_big_integer_oracle():
     rng = SplitMix64(2)
     for length in range(0, 65):
         data = bytes(rng.uniform_below(256) for _ in range(length))
-        for p in (2, 17, 251, 65521, 10**9 + 7):
-            assert residue(data, p) == int.from_bytes(data, "big") % p
+        for m in (2, 17, 251, 65521, 10**9 + 7, 2**300 - 1):
+            assert residue(data, m) == int.from_bytes(data, "big") % m
 
 
 def test_residue_chunking_boundaries():
     # Lengths around powers of two bytes, where a chunked reduction would split.
     rng = SplitMix64(3)
-    for length in (255, 256, 257, 511, 512, 513, 1000):
+    for length in (255, 256, 257, 511, 512, 513, 1000, 3000):
         data = bytes(rng.uniform_below(256) for _ in range(length))
-        assert residue(data, 10**9 + 21) == int.from_bytes(data, "big") % (10**9 + 21)
+        # A prime, and composites of several hundred bits, as verify's
+        # products of round primes are.
+        for m in (10**9 + 21, 2**300 - 1, 3**400, 10**9 + 21 << 500):
+            assert residue(data, m) == int.from_bytes(data, "big") % m
+
+
+def reference_verify(local, remote, rounds, rng, prime_lo=DEFAULT_PRIME_LO,
+                     prime_hi=DEFAULT_PRIME_HI):
+    """Round-by-round verify: one draw and one reduction per side per round."""
+    if remote.length() != len(local):
+        return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
+    primes, pairs = [], []
+    for done in range(1, rounds + 1):
+        p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
+        primes.append(p)
+        pairs.append((local.residue(p), remote.residue(0, len(local), p)))
+        if pairs[-1][0] != pairs[-1][1]:
+            return VerifyReport(MISMATCH, done, primes, pairs,
+                                structural_bound(len(local), done, prime_lo, prime_hi))
+    return VerifyReport(MATCH, rounds, primes, pairs,
+                        structural_bound(len(local), rounds, prime_lo, prime_hi))
+
+
+def verify_cases():
+    """Seeded (local, remote, rounds, seed) cases: equal documents, one- and
+    two-byte differences, length mismatches, and differences that the first
+    drawn prime divides, so that the mismatch shows only at round 2."""
+    sizes = (1, 2, 3, 17, 256, 1000, 4096, 65536)
+    kinds = ("equal", "one-byte", "two-byte", "length", "first-prime")
+    for seed in range(60):
+        gen = random.Random(seed)
+        size, kind, rounds = sizes[seed % 8], kinds[seed % 5], (1, 2, 10, 128)[seed // 5 % 4]
+        data = bytearray(gen.randbytes(size))
+        other = bytearray(data)
+        if kind == "one-byte" or (kind == "two-byte" and size == 1):
+            other[gen.randrange(size)] ^= 1 + gen.randrange(255)
+        elif kind == "two-byte":
+            i, j = gen.sample(range(size), 2)
+            other[i] ^= 1 + gen.randrange(255)
+            other[j] ^= 1 + gen.randrange(255)
+        elif kind == "length":
+            other = data + b"\x00" if gen.randrange(2) else data[:-1]
+        elif kind == "first-prime":
+            first = random_prime_in(DEFAULT_PRIME_LO, DEFAULT_PRIME_HI, PRIME_DRAW_ROUNDS,
+                                    SplitMix64(seed))
+            value = int.from_bytes(data, "big")
+            value += first if value + first < 256**size else -first
+            if value < 0:  # too short to hold a multiple: compare equal copies
+                value = int.from_bytes(data, "big")
+            other = value.to_bytes(size, "big")
+            rounds = max(rounds, 2)
+        yield Document(data), Document(other), rounds, seed
+
+
+def test_verify_matches_round_by_round_reference():
+    kinds = {"match": 0, "mismatch": 0, "late": 0, "length": 0}
+    for local, remote, rounds, seed in verify_cases():
+        rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+        report = verify(local, LocalOracle(remote), rounds, rng)
+        expected = reference_verify(local, LocalOracle(remote), rounds, ref_rng)
+        assert report == expected, seed
+        if report.matched:
+            # A match makes exactly the reference's draws.
+            assert rng.state == ref_rng.state, seed
+        kinds["match" if report.matched else "length" if report.length_mismatch
+              else "late" if report.rounds > 1 else "mismatch"] += 1
+    assert min(kinds.values()) >= 3, kinds
+
+
+class Wire:
+    """A stream pair over ``serve_oracle`` for ``doc``: each readline serves
+    the requests written since the last one, so a single-threaded test
+    exercises the real protocol text both ways.  Counts the ``Q`` lines."""
+
+    def __init__(self, doc):
+        self.doc, self.buffer, self.queries = doc, "", 0
+
+    def write(self, text):
+        self.buffer += text
+        self.queries += text.startswith("Q ")
+
+    def flush(self):
+        pass
+
+    def readline(self):
+        out = io.StringIO()
+        serve_oracle(self.doc, io.StringIO(self.buffer), out)
+        self.buffer = ""
+        return out.getvalue()
+
+
+def test_verify_over_wire_asks_one_prime_at_a_time():
+    local, remote = make_docs(3000, [1234])
+    wire = Wire(remote)
+    report = verify(local, StreamOracle(wire, wire), 10, SplitMix64(5))
+    assert (report.verdict, report.rounds) == (MISMATCH, 1)
+    assert wire.queries == 1
+
+    wire = Wire(local)
+    oracle = StreamOracle(wire, wire)
+    report = verify(local, oracle, 5, SplitMix64(5))
+    assert report.verdict == MATCH
+    assert wire.queries == oracle.queries == 5
+    assert report == reference_verify(local, LocalOracle(local), 5, SplitMix64(5))
+
+
+def test_local_oracle_residues_is_one_query():
+    doc, _ = make_docs(3000, [])
+    primes = [random_prime_in(10**9, 2 * 10**9, 8, SplitMix64(s)) for s in range(10)]
+    batched, single = LocalOracle(doc), LocalOracle(doc)
+    for offset, length in ((0, 3000), (17, 1000), (2999, 1), (5, 0)):
+        residues = batched.residues(offset, length, primes)
+        assert residues == [single.residue(offset, length, p) for p in primes]
+    assert batched.queries == 4
+    assert single.queries == 40
 
 
 def test_verify_equal_documents_always_match():
@@ -150,6 +269,33 @@ def test_narrow_interval_prime_count_replaces_estimate():
     assert fingerprint._interval_prime_count(10**9, 2 * 10**9) == PRIMES_IN_DEFAULT_INTERVAL
 
 
+def test_wide_interval_prime_count_is_a_lower_bound():
+    limit = 10**7
+    flags = sieve(limit)
+    gen = random.Random(14)
+    intervals = [(0, limit), (1, limit), (0, EXACT_COUNT_SPAN + 2), (1, EXACT_COUNT_SPAN + 3),
+                 (0, 10**6), (1, 10**6), (2, 10**6), (16, 300000), (17, 300000)]
+    while len(intervals) < 200:
+        lo = gen.randrange(limit - EXACT_COUNT_SPAN - 2)
+        intervals.append((lo, gen.randrange(lo + EXACT_COUNT_SPAN + 2, limit + 1)))
+    for lo, hi in intervals:
+        assert hi - lo - 1 > EXACT_COUNT_SPAN
+        count = fingerprint._interval_prime_count(lo, hi)
+        assert 1 <= count <= max(1, flags[lo + 1 : hi].count(1)), (lo, hi)
+    # The bounds are explicit: pi(10**6 - 1) > 999999 / ln 999999 = 72382.2,
+    # pi(2 * 10**6) > 137848.7 and pi(10**6) < 1.25506 * 10**6 / ln 10**6 = 90844.3.
+    assert fingerprint._interval_prime_count(0, 10**6) == 72382
+    assert fingerprint._interval_prime_count(10**6, 2 * 10**6 + 1) == 137848 - 90845
+
+
+def test_wide_interval_prime_count_not_positive_reads_one():
+    # Too wide or too high to count exactly, and no positive explicit count.
+    assert fingerprint._interval_prime_count(2**64, 2**64 + 10**6) == 1
+    assert fingerprint._interval_prime_count(10**12, 10**12 + 10**6) == 1
+    assert fingerprint._interval_prime_count(-(10**6), 10) == 1
+    assert structural_bound(1000, 3, 2**64, 2**64 + 10**6) == 1
+
+
 def test_false_positive_bound_reported_on_match():
     doc, _ = make_docs(1024, [])
     report = verify(doc, LocalOracle(Document(doc.data)), 10, SplitMix64(4))
@@ -189,27 +335,7 @@ def test_localize_odd_length_document():
 
 def test_stream_oracle_protocol_round_trip():
     doc = Document(bytes(range(200)))
-    requests = io.StringIO()
-
-    class Wire:
-        # Run the server lazily per request so a single-threaded test can
-        # exercise the real protocol text both ways.
-        def __init__(self):
-            self.buffer = ""
-
-        def write(self, text):
-            self.buffer += text
-
-        def flush(self):
-            pass
-
-        def readline(self):
-            out = io.StringIO()
-            serve_oracle(doc, io.StringIO(self.buffer), out)
-            self.buffer = ""
-            return out.getvalue()
-
-    wire = Wire()
+    wire = Wire(doc)
     oracle = StreamOracle(wire, wire)
     assert oracle.length() == 200
     assert oracle.residue(0, 200, 10**9 + 7) == doc.residue(10**9 + 7)

@@ -145,6 +145,16 @@ def test_random_prime_in_small_primeless_span_draws_nothing():
         assert rng.state == SplitMix64(7).state
 
 
+def test_random_prime_in_small_primeless_span_above_2_32_draws_nothing():
+    # 8589934757 and 8589934807 are consecutive primes, as are 2**64 - 59 and
+    # 2**64 + 13: their gaps are checked exactly, with no draw, up to 2**64.
+    for lo, hi in ((8589934757, 8589934807), (2**64 - 59, 2**64)):
+        rng = SplitMix64(7)
+        with pytest.raises(PrimelessIntervalError, match="an exact test finds none"):
+            random_prime_in(lo, hi, 16, rng)
+        assert rng.state == SplitMix64(7).state
+
+
 def test_random_prime_in_wide_primeless_span_gives_up_after_draw_limit(monkeypatch):
     # 31397 and 31469 are consecutive primes: 71 composites, too many to
     # enumerate up front, so the search draws until the limit.
