@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .primality import is_probable_prime
+from .primality import MAX_TARGET_BITS, is_probable_prime
 from .rng import SplitMix64
 
 # Bases tried by pollard_pm1, in order.  Base 2 alone is blind to inputs
@@ -36,10 +36,6 @@ _VALIDATION_SEED = 0x5EED
 MAX_BOUND = 10**6
 # Most ECM curves in one call; each costs a stage-1 scalar multiplication.
 MAX_CURVES = 10**4
-# Widest N, in bits: the perfect-power and compositeness checks and every
-# stage-1 product grow with it, and factors are reported in decimal, which
-# Python refuses past 4,300 digits.
-MAX_TARGET_BITS = 4096
 
 
 @dataclass(frozen=True)

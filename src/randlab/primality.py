@@ -41,6 +41,12 @@ PRIME_SEARCH_LIMIT = 10**6
 # Fraction that grows by two bits a round, so the count must be capped.
 MAX_ROUNDS = 128
 
+# Widest n that is_probable_prime tests and factor's methods take as N, in
+# bits: every round is a power modulo n, a factoring method's checks and
+# stage-1 products grow with N, and factors are reported in decimal, which
+# Python refuses past 4,300 digits.
+MAX_TARGET_BITS = 4096
+
 # Widest prime random_prime_in draws (a 128-round fingerprint verify takes
 # about 1 s at 256 bits, 7 s at 512).
 MAX_PRIME_BITS = 256
@@ -117,13 +123,16 @@ def check_prime_interval(lo: int, hi: int) -> None:
 
 
 def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
-    """Run up to ``rounds`` (at most MAX_ROUNDS) random-base rounds on n.
+    """Run up to ``rounds`` (at most MAX_ROUNDS) random-base rounds on n,
+    which must be at most MAX_TARGET_BITS wide.
 
     Composite answers are exact and returned at the first witnessing round;
     probably-prime means every round passed, which for composite n has
     probability below 4**-rounds.
     """
     check_rounds("rounds", rounds)
+    if n.bit_length() > MAX_TARGET_BITS:
+        raise ValueError("n must be at most %d bits" % MAX_TARGET_BITS)
     bound = Fraction(1, 4**rounds)
     if n < 2:
         return PrimalityVerdict(COMPOSITE, 0, bound)

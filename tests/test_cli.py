@@ -440,6 +440,8 @@ PRIME_CAP_MESSAGE = "hi must be at most 2**%d" % primality.MAX_PRIME_BITS
      "N must be at most %d bits" % factor.MAX_TARGET_BITS),
     (["factor", "ecm", "%#x" % (2**factor.MAX_TARGET_BITS + 1), "--b1", "100"],
      "N must be at most %d bits" % factor.MAX_TARGET_BITS),
+    (["prime", "test", "0x" + "f" * 1025, "--rounds", "1"],
+     "n must be at most %d bits" % primality.MAX_TARGET_BITS),
     # The prime interval is refused before either document is read, and
     # before a single prime of that width is drawn.
     (["prime", "random", "--lo", "0", "--hi", "%#x" % (2**primality.MAX_PRIME_BITS + 1)],
@@ -455,7 +457,7 @@ PRIME_CAP_MESSAGE = "hi must be at most 2**%d" % primality.MAX_PRIME_BITS
 ], ids=["route-d", "pm1-bound", "ecm-b1", "route-trials", "ecm-curves",
         "prime-test-rounds", "prime-random-rounds", "fp-verify-rounds",
         "fp-localize-rounds", "fp-verify-rounds-big-doc", "fp-localize-rounds-big-doc",
-        "pm1-target-bits", "ecm-target-bits", "prime-random-hi-bits",
+        "pm1-target-bits", "ecm-target-bits", "prime-test-n-bits", "prime-random-hi-bits",
         "fp-verify-prime-hi-500-digits", "fp-localize-prime-hi-500-digits",
         "fp-verify-prime-hi-1000-digits-big-doc", "fp-localize-prime-hi-1000-digits-big-doc"])
 def test_argument_past_cap_exits_two_before_allocating(argv, message, tmp_path, capsys):
@@ -504,6 +506,9 @@ def test_trial_and_curve_caps_are_inclusive(capsys):
     rounds = str(primality.MAX_ROUNDS)
     code, doc = run_cli(["prime", "test", "1000003", "--rounds", rounds])
     assert code == 0 and doc["result"]["rounds"] == primality.MAX_ROUNDS
+    N = 2**primality.MAX_TARGET_BITS - 1  # divisible by 3
+    code, doc = run_cli(["prime", "test", "%#x" % N, "--rounds", "1"])
+    assert code == 1 and doc["result"]["answer"] == "composite"
     code, doc = run_cli(["prime", "random", "--lo", "1000", "--hi", "2000", "--rounds", rounds])
     assert code == 0 and 1000 < int(doc["result"]["prime"]) < 2000
 

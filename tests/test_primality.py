@@ -310,6 +310,22 @@ def test_random_prime_in_prime_width_cap_is_inclusive():
     assert random_prime_in(top - 190, top, 8, SplitMix64(0)) == top - 189
 
 
+def test_is_probable_prime_refuses_n_past_width_cap_before_drawing():
+    rng = SplitMix64(3)
+    for n in (2**primality.MAX_TARGET_BITS, 2**primality.MAX_TARGET_BITS + 1, 2**16384 - 1):
+        with pytest.raises(ValueError, match="^n must be at most 4096 bits$"):
+            is_probable_prime(n, 1, rng)
+    assert rng.state == 3
+
+
+def test_is_probable_prime_width_cap_is_inclusive():
+    n = 2**primality.MAX_TARGET_BITS - 1  # divisible by 3
+    rng = SplitMix64(3)
+    verdict = is_probable_prime(n, 1, rng)
+    assert verdict.answer == COMPOSITE and verdict.rounds_used == 1
+    assert rng.state != 3
+
+
 def test_random_prime_in_validates():
     with pytest.raises(ValueError):
         random_prime_in(10, 10, 5, SplitMix64(0))

@@ -185,3 +185,109 @@ def test_derive_stream_deterministic_and_decorrelated():
 def test_derive_stream_rejects_negative_index():
     with pytest.raises(ValueError):
         derive_stream(0, -1)
+
+
+def test_uniform_natural_in_names_a_wide_bound_by_its_width():
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match=r"^open interval \(a 16000-bit lo, 100\) is empty$"):
+        rng.uniform_natural_in(int("f" * 4000, 16), 100)
+    with pytest.raises(ValueError, match=r"^open interval \(a 16000-bit lo, a 16000-bit hi\) is empty$"):
+        rng.uniform_natural_in(2**15999 + 1, 2**15999)
+    with pytest.raises(ValueError, match=r"^open interval \(%d, %d\) is empty$" % (2**256, 2**256)):
+        rng.uniform_natural_in(2**256, 2**256)
+    assert rng.state == 0
+
+
+# The generator computes its outputs a block of 64 at a time; these tests hold
+# it to the scalar recurrence at every position, across refills and the 2**64
+# wrap of the state.
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_outputs(seed, count):
+    """The first ``count`` SplitMix64 outputs of ``seed``, by the scalar
+    recurrence written out (no use of the class)."""
+    state = seed % 2**64
+    out = []
+    for _ in range(count):
+        state = (state + GAMMA) % 2**64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+# Seeds whose state is 0, 1 or 2**64 - 1 after k draws, for k on both sides
+# of the first two refills.
+NEAR_WRAP = [(d - k * GAMMA) % 2**64 for k in (1, 2, 63, 64, 65, 128) for d in (-1, 0, 1)]
+SEEDS = [0, 1, 42, 2**63, 2**64 - 1] + NEAR_WRAP
+
+
+def test_reference_recurrence_gives_the_published_outputs():
+    assert reference_outputs(0, 2) == [SEED0_FIRST, SEED0_SECOND]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_300_outputs_match_the_scalar_recurrence(seed):
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(300)] == reference_outputs(seed, 300)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_state_counts_the_draws(seed):
+    rng = SplitMix64(seed)
+    for k in range(131):
+        assert rng.state == (seed + k * GAMMA) % 2**64
+        rng.next_u64()
+
+
+def test_seed_is_taken_mod_2_64():
+    assert SplitMix64(2**64 + 5).state == 5
+    assert SplitMix64(-1).state == 2**64 - 1
+    assert SplitMix64(-1).next_u64() == reference_outputs(2**64 - 1, 1)[0]
+
+
+def test_state_is_read_only():
+    rng = SplitMix64(3)
+    with pytest.raises(AttributeError):
+        rng.state = 4
+
+
+@pytest.mark.parametrize("drawn", [63, 64, 65])
+def test_clone_across_a_refill_continues_then_moves_independently(drawn):
+    expected = reference_outputs(11, drawn + 150)
+    a = SplitMix64(11)
+    for _ in range(drawn):
+        a.next_u64()
+    b = a.clone()
+    assert b.state == a.state
+    assert [b.next_u64() for _ in range(100)] == expected[drawn:drawn + 100]
+    assert [a.next_u64() for _ in range(100)] == expected[drawn:drawn + 100]
+    for _ in range(7):
+        a.next_u64()
+    assert b.state == (11 + (drawn + 100) * GAMMA) % 2**64
+    assert [b.next_u64() for _ in range(50)] == expected[drawn + 100:]
+
+
+def test_two_word_draw_spanning_a_refill_matches_reference():
+    rng, ref = SplitMix64(23), SplitMix64(23)
+    for _ in range(63):
+        rng.next_u64()
+        ref.next_u64()
+    draw = rng.sampler(2**128)
+    expected = reference_words_below(ref, 2**128)
+    assert draw() == expected
+    low, high = reference_outputs(23, 65)[63:]
+    assert expected == low | high << 64
+    assert rng.state == ref.state == (23 + 65 * GAMMA) % 2**64
+
+
+def test_derive_stream_pinned_values():
+    rng = derive_stream(10, 3)
+    assert rng.state == 0x5B4B601073A7A84A
+    assert [rng.next_u64(), rng.next_u64()] == [0xEEC362B9C564CA01, 0x0460E27699FEF9F2]
+    rng = derive_stream(2**64 - 1, 0)
+    assert rng.state == 0xE4D971771B652C20
+    assert [rng.next_u64(), rng.next_u64()] == [0x5DC20AA7B2A27137, 0xBDA5668A01D7049C]
