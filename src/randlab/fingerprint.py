@@ -22,8 +22,9 @@ in-process oracle and a line-oriented text protocol for genuinely remote use:
     response  E <reason>\n        (to a malformed or out-of-range request,
                                   or a prime wider than MAX_PRIME_BITS)
 
-The server answers a bad request with ``E`` and keeps serving; the client
-treats an ``E`` reply as a transport failure.
+The server answers a bad request, or a line longer than MAX_LINE, with ``E``
+and keeps serving; the client treats an ``E`` reply, or one longer than
+MAX_LINE, as a transport failure.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ PRIME_DRAW_ROUNDS = 16
 # Other intervals of at most this many integers, below 2**64, are counted
 # exactly, one primality test per integer.
 EXACT_COUNT_SPAN = 2**17
+
+MAX_LINE = 16 * 1024  # with its newline; MAX_ROUNDS 256-bit primes take 10 KB
 
 
 class TransportError(RuntimeError):
@@ -125,9 +128,11 @@ class StreamOracle:
         try:
             self._writer.write(request)
             self._writer.flush()
-            line = self._reader.readline()
+            line = self._reader.readline(MAX_LINE)
         except (OSError, ValueError) as exc:
             raise TransportError("oracle I/O failed: %s" % exc) from exc
+        if len(line) == MAX_LINE and not line.endswith("\n"):
+            raise TransportError("oracle reply longer than %d characters" % MAX_LINE)
         parts = line.split()
         if parts and parts[0] == "E":
             raise TransportError("oracle refused %r: %s" % (request, line[1:].strip()))
@@ -162,17 +167,22 @@ def serve_oracle(doc: Document, reader, writer) -> int:
 
     Serves until EOF or until the first line that is not a protocol request
     (end of session: the peer has started printing its own report on the
-    shared channel).  A request that is malformed or out of range gets an
-    ``E <reason>`` reply, and serving goes on.
+    shared channel).  A request that is malformed, out of range or longer
+    than MAX_LINE (read in MAX_LINE pieces) gets an ``E <reason>`` reply,
+    and serving goes on.
     """
     served = 0
-    for line in reader:
+    while line := reader.readline(MAX_LINE):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] not in ("L", "Q"):
+        if parts and parts[0] not in ("L", "Q"):
             break
         try:
+            if len(line) == MAX_LINE and not line.endswith("\n"):
+                while line and not line.endswith("\n"):
+                    line = reader.readline(MAX_LINE)
+                raise ValueError("request longer than %d characters" % MAX_LINE)
+            if not parts:
+                continue
             reply = _answer(doc, parts)
         except ValueError as exc:
             reply = "E %s\n" % exc

@@ -139,12 +139,13 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     m = len(words)
     if m == 0:
         raise ValueError("word set is empty")
-    if len(set(words)) != m:
+    if len(distinct := set(words)) != m:
         raise ValueError("duplicate words in input")
-    if b"" in set(words):
+    if b"" in distinct:
         # The empty word always maps to the self-loop (0, 0), which no trial
         # can accept; reject it up front with a comprehensible error.
         raise ValueError("the empty word cannot be hashed by this construction")
+    del distinct  # 2 MiB at 2^16 words: not held through the trials
     if not math.isfinite(ratio):
         raise ValueError("ratio must be finite")
     if ratio < MIN_RATIO:

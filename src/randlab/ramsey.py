@@ -19,10 +19,11 @@ refinement inner loops at word speed.  Both searches score a move with one
 flip kernel, built once per (n, s, t) by ``_flip_counter``: flipping edge
 (u, v) changes only the subsets holding both endpoints, so the energy change
 is a count of (s-2)-cliques among the common neighbours against
-(t-2)-independent sets among the common non-neighbours, unrolled without
-recursion for sizes up to 3.  Annealing applies an accepted flip by XOR on
-the two adjacency masks; the exhaustive search walks the labeled graphs in
-Gray-code order (Gray 1953), so each step is also a single flip.
+(t-2)-independent sets among the common non-neighbours.  Size 2 is
+lane-packed (broadword, Knuth TAOCP 4A 7.1.3) over the adjacency also kept
+as one int, adj[w] in n-bit lane w; size 3 is a scalar loop.  An accepted
+flip is an XOR on two masks and on the packed int; the exhaustive search
+walks the labeled graphs in Gray-code order (Gray 1953), one flip a step.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class GraphColoring:
                 if rng.next_u64() & 1:
                     g.set_edge(u, v, True)
         return g
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def set_edge(self, u: int, v: int, present: bool) -> None:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
@@ -126,43 +124,53 @@ def count_violations(g: GraphColoring, s: int, t: int) -> int:
     return _count_cliques(g.adj, s, full) + _count_cliques(g.adj, t, full, -1)
 
 
-def _subset_counter(size: int, flip: int):
-    """count(adj, m): what ``_count_cliques(adj, size, m, flip)`` returns.
+def _flips(n: int) -> list[tuple[int, int, int, int, int]]:
+    """(u, v, 1 << u, 1 << v, the bits of edge (u, v) in the packed adjacency)."""
+    return [(u, v, 1 << u, 1 << v, 1 << n * u + v | 1 << n * v + u)
+            for u, v in combinations(range(n), 2)]
 
-    Sizes up to 3 are unrolled into loops over the low set bit of m, with
-    ``bit_count`` for the last level; larger sizes recurse.
+
+def _subset_counter(size: int, flip: int, n: int):
+    """count(adj, packed, m): what ``_count_cliques(adj, size, m, flip)`` returns.
+
+    ``packed`` is sum(adj[w] << n*w).  Size 2: with sel(m) = sum(1 << n*w
+    for w in m), read from two tables by the halves of m, the bit count of
+    ``packed & m * sel(m)`` is twice the edges inside m; the non-edges are
+    C(k, 2) minus those.  Size 3 loops over pairs; larger sizes recurse.
     """
     if size == 0:
-        return lambda adj, m: 1
+        return lambda adj, packed, m: 1
     if size == 1:
-        return lambda adj, m: m.bit_count()
+        return lambda adj, packed, m: m.bit_count()
     if size == 2:
-        def count(adj: list[int], m: int) -> int:
-            total = 0
-            while m:
-                low = m & -m
-                m ^= low
-                total += (m & (adj[low.bit_length() - 1] ^ flip)).bit_count()
-            return total
-        return count
+        half = (n + 1) // 2
+        low, high, mask = [0], [0], (1 << half) - 1
+        for w in range(n):
+            table = low if w < half else high
+            table += [e | 1 << n * w for e in table]
+        if flip:
+            return lambda adj, packed, m: ((k := m.bit_count()) * (k - 1) - (
+                packed & m * (low[m & mask] | high[m >> half])).bit_count()) // 2
+        return lambda adj, packed, m: (
+            packed & m * (low[m & mask] | high[m >> half])).bit_count() // 2
     if size == 3:
-        def count(adj: list[int], m: int) -> int:
+        def count(adj: list[int], packed: int, m: int) -> int:
             total = 0
-            while m:
+            while m.bit_count() > 2:  # a triangle needs low and two more
                 low = m & -m
                 m ^= low
                 c = m & (adj[low.bit_length() - 1] ^ flip)
-                while c:
+                while c & (c - 1):
                     low = c & -c
                     c ^= low
                     total += (c & (adj[low.bit_length() - 1] ^ flip)).bit_count()
             return total
         return count
-    return lambda adj, m: _count_cliques(adj, size, m, flip)
+    return lambda adj, packed, m: _count_cliques(adj, size, m, flip)
 
 
 def _flip_counter(n: int, s: int, t: int):
-    """delta(adj, u, v): energy change from flipping edge (u, v) of adj.
+    """delta(adj, packed, u, v): energy change from flipping edge (u, v).
 
     Subsets not containing both endpoints are untouched, so the delta is the
     number of (s-2)-cliques among common neighbours (cliques gained or lost)
@@ -171,12 +179,13 @@ def _flip_counter(n: int, s: int, t: int):
     calibration and exhaustive_search all score flips with this one kernel.
     """
     full = (1 << n) - 1
-    cliques = _subset_counter(s - 2, 0)
-    indeps = _subset_counter(t - 2, -1)
+    cliques = _subset_counter(s - 2, 0, n)
+    indeps = _subset_counter(t - 2, -1, n)
 
-    def delta(adj: list[int], u: int, v: int) -> int:
+    def delta(adj: list[int], packed: int, u: int, v: int) -> int:
         au, av = adj[u], adj[v]
-        d = cliques(adj, au & av) - indeps(adj, full & ~(au | av | 1 << u | 1 << v))
+        d = (cliques(adj, packed, au & av)
+             - indeps(adj, packed, full & ~(au | av | 1 << u | 1 << v)))
         return -d if au >> v & 1 else d  # flipping a present edge removes it
 
     return delta
@@ -223,41 +232,41 @@ class AnnealOutcome:
         return self.graph is not None
 
 
-def _calibrate_temperature(adj: list[int], pairs, delta, rng: SplitMix64) -> float:
-    total = 0
-    edge = rng.sampler(len(pairs))
-    for _ in range(100):
-        u, v, _, _ = pairs[edge()]
-        total += abs(delta(adj, u, v))
-    return max(total / 100.0, 1.0)
+def _random_start(n: int, s: int, t: int, cfg: AnnealConfig, flips, delta, rng: SplitMix64):
+    """A random graph, its adjacency as masks and packed, its energy, and the
+    temperature: cfg's, or else the mean |delta| of 100 random flips."""
+    g = GraphColoring.random(n, rng)
+    packed = sum(a << n * w for w, a in enumerate(g.adj))
+    temperature = cfg.initial_temperature
+    if temperature is None:
+        edge = rng.sampler(len(flips))
+        total = sum(abs(delta(g.adj, packed, *flips[edge()][:2])) for _ in range(100))
+        temperature = max(total / 100.0, 1.0)
+    return g, g.adj, packed, count_violations(g, s, t), temperature
 
 
 def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
-           rng: SplitMix64, debug: bool = False) -> AnnealOutcome:
+           rng: SplitMix64) -> AnnealOutcome:
     """Anneal from a random graph toward zero violations.
 
     Single-edge-flip moves; downhill always accepted, uphill with
     probability exp(-delta/T).  Each move is scored by the instance's flip
     kernel (``_flip_counter``) and applied by XOR on the two endpoints'
-    adjacency masks.  Any zero-energy graph is re-checked with the exact
-    counter before being returned.  ``debug`` audits the incremental energy
-    against a full recount every 1000 moves.
+    adjacency masks and on the packed adjacency.  Any zero-energy graph is
+    re-checked with the exact counter before being returned.
     """
     _check_params(n, s, t)
     if cfg is None:
         cfg = AnnealConfig()
     cfg.validate()
-    pairs = [(u, v, 1 << u, 1 << v) for u, v in combinations(range(n), 2)]
-    edge = rng.sampler(len(pairs))
-    block = cfg.steps_per_temperature or len(pairs)
+    flips = _flips(n)
+    edge = rng.sampler(len(flips))
+    block = cfg.steps_per_temperature or len(flips)
     max_steps, stagnation = cfg.max_total_steps, STAGNATION_LIMIT
     delta = _flip_counter(n, s, t)
     next_float, exp = rng.next_float, math.exp
 
-    g = GraphColoring.random(n, rng)
-    adj = g.adj
-    energy = count_violations(g, s, t)
-    temperature = cfg.initial_temperature or _calibrate_temperature(adj, pairs, delta, rng)
+    g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, delta, rng)
     best = energy
     steps = 0
     restarts_used = 0
@@ -269,17 +278,15 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             if count_violations(g, s, t) != 0:
                 raise RuntimeError("internal error: incremental energy drifted")
             return AnnealOutcome(g, steps, restarts_used, 0)
-        u, v, bu, bv = pairs[edge()]
-        d = delta(adj, u, v)
+        u, v, bu, bv, toggle = flips[edge()]
+        d = delta(adj, packed, u, v)
         if d <= 0 or next_float() < exp(-d / temperature):
             adj[u] ^= bv
             adj[v] ^= bu
+            packed ^= toggle
             energy += d
         steps += 1
         in_block += 1
-        if debug and steps % 1000 == 0:
-            if energy != count_violations(g, s, t):
-                raise RuntimeError("internal error: incremental energy drifted")
         if energy < best:
             best = energy
             since_improvement = 0
@@ -292,13 +299,8 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             restarts_used += 1
             since_improvement = 0
             in_block = 0
-            g = GraphColoring.random(n, rng)
-            adj = g.adj
-            energy = count_violations(g, s, t)
-            temperature = (cfg.initial_temperature
-                           or _calibrate_temperature(adj, pairs, delta, rng))
-            if energy < best:
-                best = energy
+            g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, delta, rng)
+            best = min(best, energy)
     if energy == 0:
         if count_violations(g, s, t) != 0:
             raise RuntimeError("internal error: incremental energy drifted")
@@ -309,35 +311,35 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
 def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
     """Every labeled graph on n vertices with zero violations (n <= 7).
 
-    Graph number ``mask`` has edge ``pairs[i]`` exactly when bit i of mask
-    is set.  The masks are walked in Gray-code order from the empty graph:
-    step i flips the edge at the lowest set bit of i, so each step is one
-    flip scored by the instance's flip kernel (``_flip_counter``) rather
+    Graph number ``mask`` has edge ``flips[i][:2]`` exactly when bit i of
+    mask is set.  The masks are walked in Gray-code order from the empty
+    graph: step i flips the edge at the lowest set bit of i, so each step is
+    one flip scored by the instance's flip kernel (``_flip_counter``) rather
     than a full recount.  The graphs are returned in increasing mask order.
     """
     _check_params(n, s, t)
-    pairs = list(combinations(range(n), 2))
-    if len(pairs) > EXHAUSTIVE_EDGE_LIMIT:
+    flips = _flips(n)
+    if len(flips) > EXHAUSTIVE_EDGE_LIMIT:
         raise ValueError(
             "C(%d, 2) = %d edge slots is past the 2^%d enumeration limit; use anneal"
-            % (n, len(pairs), EXHAUSTIVE_EDGE_LIMIT)
+            % (n, len(flips), EXHAUSTIVE_EDGE_LIMIT)
         )
     delta = _flip_counter(n, s, t)
-    flips = [(u, v, 1 << u, 1 << v) for u, v in pairs]
-    adj = [0] * n
+    adj, packed = [0] * n, 0
     energy = count_violations(GraphColoring(n), s, t)
     found = [] if energy else [0]
-    for i in range(1, 1 << len(pairs)):
-        u, v, bu, bv = flips[(i & -i).bit_length() - 1]
-        energy += delta(adj, u, v)
+    for i in range(1, 1 << len(flips)):
+        u, v, bu, bv, toggle = flips[(i & -i).bit_length() - 1]
+        energy += delta(adj, packed, u, v)
         adj[u] ^= bv
         adj[v] ^= bu
+        packed ^= toggle
         if energy == 0:
             found.append(i ^ i >> 1)  # the mask of the graph after step i
     if energy != count_violations(GraphColoring(n, adj), s, t):
         raise RuntimeError("internal error: incremental energy drifted")
     found.sort()
-    return [GraphColoring.from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    return [GraphColoring.from_edges(n, [f[:2] for i, f in enumerate(flips) if mask >> i & 1])
             for mask in found]
 
 

@@ -9,8 +9,8 @@ queue per directed edge, and simultaneous arrivals enter a queue in packet-id
 order, which makes every run bit-for-bit reproducible.  No route or queue is
 stored: each packet computes its next hop as it arrives, and each queue is
 kept as the step at which its edge is next free, which gives a joining
-packet's leave step at once (see ``_simulate``).  ``leading_bit_path``
-spells out the route a packet walks.
+packet's leave step at once.  ``_simulate`` walks each packet's route hop by
+hop.
 
 Greedy routing is fast on average but has bad permutations: under
 bit-reversal, every packet whose source has at least d/2 trailing zeros is
@@ -56,19 +56,6 @@ def bit_reversal(d: int) -> list[int]:
         # takes as its new lowest bit.
         out = [2 * r for r in out] + [2 * r + 1 for r in out]
     return out
-
-
-def leading_bit_path(src: int, dst: int) -> list[int]:
-    """Vertices visited when always flipping the highest differing bit."""
-    if src < 0 or dst < 0:
-        raise ValueError("vertex labels must be non-negative")
-    path = [src]
-    cur = src
-    while cur != dst:
-        bit = (cur ^ dst).bit_length() - 1
-        cur ^= 1 << bit
-        path.append(cur)
-    return path
 
 
 def _check_permutation(d: int, perm) -> list[int]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from randlab import factor, mphf, primality, ramsey, route
+from randlab import factor, fingerprint, mphf, primality, ramsey, route
 from randlab.cli import _probability, main
 from replay import normalize
 
@@ -546,13 +546,14 @@ def test_ramsey_census_refuses_vertex_count_before_allocating(tmp_path, capsys):
 def test_fingerprint_serve_keeps_serving_after_bad_requests(tmp_path, monkeypatch, capsys):
     doc = tmp_path / "doc.bin"
     doc.write_bytes(b"hello world")
-    requests = "Q x 1 7\nQ 0 50 7\nQ 0 1 1\nL 5\nL\nQ 0 11 101\n"
+    too_long = "Q 0 11 " + "9" * fingerprint.MAX_LINE
+    requests = "Q x 1 7\nQ 0 50 7\nQ 0 1 1\nL 5\n%s\nL\nQ 0 11 101\n" % too_long
     monkeypatch.setattr(sys, "stdin", io.StringIO(requests))
     out = io.StringIO()
     assert main(["fingerprint", "serve", str(doc)], stdout=out) == 0
     replies = out.getvalue().splitlines()
-    assert [r[0] for r in replies] == ["E", "E", "E", "E", "L", "R"]
-    assert replies[4:] == ["L 11", "R %d" % (int.from_bytes(b"hello world", "big") % 101)]
+    assert [r[0] for r in replies] == ["E", "E", "E", "E", "E", "L", "R"]
+    assert replies[5:] == ["L 11", "R %d" % (int.from_bytes(b"hello world", "big") % 101)]
     assert capsys.readouterr().err == "served 1 queries\n"
 
 

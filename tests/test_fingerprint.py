@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from randlab.fingerprint import (
     DEFAULT_PRIME_LO,
     EXACT_COUNT_SPAN,
     MATCH,
+    MAX_LINE,
     MISMATCH,
     PRIME_DRAW_ROUNDS,
     Document,
@@ -147,7 +149,7 @@ class Wire:
     def flush(self):
         pass
 
-    def readline(self):
+    def readline(self, size=-1):
         out = io.StringIO()
         serve_oracle(self.doc, io.StringIO(self.buffer), out)
         self.buffer = ""
@@ -400,6 +402,58 @@ def test_serve_oracle_stops_at_non_protocol_line():
     served = serve_oracle(Document(b"xy"), io.StringIO('Q 0 2 101\n{"report": 1}\n'), out)
     assert served == 1
     assert out.getvalue() == "R %d\n" % Document(b"xy").residue(101)
+
+
+class LongLineReader:
+    """A reader whose first line is ``Q `` and nines, ``length`` characters
+    with its newline, then ``then``.  It hands out only the slice each
+    ``readline(size)`` asks for, so it never holds a bounded read's line."""
+
+    def __init__(self, length, then):
+        self.pos, self.length, self.then = 0, length, io.StringIO(then)
+
+    def readline(self, size=-1):
+        if self.pos == self.length:
+            return self.then.readline(size)
+        start = self.pos
+        self.pos = self.length if size < 0 else min(self.length, start + size)
+        nines = min(self.pos, self.length - 1) - max(start, 2)
+        return "Q "[start:self.pos] + "9" * max(nines, 0) + "\n" * (self.pos == self.length)
+
+
+def test_line_bound_fits_a_request_of_every_round_prime():
+    widest = str(2**MAX_PRIME_BITS - 189)
+    batch = "B %d %d %s\n" % (2**64, 2**64, " ".join([widest] * MAX_ROUNDS))
+    assert len(batch) <= MAX_LINE
+
+
+def test_serve_oracle_skips_an_overlong_line_in_bounded_memory():
+    # Reading the 10^7-character line whole peaked at 19 MiB.
+    reader = LongLineReader(10**7, "L\n")
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        served = serve_oracle(Document(b"hello world"), reader, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert out.getvalue().splitlines() == ["E request longer than %d characters" % MAX_LINE,
+                                           "L 11"]
+    assert served == 0
+
+
+def test_serve_oracle_reads_a_line_of_the_bound():
+    line = "Q 0 11 101" + " " * (MAX_LINE - 11) + "\n"
+    out = io.StringIO()
+    assert serve_oracle(Document(b"hello world"), io.StringIO(line), out) == 1
+    assert out.getvalue() == "R %d\n" % Document(b"hello world").residue(101)
+
+
+def test_stream_oracle_refuses_an_overlong_reply():
+    oracle = StreamOracle(io.StringIO("R " + "1" * MAX_LINE + "\nR 5\n"), io.StringIO())
+    with pytest.raises(TransportError, match="longer than %d" % MAX_LINE):
+        oracle.residue(0, 1, 101)
 
 
 def test_completeness_random_unequal_pairs():

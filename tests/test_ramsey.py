@@ -7,6 +7,7 @@ from randlab.ramsey import (
     AnnealConfig,
     GraphColoring,
     _count_cliques,
+    _flip_counter,
     _subset_counter,
     anneal,
     canonical_form,
@@ -27,14 +28,23 @@ def complete(n):
     return GraphColoring.from_edges(n, combinations(range(n), 2))
 
 
+def has_edge(g, u, v):
+    return bool(g.adj[u] >> v & 1)
+
+
+def packed(adj):
+    # The flip kernel's packed adjacency: adj[w] in the n-bit lane w.
+    return sum(a << len(adj) * w for w, a in enumerate(adj))
+
+
 def brute_violations(g, s, t):
     # Oracle: test every subset directly against the adjacency matrix.
     count = 0
     for subset in combinations(range(g.n), s):
-        if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+        if all(has_edge(g, u, v) for u, v in combinations(subset, 2)):
             count += 1
     for subset in combinations(range(g.n), t):
-        if not any(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+        if not any(has_edge(g, u, v) for u, v in combinations(subset, 2)):
             count += 1
     return count
 
@@ -76,13 +86,42 @@ def test_count_violations_complement_duality_exhaustive():
 
 def test_unrolled_subset_counts_match_recursion():
     rng = SplitMix64(7)
-    for _ in range(20):
-        g = GraphColoring.random(12, rng)
-        m = rng.next_u64() & 0xFFF
-        for size in range(6):
-            for flip in (0, -1):
-                assert _subset_counter(size, flip)(g.adj, m) == \
-                    _count_cliques(g.adj, size, m, flip)
+    for n in (1, 2, 5, 12, 17, 24):
+        for _ in range(20):
+            g = GraphColoring.random(n, rng)
+            m = rng.next_u64() & (1 << n) - 1
+            for size in range(6):
+                for flip in (0, -1):
+                    assert _subset_counter(size, flip, n)(g.adj, packed(g.adj), m) == \
+                        _count_cliques(g.adj, size, m, flip)
+
+
+def test_flip_kernel_matches_recount_on_every_pair():
+    # The delta of flipping (u, v) is the change in the subsets holding both
+    # endpoints: (s-2)-cliques among the common neighbours against
+    # (t-2)-independent sets among the common non-neighbours, recounted here
+    # by the recursion; below 8 vertices also against a full recount.
+    rng = SplitMix64(16)
+    for n in range(4, 25):
+        g = GraphColoring.random(n, rng)
+        for graph in (g, g.complement()):
+            adj, lanes = graph.adj, packed(graph.adj)
+            for s in range(2, min(n, 6) + 1):
+                for t in range(2, min(n, 6) + 1):
+                    delta = _flip_counter(n, s, t)
+                    for u, v in combinations(range(n), 2):
+                        common = adj[u] & adj[v]
+                        neither = (1 << n) - 1 & ~(adj[u] | adj[v] | 1 << u | 1 << v)
+                        d = (_count_cliques(adj, s - 2, common)
+                             - _count_cliques(adj, t - 2, neither, -1))
+                        if has_edge(graph, u, v):
+                            d = -d
+                        assert delta(adj, lanes, u, v) == d, (n, s, t, u, v)
+                        if n < 8:
+                            flipped = GraphColoring(n, adj)
+                            flipped.set_edge(u, v, not has_edge(graph, u, v))
+                            assert d == (count_violations(flipped, s, t)
+                                         - count_violations(graph, s, t))
 
 
 def test_count_violations_guards():
@@ -97,9 +136,9 @@ def test_count_violations_guards():
 def test_graph_basics():
     g = GraphColoring(4)
     g.set_edge(0, 3, True)
-    assert g.has_edge(3, 0)
+    assert has_edge(g, 3, 0)
     g.set_edge(3, 0, False)
-    assert not g.has_edge(0, 3)
+    assert not has_edge(g, 0, 3)
     with pytest.raises(ValueError):
         g.set_edge(1, 1, True)
     comp = complete(4).complement()
@@ -109,7 +148,7 @@ def test_graph_basics():
 def test_anneal_finds_c5_class_quickly():
     steps = []
     for seed in range(20):
-        out = anneal(5, 3, 3, None, SplitMix64(seed), debug=True)
+        out = anneal(5, 3, 3, None, SplitMix64(seed))
         assert out.found
         assert count_violations(out.graph, 3, 3) == 0
         steps.append(out.steps)
@@ -125,14 +164,67 @@ def test_anneal_impossible_instance_not_found():
     assert out.best_energy > 0
 
 
-def test_anneal_debug_audits_incremental_energy():
+class Audit:
+    """Test-side audit of an anneal run, installed in place of the flip kernel.
+
+    Each kernel call sees the adjacency after the previous move, so the
+    audit learns whether that flip was accepted and follows the running
+    energy as anneal does, adding the delta of each accepted flip.  It checks
+    the packed adjacency at every call (so after every accepted flip but the
+    run's last) and recounts the energy every 1000th call.  A new adjacency
+    list is a fresh or restarted random graph, whose energy is recounted.
+    """
+
+    def __init__(self, monkeypatch, s, t):
+        self.s, self.t = s, t
+        self.adj, self.last, self.energy, self.calls, self.recounts = None, None, 0, 0, 0
+        kernel = ramsey._flip_counter
+
+        def flip_counter(n, s, t):
+            delta = kernel(n, s, t)
+
+            def audited(adj, lanes, u, v):
+                self.follow(adj)
+                assert lanes == packed(adj)
+                self.calls += 1
+                if self.calls % 1000 == 0:
+                    assert self.energy == self.recount()
+                    self.recounts += 1
+                d = delta(adj, lanes, u, v)
+                self.last = u, v, adj[u] >> v & 1, d
+                return d
+            return audited
+        monkeypatch.setattr(ramsey, "_flip_counter", flip_counter)
+
+    def recount(self):
+        return count_violations(GraphColoring(len(self.adj), self.adj), self.s, self.t)
+
+    def follow(self, adj):
+        if adj is not self.adj:
+            self.adj, self.last = adj, None
+            self.energy = self.recount()
+        elif self.last is not None:
+            u, v, bit, d = self.last
+            if adj[u] >> v & 1 != bit:
+                self.energy += d
+
+    def finish(self):
+        """Follow the run's last move and recount its final graph."""
+        self.follow(self.adj)
+        self.last = None
+        assert self.energy == self.recount()
+
+
+def test_anneal_debug_audits_incremental_energy(monkeypatch):
     # The infeasible (3,3,6) instance keeps annealing past many audit
-    # points (every 1000 moves), each comparing the running energy with a
-    # full recount; any bookkeeping drift would raise.
-    cfg = AnnealConfig(max_total_steps=20_000)
-    out = anneal(6, 3, 3, cfg, SplitMix64(1), debug=True)
+    # points (every 1000 kernel calls), each comparing the running energy
+    # with a full recount.
+    audit = Audit(monkeypatch, 3, 3)
+    out = anneal(6, 3, 3, AnnealConfig(max_total_steps=20_000), SplitMix64(1))
+    audit.finish()
     assert not out.found
     assert out.steps == 20_000
+    assert audit.recounts == 20
 
 
 def test_anneal_deterministic_replay():
@@ -142,72 +234,74 @@ def test_anneal_deterministic_replay():
     assert a.graph == b.graph
 
 
-# Replayed anneal runs: (n, s, t, seed, config, debug) and what they must
-# return, down to the generator state after the last draw, so a change to
-# the move loop must keep every draw and every accepted flip.  Recorded from
-# the recursive per-move recount that the flip kernel replaced.
+# Replayed anneal runs: (n, s, t, seed, config) and what they must return,
+# down to the generator state after the last draw, so a change to the move
+# loop must keep every draw and every accepted flip.  Recorded from the
+# recursive per-move recount that the flip kernel replaced.  Each replay
+# runs under the test-side Audit.
 ANNEAL_PINS = [
-    # (n, s, t, seed, cfg, debug), (steps, restarts_used, best_energy, final adj, rng.state)
-    ((5, 3, 3, 0, None, False), (104, 0, 0, [6, 9, 17, 18, 12], 6688773790079164609)),
-    ((5, 3, 3, 1, None, False), (12, 0, 0, [24, 20, 10, 5, 3], 1998715050314828417)),
-    ((5, 3, 3, 2, None, False), (38, 0, 0, [10, 5, 18, 17, 12], 11978766303238853880)),
-    ((8, 3, 4, 0, None, False),
+    # (n, s, t, seed, cfg), (steps, restarts_used, best_energy, final adj, rng.state)
+    ((5, 3, 3, 0, None), (104, 0, 0, [6, 9, 17, 18, 12], 6688773790079164609)),
+    ((5, 3, 3, 1, None), (12, 0, 0, [24, 20, 10, 5, 3], 1998715050314828417)),
+    ((5, 3, 3, 2, None), (38, 0, 0, [10, 5, 18, 17, 12], 11978766303238853880)),
+    ((8, 3, 4, 0, None),
      (719, 0, 0, [112, 24, 160, 98, 3, 13, 137, 68], 10157082693573096967)),
-    ((8, 3, 4, 1, None, False),
+    ((8, 3, 4, 1, None),
      (1134, 0, 0, [98, 137, 224, 50, 72, 13, 21, 6], 16188634132647396517)),
-    ((8, 3, 4, 2, None, False),
+    ((8, 3, 4, 2, None),
      (1924, 0, 0, [140, 28, 35, 67, 130, 68, 40, 17], 15823020377510626931)),
-    ((13, 3, 5, 0, None, False),
+    ((13, 3, 5, 0, None),
      (36807, 0, 0, [6660, 6216, 297, 534, 4488, 5252, 898, 2160, 1108, 1097, 2848, 1155, 51],
       13966506229775683055)),
-    ((13, 3, 5, 3, None, False),
+    ((13, 3, 5, 3, None),
      (35760, 0, 0, [2580, 864, 4417, 3840, 1409, 7170, 1158, 6224, 30, 4107, 120, 169, 676],
       5551936278779133335)),
-    ((7, 4, 3, 1, None, False), (41, 0, 0, [108, 28, 75, 23, 42, 81, 37], 1848731606965990148)),
-    ((8, 3, 4, 0, AnnealConfig(initial_temperature=2.0, steps_per_temperature=10), False),
+    ((7, 4, 3, 1, None), (41, 0, 0, [108, 28, 75, 23, 42, 81, 37], 1848731606965990148)),
+    ((8, 3, 4, 0, AnnealConfig(initial_temperature=2.0, steps_per_temperature=10)),
      (1120, 0, 0, [22, 193, 9, 164, 161, 88, 34, 26], 17516602833307243254)),
     # Budget exhausted with no solution: (3,3,6) is infeasible; the others
     # stop early, at sizes 2 and 4 of the subset counts.
-    ((6, 3, 3, 0, AnnealConfig(max_total_steps=3000), False),
+    ((6, 3, 3, 0, AnnealConfig(max_total_steps=3000)),
      (3000, 0, 2, None, 13472215570709145544)),
-    ((17, 4, 4, 0, AnnealConfig(max_total_steps=4000), False),
+    ((17, 4, 4, 0, AnnealConfig(max_total_steps=4000)),
      (4000, 0, 25, None, 6916708642319657074)),
-    ((12, 3, 6, 0, AnnealConfig(max_total_steps=3000), False),
+    ((12, 3, 6, 0, AnnealConfig(max_total_steps=3000)),
      (3000, 0, 1, None, 15678202641982324213)),
-    # debug=True audits at moves 1000, 2000 and 3000 and draws nothing extra.
-    ((8, 3, 4, 5, None, True),
+    ((8, 3, 4, 5, None),
      (3911, 0, 0, [76, 112, 49, 145, 14, 134, 131, 104], 13013906949833049677)),
 ]
 
 # The same with STAGNATION_LIMIT = 40, so restarts happen.
 ANNEAL_RESTART_PINS = [
-    ((8, 3, 4, 0, None, False),
+    ((8, 3, 4, 0, None),
      (1011, 23, 0, [152, 176, 88, 37, 7, 10, 132, 67], 615430896856959735)),
-    ((8, 3, 4, 5, None, False),
+    ((8, 3, 4, 5, None),
      (282, 5, 0, [6, 73, 161, 162, 96, 28, 146, 76], 7465739004123589195)),
-    ((7, 3, 4, 2, None, False),
+    ((7, 3, 4, 2, None),
      (162, 3, 0, [72, 12, 66, 19, 40, 80, 37], 17524961124136824321)),
-    ((6, 3, 3, 1, AnnealConfig(max_total_steps=3000), False),
+    ((6, 3, 3, 1, AnnealConfig(max_total_steps=3000)),
      (3000, 74, 2, None, 10692123265143291565)),
 ]
 
 
-def replayed(n, s, t, seed, cfg, debug):
+def replayed(monkeypatch, n, s, t, seed, cfg):
+    audit = Audit(monkeypatch, s, t)
     rng = SplitMix64(seed)
-    out = anneal(n, s, t, cfg, rng, debug=debug)
+    out = anneal(n, s, t, cfg, rng)
+    audit.finish()
     return out.steps, out.restarts_used, out.best_energy, \
         out.graph.adj if out.found else None, rng.state
 
 
 @pytest.mark.parametrize("args, pinned", ANNEAL_PINS)
-def test_anneal_replays_pinned_runs(args, pinned):
-    assert replayed(*args) == pinned
+def test_anneal_replays_pinned_runs(args, pinned, monkeypatch):
+    assert replayed(monkeypatch, *args) == pinned
 
 
 @pytest.mark.parametrize("args, pinned", ANNEAL_RESTART_PINS)
 def test_anneal_replays_pinned_restarts(args, pinned, monkeypatch):
     monkeypatch.setattr(ramsey, "STAGNATION_LIMIT", 40)
-    assert replayed(*args) == pinned
+    assert replayed(monkeypatch, *args) == pinned
 
 
 def test_anneal_validates_config():

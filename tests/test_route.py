@@ -7,7 +7,6 @@ from randlab.rng import SplitMix64, derive_stream
 from randlab.route import (
     RunStats,
     bit_reversal,
-    leading_bit_path,
     run_oblivious,
     run_valiant,
 )
@@ -15,6 +14,18 @@ from randlab.route import (
 
 def hamming(a, b):
     return bin(a ^ b).count("1")
+
+
+def leading_bit_path(src, dst):
+    """Reference definition of a greedy route: the vertices visited when
+    always flipping the highest differing bit, as ``route._simulate`` does
+    hop by hop."""
+    path = [src]
+    cur = src
+    while cur != dst:
+        cur ^= 1 << (cur ^ dst).bit_length() - 1
+        path.append(cur)
+    return path
 
 
 def test_bit_reversal_examples():
