@@ -4,8 +4,9 @@ Given m distinct words, pick two random functions f1, f2 mapping words to
 vertices {0..n-1} (n about 3m) and view each word as the edge
 (f1(w), f2(w)).  If the resulting multigraph has a repeated edge, a
 self-loop, or any cycle, throw the functions away and redraw; with n = 3m
-the expected number of draws is only about sqrt(3).  Acyclicity is decided
-by peeling: strip degree-1 vertices, each taking its one remaining edge,
+the expected number of draws is only about sqrt(3).  Self-loops and
+repeated edges are caught up front by set passes; any other cycle by
+peeling: strip degree-1 vertices, each taking its one remaining edge,
 until no edge is left (a forest) or none can be stripped (a cycle).  A
 vertex table g starts at 0 and is then filled in reverse peel order: for
 the edge of word number j, peeled from vertex x, set g[x] so that
@@ -19,7 +20,13 @@ build word.
 The per-word vertex functions are byte-table sums: f_i(w) = sum over
 positions of T_i[position][byte] mod n, with both tables drawn from the
 build's random stream, so a (words, seed, ratio) triple rebuilds the
-identical function.
+identical function.  All words are hashed at once, column by column: word
+i's sum is lane i of one big int, 4 or 8 bytes wide, as fits
+max_len * (n - 1), so no lane carries into the next.  Byte k of the entries
+T[j][w[j]] for all words is one ``translate`` of column j (byte j of every
+word, zero-padded), stored into every lane by one slice.  The padding adds
+sum_{j >= len(w)} T[j][0] to a word's lane, which one more pass, over the
+word lengths, takes back out.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, eq, mod, mul
 from typing import Sequence
 
 from .rng import SplitMix64
@@ -73,36 +82,66 @@ class BuildReport:
     elapsed_seconds: float
 
 
-def _vertex_pair(word: bytes, t1, t2, n: int) -> tuple[int, int]:
-    u = 0
-    v = 0
-    for j, byte in enumerate(word):
-        u += t1[j][byte]
-        v += t2[j][byte]
-    return u % n, v % n
+def _columns(words: Sequence[bytes], max_len: int) -> tuple[list[bytes], bytes]:
+    """Byte j of every word, zero-padded to max_len, for each j; and the word lengths."""
+    blob = b"".join(map(bytes.ljust, words, repeat(max_len), repeat(b"\0")))
+    return [blob[j::max_len] for j in range(max_len)], bytes(map(len, words))
+
+
+def _hash(columns: list[bytes], lengths: bytes, table, n: int) -> list[int]:
+    """sum_j table[j][w[j]] mod n for every word, from the words' columns."""
+    width = 4 if len(table) * (n - 1) < 2**32 else 8  # bytes per lane
+    buf = bytearray(width * len(lengths))
+
+    def lanes(column: bytes, row, planes: int) -> int:
+        entries = struct.pack("<256Q", *row)
+        for k in range(planes):
+            buf[k::width] = column.translate(entries[k::8])
+        return int.from_bytes(buf, "little")
+
+    # Entries are below n, so the upper planes of buf stay 0 until the padding pass.
+    planes = -(-(n - 1).bit_length() // 8)
+    pad = [*accumulate(row[0] for row in reversed(table))][::-1]
+    total = (sum(map(lanes, columns, table, repeat(planes)))
+             - lanes(lengths, pad + [0] * (256 - len(pad)), width))
+    sums = struct.unpack("<%d%s" % (len(lengths), "IQ"[width == 8]),
+                         total.to_bytes(len(buf), "little"))
+    return [*map(mod, sums, repeat(n))]
+
+
+def query_many(fn: MphfFunction, words: Sequence[bytes]) -> list[int]:
+    """query(fn, w) for every w in ``words``, hashed together."""
+    if max(map(len, words), default=0) > fn.max_word_len:
+        raise ValueError("word longer than the build maximum (%d bytes)" % fn.max_word_len)
+    columns, lengths = _columns(words, fn.max_word_len)
+    g, m = fn.g, fn.m
+    return [(g[u] + g[v]) % m for u, v in zip(_hash(columns, lengths, fn.t1, fn.n),
+                                               _hash(columns, lengths, fn.t2, fn.n))]
 
 
 def query(fn: MphfFunction, word: bytes) -> int:
     """Hash value in [0, m); equals the build index for build words."""
-    if len(word) > fn.max_word_len:
-        raise ValueError("word longer than the build maximum (%d bytes)" % fn.max_word_len)
-    u, v = _vertex_pair(word, fn.t1, fn.t2, fn.n)
-    return (fn.g[u] + fn.g[v]) % fn.m
+    return query_many(fn, [word])[0]
 
 
-def _peel(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | None:
+def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> list[tuple[int, int]] | None:
     """(edge, vertex it was peeled from) pairs in peel order, or None on a cycle.
 
-    Each vertex keeps only its degree and the XOR of its incident edge ids,
-    so a degree-1 vertex names its last edge directly.  Stripping such
-    vertices removes every edge of a forest; a cycle never peels, and a
-    repeated edge is a 2-cycle.  Self-loops are refused up front.
+    Edge i joins us[i] and vs[i].  Self-loops and repeated edges are refused
+    up front by C-level passes: a repeated edge is a 2-cycle, which peeling
+    would find only after stripping every other edge.  Each vertex then
+    keeps only its degree and the XOR of its incident edge ids, so a
+    degree-1 vertex names its last edge directly.  Stripping such vertices
+    removes every edge of a forest; any longer cycle never peels.
     """
+    if any(map(eq, us, vs)):
+        return None
+    keys = set(map(add, map(mul, us, repeat(n)), vs))
+    if len(keys) != len(us) or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
+        return None
     degree = [0] * n
     xor = [0] * n
-    for idx, (u, v) in enumerate(edges):
-        if u == v:
-            return None
+    for idx, (u, v) in enumerate(zip(us, vs)):
         degree[u] += 1
         degree[v] += 1
         xor[u] ^= idx
@@ -114,14 +153,13 @@ def _peel(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]] | N
             continue  # the other end of a peeled last edge
         idx = xor[v]
         order.append((idx, v))
-        a, b = edges[idx]
-        other = a ^ b ^ v  # the endpoint that is not v
+        other = us[idx] ^ vs[idx] ^ v  # the endpoint that is not v
         degree[v] = 0
         degree[other] -= 1
         xor[other] ^= idx
         if degree[other] == 1:
             queue.append(other)
-    return order if len(order) == len(edges) else None
+    return order if len(order) == len(us) else None
 
 
 def build(words: Sequence[bytes], ratio: float = 3.0,
@@ -159,23 +197,24 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)
 
+    columns, lengths = _columns(words, max_len)
     vertex = rng.sampler(n)
     for trial in range(1, MAX_TRIALS + 1):
         t1 = tuple(tuple(vertex() for _ in range(256)) for _ in range(max_len))
         t2 = tuple(tuple(vertex() for _ in range(256)) for _ in range(max_len))
-        edges = [_vertex_pair(w, t1, t2, n) for w in words]
-        order = _peel(n, edges)
+        us = _hash(columns, lengths, t1, n)
+        vs = _hash(columns, lengths, t2, n)
+        order = _peel(n, us, vs)
         if order is None:
             continue
         # In reverse peel order no later edge touches the vertex an edge was
         # peeled from, so setting it fixes that edge's sum for good.
         g = [0] * n
         for idx, v in reversed(order):
-            a, b = edges[idx]
-            g[v] = (idx - g[a ^ b ^ v]) % m  # a ^ b ^ v: the other endpoint
-        for j, (u, v) in enumerate(edges):  # ordered property, checked exhaustively
-            if (g[u] + g[v]) % m != j:
-                raise RuntimeError("internal error: assignment broke h(w_%d) = %d" % (j, j))
+            g[v] = (idx - g[us[idx] ^ vs[idx] ^ v]) % m  # the other endpoint's g
+        # The ordered property, checked exhaustively.
+        if [(g[u] + g[v]) % m for u, v in zip(us, vs)] != list(range(m)):
+            raise RuntimeError("internal error: assignment broke h(w_j) = j")
         return (MphfFunction(m, n, max_len, t1, t2, tuple(g)),
                 BuildReport(trial, time.perf_counter() - start))
     raise RatioTooLowError("%d consecutive cyclic graphs at ratio %.3f" % (MAX_TRIALS, ratio))
@@ -195,7 +234,7 @@ def deserialize(data: bytes) -> MphfFunction:
     """Parse bytes produced by serialize, validating every field range.
 
     Layout: "CHM1" magic, version byte 0x01, then m, n, max word length as
-    64-bit little-endian words, table T1 (max_word_len rows of 256 words),
+    64-bit little-endian words (the last in [1, MAX_WORD_LEN]), table T1 (max_word_len rows of 256 words),
     table T2 likewise, and the g array (n words).
     """
     if len(data) < 4 or data[:4] != MAGIC:
@@ -211,23 +250,17 @@ def deserialize(data: bytes) -> MphfFunction:
         raise FormatError(5, "m must be >= 1")
     if n < 1:
         raise FormatError(13, "n must be >= 1")
+    if not 1 <= max_len <= MAX_WORD_LEN:  # query's byte columns rely on this
+        raise FormatError(21, "max word length must be in [1, %d]" % MAX_WORD_LEN)
     expected = 29 + (2 * max_len * 256 + n) * 8
     if len(data) != expected:
         raise FormatError(min(len(data), expected), "expected %d bytes, got %d" % (expected, len(data)))
-    offset = 29
-    tables = []
-    for _ in range(2):
-        rows = []
-        for _ in range(max_len):
-            row = struct.unpack_from("<256Q", data, offset)
-            for i, value in enumerate(row):
-                if value >= n:
-                    raise FormatError(offset + 8 * i, "table entry %d out of range [0, %d)" % (value, n))
-            rows.append(row)
-            offset += 256 * 8
-        tables.append(tuple(rows))
-    g = struct.unpack_from("<%dQ" % n, data, offset)
-    for i, value in enumerate(g):
-        if value >= m:
-            raise FormatError(offset + 8 * i, "g entry %d out of range [0, %d)" % (value, m))
-    return MphfFunction(m, n, max_len, tables[0], tables[1], g)
+    rows = [struct.unpack_from("<256Q", data, 29 + 2048 * r) for r in range(2 * max_len)]
+    g = struct.unpack_from("<%dQ" % n, data, expected - 8 * n)
+    for r, row in enumerate(rows + [g]):  # g lies right after the last table row
+        what, limit = ("table", n) if r < len(rows) else ("g", m)
+        if max(row) >= limit:
+            i = next(i for i, value in enumerate(row) if value >= limit)
+            raise FormatError(29 + 2048 * r + 8 * i,
+                              "%s entry %d out of range [0, %d)" % (what, row[i], limit))
+    return MphfFunction(m, n, max_len, tuple(rows[:max_len]), tuple(rows[max_len:]), g)

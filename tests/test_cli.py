@@ -185,6 +185,37 @@ def test_mphf_build_query_verify(tmp_path, capsys):
     assert code == 1
 
 
+def test_mphf_verify_matches_per_word_query(tmp_path, capsys):
+    words = ["w%03d" % i for i in range(60)]
+    (tmp_path / "words.txt").write_text("".join(w + "\n" for w in words))
+    chm = tmp_path / "fn.chm"
+    assert run_cli(["mphf", "build", str(tmp_path / "words.txt"), "-o", str(chm)])[0] == 0
+    fn = mphf.deserialize(chm.read_bytes())
+    probe = list(words)
+    probe[3], probe[8] = probe[8], probe[3]  # a swapped pair
+    probe.insert(12, "x" * (fn.max_word_len + 1))  # too long: shifts every later word
+    probe.insert(30, "unknown")
+    (tmp_path / "probe.txt").write_text("".join(w + "\n" for w in probe))
+    expected = [j for j, w in enumerate(w.encode() for w in probe)
+                if len(w) > fn.max_word_len or mphf.query(fn, w) != j]
+    assert len(expected) > 20 and expected[:2] == [3, 8]
+    code, doc = run_cli(["mphf", "verify", str(chm), str(tmp_path / "probe.txt")])
+    assert code == 1
+    assert doc["result"] == {"words": 62, "mismatches": expected[:20], "ok": False}
+
+
+def test_mphf_query_refuses_max_word_len_past_cap(tmp_path, capsys):
+    # A crafted file whose tables claim 300-byte words, every entry in range.
+    m, n, max_len = 2, 7, 300
+    chm = tmp_path / "fn.chm"
+    chm.write_bytes(b"CHM1\x01" + m.to_bytes(8, "little") + n.to_bytes(8, "little")
+                    + max_len.to_bytes(8, "little") + bytes((2 * max_len * 256 + n) * 8))
+    assert main(["mphf", "query", str(chm), "alpha"], stdout=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err == "error: max word length must be in [1, %d] (at byte offset 21)\n" \
+        % mphf.MAX_WORD_LEN
+
+
 @pytest.mark.parametrize("ratio", ["inf", "nan"])
 def test_mphf_build_rejects_non_finite_ratio(ratio, tmp_path, capsys):
     wordlist = tmp_path / "words.txt"

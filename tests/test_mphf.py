@@ -1,16 +1,21 @@
 import hashlib
+import struct
 from itertools import combinations_with_replacement
 
 import pytest
 
 from randlab.mphf import (
+    MAX_WORD_LEN,
     MIN_RATIO,
     FormatError,
     RatioTooLowError,
+    _columns,
+    _hash,
     _peel,
     build,
     deserialize,
     query,
+    query_many,
     serialize,
 )
 from randlab.rng import SplitMix64
@@ -51,13 +56,90 @@ def random_words(count, length, seed):
     return sorted(words)
 
 
+def peel(n, edges):
+    return _peel(n, [u for u, _ in edges], [v for _, v in edges])
+
+
+def vertex_pair(word, t1, t2, n):
+    """The reference for the lane-packed kernel: one word, one byte at a time."""
+    u = 0
+    v = 0
+    for j, byte in enumerate(word):
+        u += t1[j][byte]
+        v += t2[j][byte]
+    return u % n, v % n
+
+
+def kernel_words():
+    """3,000 distinct words: NUL and 0xFF runs, every length from 1 to 64,
+    the 64 prefixes of one word, and random words rich in edge bytes."""
+    rng = SplitMix64(23)
+    long = bytes(rng.uniform_below(256) for _ in range(64))
+    words = {long[:k] for k in range(1, 65)}
+    words |= {b"\0" * k for k in range(1, 65)} | {b"\xff" * k for k in range(1, 65)}
+    edge = (0, 1, 0x7f, 0x80, 0xfe, 0xff)
+    while len(words) < 3000:
+        length = 1 + rng.uniform_below(64)
+        words.add(bytes(edge[rng.uniform_below(6)] if rng.uniform_below(2) else rng.uniform_below(256)
+                        for _ in range(length)))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("n", [
+    3, 200,  # 1-byte table entries
+    9001, 2**26,  # 4-byte lanes; at 2**26 a 64-byte word can sum to 2**32 - 64
+    2**26 + 1, 2**40 + 3,  # 8-byte lanes: 64 * (n - 1) >= 2**32
+])
+def test_hash_matches_scalar_reference(n):
+    words = kernel_words()
+    assert max(map(len, words)) == MAX_WORD_LEN
+    columns, lengths = _columns(words, MAX_WORD_LEN)
+    rng = SplitMix64(n)
+    vertex = rng.sampler(n)
+    random_table = tuple(tuple(vertex() for _ in range(256)) for _ in range(MAX_WORD_LEN))
+    top_table = ((n - 1,) * 256,) * MAX_WORD_LEN  # every lane at its largest sum
+    us, vs = zip(*(vertex_pair(w, random_table, top_table, n) for w in words))
+    assert _hash(columns, lengths, random_table, n) == list(us)
+    assert _hash(columns, lengths, top_table, n) == list(vs)
+
+
+def test_hash_of_one_word_and_of_none():
+    table = tuple(tuple(range(r, r + 256)) for r in range(0, 3 * 256, 256))
+    for word in (b"", b"\0", b"\xff\0", b"abc"):
+        columns, lengths = _columns([word], 3)
+        assert _hash(columns, lengths, table, 1000) == [vertex_pair(word, table, table, 1000)[0]]
+    assert _hash(*_columns([], 3), table, 1000) == []
+
+
+def test_query_many_matches_scalar_reference():
+    words = kernel_words()
+    fn, _ = build(words[:500], 3.0, SplitMix64(3))
+    probes = [w for w in words if len(w) <= fn.max_word_len]
+    expected = [(fn.g[u] + fn.g[v]) % fn.m
+                for u, v in (vertex_pair(w, fn.t1, fn.t2, fn.n) for w in probes)]
+    assert query_many(fn, probes) == expected
+    assert [query(fn, w) for w in probes[::50]] == expected[::50]
+    assert query_many(fn, words[:500]) == list(range(500))
+    with pytest.raises(ValueError):
+        query_many(fn, [b"x" * (fn.max_word_len + 1)])
+
+
+def test_serialized_kernel_words_pinned():
+    # Recorded with the one-word-at-a-time hash the kernel replaced.
+    fn, report = build(kernel_words(), 3.0, SplitMix64(7))
+    assert report.trials == 5
+    assert hashlib.sha256(serialize(fn)).hexdigest() == \
+        "22f771885ef116f381768ba239743fa845055167d70ea5f108a422c5a0c1af71"
+
+
 def test_is_acyclic_examples():
     # The build decides acyclicity by peeling: None means a cycle.
-    assert _peel(4, [(1, 2), (2, 3)]) is not None
-    assert _peel(4, [(1, 2), (2, 3), (3, 1)]) is None
-    assert _peel(2, [(1, 1)]) is None  # self-loop counts as a cycle
-    assert _peel(3, [(0, 1), (1, 0)]) is None  # duplicate edge too
-    assert _peel(5, []) is not None
+    assert peel(4, [(1, 2), (2, 3)]) is not None
+    assert peel(4, [(1, 2), (2, 3), (3, 1)]) is None
+    assert peel(2, [(1, 1)]) is None  # self-loop counts as a cycle
+    assert peel(3, [(0, 1), (1, 0)]) is None  # duplicate edge too
+    assert peel(3, [(0, 1), (0, 1)]) is None  # in either direction
+    assert peel(5, []) is not None
 
 
 def test_is_acyclic_exhaustive_against_forest_oracle():
@@ -65,7 +147,7 @@ def test_is_acyclic_exhaustive_against_forest_oracle():
     slots = [(u, v) for u in range(6) for v in range(u, 6)]
     for k in range(7):
         for edges in combinations_with_replacement(slots, k):
-            assert (_peel(6, edges) is None) == (not forest_oracle(6, edges)), edges
+            assert (peel(6, edges) is None) == (not forest_oracle(6, edges)), edges
 
 
 def test_build_three_words_is_ordered():
@@ -216,6 +298,33 @@ def test_deserialize_rejects_out_of_range_entries():
     with pytest.raises(FormatError) as info:
         deserialize(bytes(blob))
     assert info.value.offset == 29
+
+
+@pytest.mark.parametrize("row, entry, offset, message", [
+    (7, 130, 15405, "table entry 18446744073709551615 out of range [0, 9)"),  # T2 row 2
+    (10, 4, 20541, "g entry 18446744073709551615 out of range [0, 3)"),  # g, after 10 rows
+])
+def test_deserialize_locates_out_of_range_entry(row, entry, offset, message):
+    # Offsets recorded with the entry-by-entry range check that max() replaced.
+    fn, _ = build([b"alpha", b"beta", b"gamma"], 3.0, SplitMix64(0))
+    assert (fn.n, fn.max_word_len) == (9, 5)
+    blob = bytearray(serialize(fn))
+    at = 29 + 2048 * row + 8 * entry
+    blob[at:at + 8] = (2**64 - 1).to_bytes(8, "little")
+    blob[at + 8:at + 16] = (2**64 - 2).to_bytes(8, "little")  # only the first is named
+    with pytest.raises(FormatError) as info:
+        deserialize(bytes(blob))
+    assert info.value.offset == offset
+    assert str(info.value) == "%s (at byte offset %d)" % (message, offset)
+
+
+@pytest.mark.parametrize("max_len", [0, MAX_WORD_LEN + 1, 300])
+def test_deserialize_rejects_max_word_len_out_of_range(max_len):
+    m, n = 2, 7
+    blob = b"CHM1\x01" + struct.pack("<QQQ", m, n, max_len) + bytes((2 * max_len * 256 + n) * 8)
+    with pytest.raises(FormatError) as info:
+        deserialize(blob)
+    assert info.value.offset == 21
 
 
 def test_ratio_too_low_error_raised():
