@@ -4,8 +4,8 @@ Given m distinct words, pick two random functions f1, f2 mapping words to
 vertices {0..n-1} (n about 3m) and view each word as the edge
 (f1(w), f2(w)).  If the resulting multigraph has a repeated edge, a
 self-loop, or any cycle, throw the functions away and redraw; with n = 3m
-the expected number of draws is only about sqrt(3).  Self-loops and
-repeated edges are caught up front by set passes; any other cycle by
+the expected number of draws is only about sqrt(3).  Self-loops are
+caught up front by one C-level pass; repeated edges and longer cycles by
 peeling: strip degree-1 vertices, each taking its one remaining edge,
 until no edge is left (a forest) or none can be stripped (a cycle).  A
 vertex table g starts at 0 and is then filled in reverse peel order: for
@@ -20,7 +20,8 @@ build word.
 The per-word vertex functions are byte-table sums: f_i(w) = sum over
 positions of T_i[position][byte] mod n, with both tables drawn from the
 build's random stream, so a (words, seed, ratio) triple rebuilds the
-identical function.  All words are hashed at once, column by column: word
+identical function.  ``query`` sums one word's entries directly; ``build``
+and ``query_many`` hash all their words at once, column by column: word
 i's sum is lane i of one big int, 4 or 8 bytes wide, as fits
 max_len * (n - 1), so no lane carries into the next.  Byte k of the entries
 T[j][w[j]] for all words is one ``translate`` of column j (byte j of every
@@ -36,7 +37,7 @@ import struct
 import time
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, eq, mod, mul
+from operator import eq, getitem, mod
 from typing import Sequence
 
 from .rng import SplitMix64
@@ -121,23 +122,24 @@ def query_many(fn: MphfFunction, words: Sequence[bytes]) -> list[int]:
 
 def query(fn: MphfFunction, word: bytes) -> int:
     """Hash value in [0, m); equals the build index for build words."""
-    return query_many(fn, [word])[0]
+    if len(word) > fn.max_word_len:
+        raise ValueError("word longer than the build maximum (%d bytes)" % fn.max_word_len)
+    # One word: its own entries, not the packing of every table row.
+    u = sum(map(getitem, fn.t1, word)) % fn.n
+    v = sum(map(getitem, fn.t2, word)) % fn.n
+    return (fn.g[u] + fn.g[v]) % fn.m
 
 
 def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> list[tuple[int, int]] | None:
     """(edge, vertex it was peeled from) pairs in peel order, or None on a cycle.
 
-    Edge i joins us[i] and vs[i].  Self-loops and repeated edges are refused
-    up front by C-level passes: a repeated edge is a 2-cycle, which peeling
-    would find only after stripping every other edge.  Each vertex then
-    keeps only its degree and the XOR of its incident edge ids, so a
-    degree-1 vertex names its last edge directly.  Stripping such vertices
-    removes every edge of a forest; any longer cycle never peels.
+    Edge i joins us[i] and vs[i].  Self-loops are refused up front by one
+    C-level pass.  Each vertex then keeps only its degree and the XOR of its
+    incident edge ids, so a degree-1 vertex names its last edge directly.
+    Stripping such vertices removes every edge of a forest; a cycle never
+    peels, and a repeated edge is a 2-cycle.
     """
     if any(map(eq, us, vs)):
-        return None
-    keys = set(map(add, map(mul, us, repeat(n)), vs))
-    if len(keys) != len(us) or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
         return None
     degree = [0] * n
     xor = [0] * n
@@ -213,8 +215,10 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
         for idx, v in reversed(order):
             g[v] = (idx - g[us[idx] ^ vs[idx] ^ v]) % m  # the other endpoint's g
         # The ordered property, checked exhaustively.
-        if [(g[u] + g[v]) % m for u, v in zip(us, vs)] != list(range(m)):
-            raise RuntimeError("internal error: assignment broke h(w_j) = j")
+        h = [(g[u] + g[v]) % m for u, v in zip(us, vs)]
+        if h != list(range(m)):
+            j = next(j for j, value in enumerate(h) if value != j)
+            raise RuntimeError("internal error: assignment broke h(w_%d) = %d" % (j, j))
         return (MphfFunction(m, n, max_len, t1, t2, tuple(g)),
                 BuildReport(trial, time.perf_counter() - start))
     raise RatioTooLowError("%d consecutive cyclic graphs at ratio %.3f" % (MAX_TRIALS, ratio))
