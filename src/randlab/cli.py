@@ -21,6 +21,7 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 from . import __version__, factor, fingerprint, mphf, primality, ramsey, route
 from .natnum import parse_natural
@@ -254,8 +255,10 @@ def _cmd_factor(args, manifest, stdout) -> int:
 
 
 def _read_wordlist(path: str) -> list[bytes]:
+    """The file's lines, each without its trailing CRs and LFs; empty ones dropped."""
     with open(path, "rb") as fh:
-        return [line.rstrip(b"\r\n") for line in fh if line.rstrip(b"\r\n")]
+        lines = fh.read().split(b"\n")
+    return list(filter(None, map(bytes.rstrip, lines, repeat(b"\r\n"))))
 
 
 def _cmd_mphf(args, manifest, stdout) -> int:

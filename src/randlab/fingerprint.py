@@ -9,8 +9,11 @@ extremely unlikely (a difference of n-byte documents has at most
 millions of primes in the interval).  ``verify`` draws every round's prime
 up front, and each side reduces its document once, modulo the product of
 the primes; a round's residue is that remainder mod its prime, since each
-prime divides the product.  Corrupted regions are then pinned down by
-bisecting the byte range and fingerprinting the halves.
+prime divides the product.  ``residue`` reduces a long byte range by a
+multiply-accumulate over fixed-size chunks, each times its weight
+256**(chunk bytes * place) mod the modulus, and one short division of the
+sum, so no int the size of the document is built.  Corrupted regions are
+then pinned down by bisecting the byte range and fingerprinting the halves.
 
 The remote side is abstracted as a residue oracle; this module ships an
 in-process oracle and a line-oriented text protocol for genuinely remote use:
@@ -54,6 +57,13 @@ EXACT_COUNT_SPAN = 2**17
 
 MAX_LINE = 16 * 1024  # with its newline; MAX_ROUNDS 256-bit primes take 10 KB
 
+# residue's chunk: at least CHUNK_BYTES, and at least CHUNK_MODULI times the
+# modulus's width, so that a wide modulus's per-call pow and per-chunk weight
+# update stay small beside the chunks' products (the chunked form is then
+# no slower than one division from two chunks of data up).
+CHUNK_BYTES = 16 * 1024
+CHUNK_MODULI = 64
+
 
 class TransportError(RuntimeError):
     """Oracle communication failed; distinct from a residue mismatch."""
@@ -62,15 +72,31 @@ class TransportError(RuntimeError):
 def residue(data: bytes, modulus: int) -> int:
     """Big-endian value of ``data`` (empty -> 0) mod any ``modulus`` >= 2.
 
-    Reduces the whole range at once.  Its transient ints (the value, and
-    for a modulus of 2**30 or more, such as a product of round primes, the
-    division's working copy and quotient) take up to about 3.2 times
-    ``len(data)`` bytes beside the document (tracemalloc at 4 MiB, modulo
-    one prime and modulo products of 10 and 128 primes).
+    ``data`` is any bytes-like object; a ``memoryview`` range is read in
+    place.  Up to two chunks of data are reduced at once.  Longer data is
+    summed chunk by chunk from its end, each chunk times its weight
+    256**(k*i) mod ``modulus`` (k the chunk size, i the chunk's place from
+    the end), and the sum is reduced once.  The weights take one modular
+    multiplication per chunk, the sum stays within a few bytes of a chunk
+    times the modulus, and so the one long division spans about one chunk,
+    not the data.  Beside the data, the transient ints take at most 6.4
+    chunk sizes, at two chunks of data (3.5 beyond), by tracemalloc: 0.1 MiB
+    for a modulus of up to CHUNK_BYTES / CHUNK_MODULI = 256 bytes, such as
+    a product of 10 round primes, and 1.6 MiB for the widest one ``verify``
+    makes, MAX_ROUNDS primes of MAX_PRIME_BITS bits.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    return int.from_bytes(data, "big") % modulus
+    size = max(CHUNK_BYTES, CHUNK_MODULI * -(-modulus.bit_length() // 8))
+    if len(data) <= 2 * size:
+        return int.from_bytes(data, "big") % modulus
+    view = memoryview(data)
+    step = pow(256, size, modulus)
+    acc, weight = int.from_bytes(view[-size:], "big"), 1
+    for end in range(len(view) - size, 0, -size):
+        weight = weight * step % modulus
+        acc += int.from_bytes(view[max(0, end - size) : end], "big") * weight
+    return acc % modulus
 
 
 class Document:
@@ -92,7 +118,7 @@ class Document:
             length = len(self.data) - offset
         if offset < 0 or length < 0 or offset + length > len(self.data):
             raise ValueError("byte range out of bounds")
-        return residue(self.data[offset : offset + length], modulus)
+        return residue(memoryview(self.data)[offset : offset + length], modulus)
 
 
 class LocalOracle:

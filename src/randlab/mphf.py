@@ -195,7 +195,7 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     n = -(-int(ratio * m * 2**20) // 2**20)  # ceil without float edge cases
     if n <= 2 * m:
         n = 2 * m + 1
-    max_len = max(len(w) for w in words)
+    max_len = max(map(len, words))
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)
 

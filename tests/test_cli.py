@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from randlab import factor, fingerprint, mphf, primality, ramsey, route
-from randlab.cli import _probability, main
+from randlab.cli import _probability, _read_wordlist, main
 from replay import normalize
 
 
@@ -183,6 +183,14 @@ def test_mphf_build_query_verify(tmp_path, capsys):
     wordlist.write_text("alpha\ngamma\nbeta\ndelta\n")  # wrong order now
     code, doc = run_cli(["mphf", "verify", str(out), str(wordlist)])
     assert code == 1
+
+
+def test_wordlist_read_rules(tmp_path):
+    # CRLF and CR CR LF endings are stripped, blank lines dropped, lines of
+    # spaces kept, a last line with no newline kept, and a CR inside a word kept.
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"alpha\r\nbeta\r\r\n\n\r\n  \n\tx \ngam\rma\n\ndelta")
+    assert _read_wordlist(str(path)) == [b"alpha", b"beta", b"  ", b"\tx ", b"gam\rma", b"delta"]
 
 
 def test_mphf_verify_matches_per_word_query(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -60,15 +61,64 @@ def test_residue_matches_big_integer_oracle():
             assert residue(data, m) == int.from_bytes(data, "big") % m
 
 
+def chunk_size(modulus):
+    """The chunk ``residue`` reduces ``modulus``'s multiples in."""
+    return max(fingerprint.CHUNK_BYTES, fingerprint.CHUNK_MODULI * -(-modulus.bit_length() // 8))
+
+
 def test_residue_chunking_boundaries():
-    # Lengths around powers of two bytes, where a chunked reduction would split.
+    # Lengths around one and two chunks, where residue splits or not, and a
+    # multi-chunk length with an odd remainder; moduli from one digit to the
+    # widest product verify makes.
     rng = SplitMix64(3)
-    for length in (255, 256, 257, 511, 512, 513, 1000, 3000):
-        data = bytes(rng.uniform_below(256) for _ in range(length))
-        # A prime, and composites of several hundred bits, as verify's
-        # products of round primes are.
-        for m in (10**9 + 21, 2**300 - 1, 3**400, 10**9 + 21 << 500):
-            assert residue(data, m) == int.from_bytes(data, "big") % m
+    round_primes = [random_prime_in(2**30, DEFAULT_PRIME_HI, 2, rng) for _ in range(MAX_ROUNDS)]
+    wide_primes = [random_prime_in(2**(MAX_PRIME_BITS - 1), 2**MAX_PRIME_BITS, 2, rng)
+                   for _ in range(MAX_ROUNDS)]
+    moduli = (2, 255, 10**9 + 7, *round_primes[:3], math.prod(round_primes[:10]),
+              math.prod(round_primes), wide_primes[0], math.prod(wide_primes),
+              2**300 - 1, 3**400, 10**9 + 21 << 500)
+    data = random.Random(3).randbytes(3 * max(map(chunk_size, moduli)) + 4097)
+    for m in moduli:
+        k = chunk_size(m)
+        for length in (0, 1, 255, 256, 257, 1000, 3000, k - 1, k, k + 1,
+                       2 * k - 1, 2 * k, 2 * k + 1, 3 * k + 4097):
+            value = int.from_bytes(data[:length], "big")
+            assert residue(data[:length], m) == value % m, (m, length)
+            assert residue(data[:length], value + 2) == value  # wider than the data
+    # Ranges of a document that start and end mid-chunk, through Document
+    # and through the wire protocol.
+    k = fingerprint.CHUNK_BYTES
+    doc = Document(data[: 5 * k + 123])
+    ranges = ((0, len(doc)), (100, 3 * k + 77), (k - 1, 2 * k + 3), (2 * k + 5, 3 * k - 9),
+              (k // 2, 4 * k + 1), (len(doc) - 2 * k - 1, 2 * k + 1))
+    for m in (round_primes[0], wide_primes[0], math.prod(round_primes[:10])):
+        for offset, length in ranges:
+            expected = int.from_bytes(data[offset : offset + length], "big") % m
+            assert doc.residue(m, offset, length) == expected, (m, offset, length)
+            if m.bit_length() <= MAX_PRIME_BITS:
+                out = io.StringIO()
+                assert serve_oracle(doc, io.StringIO("Q %d %d %d\n" % (offset, length, m)), out) == 1
+                assert out.getvalue() == "R %d\n" % expected
+
+
+def test_residue_memory_is_bounded_by_the_chunk():
+    # Reducing the whole 4 MiB at once peaked at 12.8 MiB, and a range was a copy.
+    rng = SplitMix64(4)
+    modulus = math.prod(random_prime_in(DEFAULT_PRIME_LO, DEFAULT_PRIME_HI, 2, rng) for _ in range(10))
+    doc = Document(random.Random(4).randbytes(4 << 20))
+    tracemalloc.start()
+    try:
+        whole = residue(doc.data, modulus)
+        whole_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        middle = doc.residue(modulus, 1 << 20, 2 << 20)
+        middle_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole == int.from_bytes(doc.data, "big") % modulus
+    assert middle == int.from_bytes(doc.data[1 << 20 : 3 << 20], "big") % modulus
+    assert whole_peak < 1 << 20
+    assert middle_peak < 1 << 20
 
 
 def reference_verify(local, remote, rounds, rng, prime_lo=DEFAULT_PRIME_LO,
