@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p = prime.add_parser("witness-density", help="exhaustive single-round pass rate")
     p.add_argument("n")
-    _add_seed(p)
     p = prime.add_parser("random", help="random prime in an open interval")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
@@ -99,14 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_seed(p)
     p = fp.add_parser("serve", help="answer residue queries for a file on stdio")
     p.add_argument("document")
-    _add_seed(p)
 
     fa = sub.add_parser("factor", help="integer factorization").add_subparsers(
         dest="subcommand", required=True)
     p = fa.add_parser("pm1", help="Pollard p-1, stage 1")
     p.add_argument("N")
     p.add_argument("--bound", type=int, required=True)
-    _add_seed(p)
     p = fa.add_parser("ecm", help="elliptic curve method, stage 1")
     p.add_argument("N")
     p.add_argument("--b1", type=int, required=True)
@@ -123,11 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = mp.add_parser("query")
     p.add_argument("function", help=".chm file")
     p.add_argument("word")
-    _add_seed(p)
     p = mp.add_parser("verify")
     p.add_argument("function")
     p.add_argument("wordlist")
-    _add_seed(p)
 
     rt = sub.add_parser("route", help="hypercube routing simulator").add_subparsers(
         dest="subcommand", required=True)
@@ -155,10 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    _add_seed(p)
     p = rs.add_parser("census")
     p.add_argument("--dir", required=True, help="directory of graph text files")
-    _add_seed(p)
 
     return top
 
@@ -169,9 +162,9 @@ PARSER = _build_parser()
 
 
 def _cmd_prime(args, manifest, stdout) -> int:
-    rng = SplitMix64(args.seed)
     if args.subcommand == "test":
-        verdict = primality.is_probable_prime(parse_natural(args.n), args.rounds, rng)
+        verdict = primality.is_probable_prime(parse_natural(args.n), args.rounds,
+                                              SplitMix64(args.seed))
         _emit(manifest, {
             "answer": verdict.answer,
             "rounds": verdict.rounds_used,
@@ -187,7 +180,7 @@ def _cmd_prime(args, manifest, stdout) -> int:
         }, stdout)
         return 0
     prime = primality.random_prime_in(parse_natural(args.lo), parse_natural(args.hi),
-                                      args.rounds, rng)
+                                      args.rounds, SplitMix64(args.seed))
     _emit(manifest, {"prime": str(prime)}, stdout)
     return 0
 

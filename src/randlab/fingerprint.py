@@ -7,27 +7,31 @@ documents differ, while equal residues on every round make inequality
 extremely unlikely (a difference of n-byte documents has at most
 8n / log2(10**9 + 1) prime divisors above 10**9, compared with the tens of
 millions of primes in the interval).  ``verify`` draws every round's prime
-up front, and each side reduces its document once, modulo the product of
-the primes; a round's residue is that remainder mod its prime, since each
-prime divides the product.  ``residue`` reduces a long byte range by a
-multiply-accumulate over fixed-size chunks, each times its weight
-256**(chunk bytes * place) mod the modulus, and one short division of the
-sum, so no int the size of the document is built.  Corrupted regions are
-then pinned down by bisecting the byte range and fingerprinting the halves.
+up front, and each side is asked once for its document's residue modulo
+the product of the primes; a round's residue is that remainder mod its
+prime, since each prime divides the product.  ``residue`` reduces a long
+byte range by a multiply-accumulate over fixed-size chunks, each times its
+weight 256**(chunk bytes * place) mod the modulus, and one short division
+of the sum, so no int the size of the document is built.  Corrupted
+regions are then pinned down by bisecting the byte range and
+fingerprinting the halves.
 
-The remote side is abstracted as a residue oracle; this module ships an
+The remote side is abstracted as a residue oracle, whose whole interface is
+``length()`` and ``residue(offset, length, modulus)``; this module ships an
 in-process oracle and a line-oriented text protocol for genuinely remote use:
 
-    request   Q <offset> <length> <prime-decimal>\n
-    response  R <residue-decimal>\n
+    request   Q <offset> <length> <modulus>\n
+    response  R <residue>\n        (in the base the modulus was written in)
     request   L\n                 (document length)
     response  L <length>\n
     response  E <reason>\n        (to a malformed or out-of-range request,
-                                  or a prime wider than MAX_PRIME_BITS)
+                                  or a modulus wider than MAX_MODULUS_BITS)
 
-The server answers a bad request, or a line longer than MAX_LINE, with ``E``
-and keeps serving; the client treats an ``E`` reply, or one longer than
-MAX_LINE, as a transport failure.
+The modulus is decimal or 0x-prefixed hex (``natnum.parse_natural``); the
+client writes hex, since ``str()`` refuses an int past 4,300 digits and the
+widest product of round primes has 9,865.  The server answers a bad request,
+or a line longer than MAX_LINE, with ``E`` and keeps serving; the client
+treats an ``E`` reply, or one longer than MAX_LINE, as a transport failure.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .primality import MAX_PRIME_BITS, _is_prime_exact, check_rounds, random_prime_in
+from .natnum import parse_natural
+from .primality import MAX_PRIME_BITS, MAX_ROUNDS, _is_prime_exact, check_rounds, random_prime_in
 from .rng import SplitMix64
 
 MATCH = "match"
@@ -55,7 +60,10 @@ PRIME_DRAW_ROUNDS = 16
 # exactly, one primality test per integer.
 EXACT_COUNT_SPAN = 2**17
 
-MAX_LINE = 16 * 1024  # with its newline; MAX_ROUNDS 256-bit primes take 10 KB
+# Widest modulus a Q request may name: the product of MAX_ROUNDS round primes.
+MAX_MODULUS_BITS = MAX_ROUNDS * MAX_PRIME_BITS
+
+MAX_LINE = 16 * 1024  # with its newline; a Q of the widest modulus in hex takes 8.2 KB
 
 # residue's chunk: at least CHUNK_BYTES, and at least CHUNK_MODULI times the
 # modulus's width, so that a wide modulus's per-call pow and per-chunk weight
@@ -135,12 +143,6 @@ class LocalOracle:
         self.queries += 1
         return self._doc.residue(modulus, offset, length)
 
-    def residues(self, offset: int, length: int, primes: list[int]) -> list[int]:
-        """The range's residue mod each prime, from one query: one reduction
-        modulo their product."""
-        whole = self.residue(offset, length, math.prod(primes))
-        return [whole % p for p in primes]
-
 
 class StreamOracle:
     """Client side of the text protocol; talks to a remote ``serve_oracle``."""
@@ -165,27 +167,19 @@ class StreamOracle:
         if len(parts) != 2 or parts[0] != tag:
             raise TransportError("malformed oracle response: %r" % line)
         try:
-            return int(parts[1])
+            return parse_natural(parts[1])
         except ValueError as exc:
             raise TransportError("malformed oracle response: %r" % line) from exc
 
     def length(self) -> int:
-        length = self._exchange("L\n", "L")
-        if length < 0:
-            raise TransportError("impossible oracle length: %d" % length)
-        return length
+        return self._exchange("L\n", "L")
 
-    def residue(self, offset: int, length: int, prime: int) -> int:
+    def residue(self, offset: int, length: int, modulus: int) -> int:
         self.queries += 1
-        value = self._exchange("Q %d %d %d\n" % (offset, length, prime), "R")
-        if not 0 <= value < prime:
-            raise TransportError("impossible oracle residue %d mod %d" % (value, prime))
+        value = self._exchange("Q %d %d %#x\n" % (offset, length, modulus), "R")
+        if value >= modulus:
+            raise TransportError("impossible oracle residue %#x mod %#x" % (value, modulus))
         return value
-
-    def residues(self, offset: int, length: int, primes: list[int]):
-        """The range's residue mod each prime, lazily: one ``Q`` is sent as
-        each residue is taken, so a caller that stops early sends no more."""
-        return (self.residue(offset, length, p) for p in primes)
 
 
 def serve_oracle(doc: Document, reader, writer) -> int:
@@ -227,10 +221,12 @@ def _answer(doc: Document, parts: list[str]) -> str:
         return "L %d\n" % len(doc)
     if len(parts) != 4:
         raise ValueError("Q takes offset, length and prime")
-    offset, length, prime = (int(p) for p in parts[1:])
-    if prime.bit_length() > MAX_PRIME_BITS:
-        raise ValueError("prime must be at most %d bits" % MAX_PRIME_BITS)
-    return "R %d\n" % doc.residue(prime, offset, length)
+    offset, length, modulus = int(parts[1]), int(parts[2]), parse_natural(parts[3])
+    if modulus.bit_length() > MAX_MODULUS_BITS:
+        raise ValueError("modulus must be at most %d bits" % MAX_MODULUS_BITS)
+    # The reply is in the request's base: an old decimal client reads decimal.
+    form = "R %#x\n" if parts[3][:2] in ("0x", "0X") else "R %d\n"
+    return form % doc.residue(modulus, offset, length)
 
 
 @dataclass(frozen=True)
@@ -298,12 +294,13 @@ def verify(local: Document, remote, rounds: int, rng: SplitMix64,
 
     Draws a fresh random prime per round, all before the first round, and
     compares full-document residues, stopping at the first unequal pair.
-    The local document is reduced once, modulo the product of the primes;
-    the remote side answers through ``remote.residues``.  A match after all
-    rounds carries the structural false-positive bound; a mismatch is
-    exact.  Documents of different length are reported as a mismatch
-    without any residue rounds (flagged on the report, since no residue
-    pair witnesses it).
+    Each side is asked once, modulo the product M of the primes: one
+    ``local.residue(M)`` and one ``remote.residue(0, n, M)``, a single ``Q``
+    over the wire.  Round i's pair is the two remainders mod its prime.  A
+    match after all rounds carries the structural false-positive bound; a
+    mismatch is exact.  Documents of different length are reported as a
+    mismatch without any residue rounds (flagged on the report, since no
+    residue pair witnesses it).
 
     Randomness: the draws never depend on residues, so the primes are the
     ones a round-by-round loop would draw, in the same order.  A match
@@ -315,13 +312,12 @@ def verify(local: Document, remote, rounds: int, rng: SplitMix64,
     if remote.length() != len(local):
         return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
     primes = [random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng) for _ in range(rounds)]
-    whole = local.residue(math.prod(primes))
+    product = math.prod(primes)
+    local_whole, remote_whole = local.residue(product), remote.residue(0, len(local), product)
     pairs: list[tuple[int, int]] = []
-    residues = remote.residues(0, len(local), primes)
-    for done, (p, r_remote) in enumerate(zip(primes, residues, strict=True), 1):
-        r_local = whole % p
-        pairs.append((r_local, r_remote))
-        if r_local != r_remote:
+    for done, p in enumerate(primes, 1):
+        pairs.append((local_whole % p, remote_whole % p))
+        if pairs[-1][0] != pairs[-1][1]:
             return VerifyReport(MISMATCH, done, primes[:done], pairs,
                                 structural_bound(len(local), done, prime_lo, prime_hi))
     return VerifyReport(MATCH, rounds, primes, pairs,

@@ -38,6 +38,7 @@ MAX_VERTICES = 24  # exact violation counts and canonical forms: desk-scale up t
 _TOO_MANY_VERTICES = "canonical_form supports at most %d vertices" % MAX_VERTICES
 EXHAUSTIVE_EDGE_LIMIT = 21  # enumerate at most 2^21 labeled graphs
 STAGNATION_LIMIT = 10**5  # moves without improvement before a restart
+MAX_TOTAL_STEPS = 10**8  # an anneal's move budget: ten times the default
 
 
 class GraphColoring:
@@ -216,8 +217,11 @@ class AnnealConfig:
             raise ValueError("cooling must be in (0, 1)")
         if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
             raise ValueError("steps_per_temperature must be positive")
-        if self.max_total_steps < 1 or self.restarts < 0:
-            raise ValueError("step budget and restarts must be positive")
+        # Also refuses NaN and inf (JSON reads 1e400 as inf).
+        if not 1 <= self.max_total_steps <= MAX_TOTAL_STEPS:
+            raise ValueError("max_total_steps must be in [1, %d]" % MAX_TOTAL_STEPS)
+        if self.restarts < 0:
+            raise ValueError("restarts must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -273,11 +277,7 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     since_improvement = 0
     in_block = 0
 
-    while steps < max_steps:
-        if energy == 0:
-            if count_violations(g, s, t) != 0:
-                raise RuntimeError("internal error: incremental energy drifted")
-            return AnnealOutcome(g, steps, restarts_used, 0)
+    while energy and steps < max_steps:
         u, v, bu, bv, toggle = flips[edge()]
         d = delta(adj, packed, u, v)
         if d <= 0 or next_float() < exp(-d / temperature):

@@ -61,6 +61,11 @@ def test_prime_witness_density(capsys):
     assert doc["result"]["below_quarter"] is True
 
 
+def test_seed_refused_where_nothing_is_drawn(capsys):
+    assert main(["prime", "witness-density", "561", "--seed", "3"], stdout=io.StringIO()) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_prime_random(capsys):
     code, doc = run_cli(["prime", "random", "--lo", "8", "--hi", "12"])
     assert code == 0
@@ -385,6 +390,19 @@ def test_ramsey_anneal_rejects_bad_config(config, tmp_path, capsys):
     assert err.startswith("error: bad --config: ") and err.count("\n") == 1
 
 
+def test_ramsey_anneal_refuses_an_infinite_step_budget(tmp_path):
+    # JSON reads 1e400 as inf; an unchecked budget never ends the run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_total_steps": 1e400}')
+    proc = subprocess.run([sys.executable, "-m", "randlab", "ramsey", "anneal", "--n", "6",
+                           "--s", "3", "--t", "3", "--config", str(cfg)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: max_total_steps must be in [1, %d]\n" % ramsey.MAX_TOTAL_STEPS
+    assert proc.stdout == ""
+
+
 def test_fingerprint_stdio_remote_end_to_end(tmp_path):
     # Full wire-protocol session between two real processes: the serve side
     # answers residue queries, the verify side reports on stderr (stdout is
@@ -411,7 +429,8 @@ def test_fingerprint_stdio_remote_end_to_end(tmp_path):
         stdin=serve.stdout, stdout=serve.stdin, stderr=subprocess.PIPE, env=env)
     serve.stdin.close()
     serve.stdout.close()
-    report = verify.stderr.read()
+    with verify.stderr:
+        report = verify.stderr.read()
     assert verify.wait(timeout=60) == 1  # mismatch verdict
     serve.wait(timeout=60)
     doc = json.loads(report)

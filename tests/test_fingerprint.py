@@ -13,6 +13,7 @@ from randlab.fingerprint import (
     EXACT_COUNT_SPAN,
     MATCH,
     MAX_LINE,
+    MAX_MODULUS_BITS,
     MISMATCH,
     PRIME_DRAW_ROUNDS,
     Document,
@@ -176,6 +177,9 @@ def test_verify_matches_round_by_round_reference():
         report = verify(local, LocalOracle(remote), rounds, rng)
         expected = reference_verify(local, LocalOracle(remote), rounds, ref_rng)
         assert report == expected, seed
+        wire, wire_rng = Wire(remote), SplitMix64(seed)
+        assert verify(local, StreamOracle(wire, wire), rounds, wire_rng) == report, seed
+        assert wire_rng.state == rng.state and wire.queries == (not report.length_mismatch)
         if report.matched:
             # A match makes exactly the reference's draws.
             assert rng.state == ref_rng.state, seed
@@ -187,14 +191,19 @@ def test_verify_matches_round_by_round_reference():
 class Wire:
     """A stream pair over ``serve_oracle`` for ``doc``: each readline serves
     the requests written since the last one, so a single-threaded test
-    exercises the real protocol text both ways.  Counts the ``Q`` lines."""
+    exercises the real protocol text both ways.  Keeps the ``Q`` lines."""
 
     def __init__(self, doc):
-        self.doc, self.buffer, self.queries = doc, "", 0
+        self.doc, self.buffer, self.requests = doc, "", []
+
+    @property
+    def queries(self):
+        return len(self.requests)
 
     def write(self, text):
         self.buffer += text
-        self.queries += text.startswith("Q ")
+        if text.startswith("Q "):
+            self.requests.append(text)
 
     def flush(self):
         pass
@@ -206,30 +215,37 @@ class Wire:
         return out.getvalue()
 
 
-def test_verify_over_wire_asks_one_prime_at_a_time():
-    local, remote = make_docs(3000, [1234])
+@pytest.mark.parametrize("corrupt_at, rounds, lo, hi", [
+    ([], 10, DEFAULT_PRIME_LO, DEFAULT_PRIME_HI),
+    ([1234], 10, DEFAULT_PRIME_LO, DEFAULT_PRIME_HI),
+    ([], MAX_ROUNDS, 2**255, 2**256),
+], ids=["match", "round-1-mismatch", "128-rounds-256-bits"])
+def test_verify_over_wire_sends_one_query(corrupt_at, rounds, lo, hi):
+    local, remote = make_docs(3000, corrupt_at)
     wire = Wire(remote)
-    report = verify(local, StreamOracle(wire, wire), 10, SplitMix64(5))
-    assert (report.verdict, report.rounds) == (MISMATCH, 1)
-    assert wire.queries == 1
+    oracle, rng = StreamOracle(wire, wire), SplitMix64(5)
+    report = verify(local, oracle, rounds, rng, lo, hi)
+    ref_rng = SplitMix64(5)
+    assert report == reference_verify(local, LocalOracle(remote), rounds, ref_rng, lo, hi)
+    assert report.rounds == (1 if corrupt_at else rounds)
+    # A mismatch draws the later rounds' primes too; one Q names the product of all.
+    primes = report.primes_used + [random_prime_in(lo, hi, PRIME_DRAW_ROUNDS, ref_rng)
+                                   for _ in range(rounds - report.rounds)]
+    assert wire.requests == ["Q 0 3000 %#x\n" % math.prod(primes)]
+    assert oracle.queries == 1
+    assert rng.state == ref_rng.state
 
-    wire = Wire(local)
-    oracle = StreamOracle(wire, wire)
-    report = verify(local, oracle, 5, SplitMix64(5))
-    assert report.verdict == MATCH
-    assert wire.queries == oracle.queries == 5
-    assert report == reference_verify(local, LocalOracle(local), 5, SplitMix64(5))
 
-
-def test_local_oracle_residues_is_one_query():
+def test_residue_modulo_a_product_reduces_to_each_prime():
     doc, _ = make_docs(3000, [])
     primes = [random_prime_in(10**9, 2 * 10**9, 8, SplitMix64(s)) for s in range(10)]
-    batched, single = LocalOracle(doc), LocalOracle(doc)
-    for offset, length in ((0, 3000), (17, 1000), (2999, 1), (5, 0)):
-        residues = batched.residues(offset, length, primes)
-        assert residues == [single.residue(offset, length, p) for p in primes]
-    assert batched.queries == 4
-    assert single.queries == 40
+    wire = Wire(doc)
+    for oracle in (LocalOracle(doc), StreamOracle(wire, wire)):
+        for offset, length in ((0, 3000), (17, 1000), (2999, 1), (5, 0)):
+            whole = oracle.residue(offset, length, math.prod(primes))
+            assert [whole % p for p in primes] == \
+                [oracle.residue(offset, length, p) for p in primes]
+        assert oracle.queries == 44
 
 
 def test_verify_equal_documents_always_match():
@@ -411,6 +427,14 @@ def test_stream_oracle_rejects_residue_outside_range(reply):
         oracle.residue(0, 1, 101)
 
 
+def test_stream_oracle_rejects_a_residue_of_the_widest_modulus():
+    # Named in hex: str() refuses the modulus's 9,865 decimal digits.
+    widest = (1 << MAX_MODULUS_BITS) - 1
+    oracle = StreamOracle(io.StringIO("R %#x\n" % widest), io.StringIO())
+    with pytest.raises(TransportError, match="impossible oracle residue"):
+        oracle.residue(0, 1, widest)
+
+
 def test_stream_oracle_rejects_negative_length():
     oracle = StreamOracle(io.StringIO("L -3\nL 0\n"), io.StringIO())
     with pytest.raises(TransportError):
@@ -419,9 +443,9 @@ def test_stream_oracle_rejects_negative_length():
 
 
 @pytest.mark.parametrize("request_line", ["Q 1 2", "Q x 1 7", "Q 0 50 7", "Q 0 1 1", "L 5",
-                                          "Q 0 11 %d" % (2**MAX_PRIME_BITS + 297)],
+                                          "Q 0 11 %#x" % (1 << MAX_MODULUS_BITS)],
                          ids=["short-Q", "non-numeric", "out-of-range", "prime-below-2",
-                              "L-with-argument", "prime-past-cap"])
+                              "L-with-argument", "modulus-past-cap"])
 def test_serve_oracle_answers_bad_request_and_keeps_serving(request_line):
     doc = Document(b"hello world")  # 11 bytes
     out = io.StringIO()
@@ -439,6 +463,37 @@ def test_serve_oracle_prime_cap_is_inclusive():
     widest = 2**MAX_PRIME_BITS - 189
     assert serve_oracle(doc, io.StringIO("Q 0 11 %d\n" % widest), out) == 1
     assert out.getvalue() == "R %d\n" % doc.residue(widest)
+
+
+def test_serve_oracle_modulus_cap_is_inclusive():
+    doc = Document(b"hello world")
+    widest = (1 << MAX_MODULUS_BITS) - 1
+    out = io.StringIO()
+    requests = "Q 0 11 %#x\nQ 0 11 %#x\n" % (widest, widest + 1)
+    assert serve_oracle(doc, io.StringIO(requests), out) == 1
+    assert out.getvalue() == "R %#x\nE modulus must be at most %d bits\n" % (
+        doc.residue(widest), MAX_MODULUS_BITS)
+
+
+# An old client's session: decimal moduli, L, bad and overlong lines, then
+# the end of the session.  The replies were recorded from the server that
+# took primes of at most MAX_PRIME_BITS, and must not change by a byte.
+OLD_CLIENT_REQUESTS = [
+    "L", "Q 0 11 101", "Q 3 5 1000000007", "Q 0 11 %d" % (2**MAX_PRIME_BITS - 189), "Q 0 0 7",
+    "Q 10 1 65521", "Q 1 2", "Q x 1 7", "Q 0 50 7", "Q -1 5 7", "Q 0 1 1", "L 5", "",
+    "Q 0 11 " + "9" * MAX_LINE, "  Q 0 11 101  ", "L", '{"report": 1}', "Q 0 11 101"]
+OLD_CLIENT_REPLIES = (
+    "L 11\nR 9\nR 720863416\nR 126207244316550804821666916\nR 0\nR 100\n"
+    "E Q takes offset, length and prime\nE invalid literal for int() with base 10: 'x'\n"
+    "E byte range out of bounds\nE byte range out of bounds\nE modulus must be >= 2\n"
+    "E L takes no arguments\nE request longer than 16384 characters\nR 9\nL 11\n")
+
+
+def test_serve_oracle_replays_an_old_decimal_session():
+    out = io.StringIO()
+    requests = io.StringIO("".join(line + "\n" for line in OLD_CLIENT_REQUESTS))
+    assert serve_oracle(Document(b"hello world"), requests, out) == 6
+    assert out.getvalue() == OLD_CLIENT_REPLIES
 
 
 def test_stream_oracle_raises_on_error_reply():
@@ -472,9 +527,10 @@ class LongLineReader:
 
 
 def test_line_bound_fits_a_request_of_every_round_prime():
-    widest = str(2**MAX_PRIME_BITS - 189)
-    batch = "B %d %d %s\n" % (2**64, 2**64, " ".join([widest] * MAX_ROUNDS))
-    assert len(batch) <= MAX_LINE
+    # A Q modulo the product of MAX_ROUNDS round primes, and its reply.
+    widest = (1 << MAX_MODULUS_BITS) - 1
+    assert len("Q %d %d %#x\n" % (2**64, 2**64, widest)) <= MAX_LINE
+    assert len("R %#x\n" % widest) <= MAX_LINE
 
 
 def test_serve_oracle_skips_an_overlong_line_in_bounded_memory():
