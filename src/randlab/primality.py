@@ -17,6 +17,17 @@ Below 2**64 a fixed set of bases decides primality exactly (2, 7, 61 below
 the first random round passes, n is settled with those bases; a prime then
 still makes the remaining random-base draws, which it would pass anyway, so
 the draws, round counts and results are those of the all-random test.
+
+The witness density of an odd composite n is counted exactly, not by testing
+every base (Rabin, J. Number Theory 12, 1980; Monier, Theoret. Comput. Sci.
+12, 1980).  A liar x has x**m = +-1 mod n for some m, so it is a unit; by the
+Chinese remainder theorem it is one unit mod each prime power p**e exactly
+dividing n, and each of those unit groups is cyclic of order
+phi = p**(e-1) * (p - 1).  There x**m = 1 has gcd(m, phi) solutions, and
+x**m = -1 as many when v2(m) < v2(phi), else none.  So with n - 1 = 2**k * q
+the liars number prod gcd(q, phi) (x**q = 1) plus, for each i < k with
+i < v2(phi) for every factor, prod gcd(2**i * q, phi) (x**(2**i * q) = -1).
+Trial division up to sqrt(n) finds the factors.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from .rng import SplitMix64
 PROBABLY_PRIME = "probably-prime"
 COMPOSITE = "composite"
 
-# Exhaustive witness scans are quadratic-ish; keep them desk-scale.
+# Largest n witness_density takes.  Its count is exact, from n's factorization
+# by trial division up to sqrt(n); the cap keeps that a desk-scale loop.
 WITNESS_SCAN_LIMIT = 10**6
 
 # Give up drawing random candidates after this many composite rejections.
@@ -207,19 +219,43 @@ _SIEVE = math.prod(_SIEVE_PRIMES)
 def witness_density(n: int) -> Fraction:
     """Fraction of bases x in (1, n) on which the single-round test says yes.
 
-    Exhaustive over all n-2 bases; n must be an odd composite with
-    9 <= n <= 10**6.  For primes the notion of a false-positive rate is
-    undefined (every base passes), so they are rejected.
+    Counted exactly from n's prime-power factors (see the module docstring),
+    equal to testing all n-2 bases; n must be an odd composite with
+    9 <= n <= WITNESS_SCAN_LIMIT = 10**6.  For primes the notion of a
+    false-positive rate is undefined (every base passes), so they are
+    rejected.
     """
     if n < 9 or n % 2 == 0:
         raise ValueError("n must be odd and >= 9")
     if n > WITNESS_SCAN_LIMIT:
-        raise ValueError("n too large for exhaustive scan (limit %d)" % WITNESS_SCAN_LIMIT)
+        raise ValueError("n too large for witness density (limit %d)" % WITNESS_SCAN_LIMIT)
     if _is_prime_exact(n):
         raise ValueError("n must be composite")
     k, q = decompose_two_power(n)
-    count = sum(1 for x in range(2, n) if _strong_round(n, k, q, x))
-    return Fraction(count, n - 2)
+    phis = _unit_group_orders(n)
+    nu = min((phi & -phi).bit_length() - 1 for phi in phis)  # least v2(phi)
+    liars = sum(math.prod(math.gcd(q << i, phi) for phi in phis) for i in range(min(k, nu)))
+    liars += math.prod(math.gcd(q, phi) for phi in phis)
+    # Bases 0 and 1 are outside (1, n): 0 is no unit, 1 is a liar.
+    return Fraction(liars - 1, n - 2)
+
+
+def _unit_group_orders(n: int) -> list[int]:
+    """phi(p**e) = p**(e-1) * (p - 1) for each prime power p**e exactly
+    dividing odd n > 1, by trial division."""
+    orders = []
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+            orders.append(power // p * (p - 1))
+        p += 2
+    if n > 1:
+        orders.append(n - 1)
+    return orders
 
 
 def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:

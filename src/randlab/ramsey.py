@@ -211,16 +211,18 @@ class AnnealConfig:
     restarts: int = 1000
 
     def validate(self) -> None:
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
+        # Each check is written so that NaN fails it: JSON reads a bare NaN,
+        # and every comparison with NaN is false.  The range check also
+        # refuses inf (JSON reads 1e400 as inf).
+        if self.initial_temperature is not None and not self.initial_temperature > 0:
             raise ValueError("initial_temperature must be positive")
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
-        if self.steps_per_temperature is not None and self.steps_per_temperature < 1:
+        if self.steps_per_temperature is not None and not self.steps_per_temperature >= 1:
             raise ValueError("steps_per_temperature must be positive")
-        # Also refuses NaN and inf (JSON reads 1e400 as inf).
         if not 1 <= self.max_total_steps <= MAX_TOTAL_STEPS:
             raise ValueError("max_total_steps must be in [1, %d]" % MAX_TOTAL_STEPS)
-        if self.restarts < 0:
+        if not self.restarts >= 0:
             raise ValueError("restarts must be non-negative")
 
 

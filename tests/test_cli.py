@@ -61,6 +61,16 @@ def test_prime_witness_density(capsys):
     assert doc["result"]["below_quarter"] is True
 
 
+def test_prime_witness_density_at_the_cap(capsys):
+    # Recorded from the per-base scan: only bases 1 and n - 1 lie for 999999.
+    code, doc = run_cli(["prime", "witness-density", "999999"])
+    assert code == 0
+    assert doc["result"] == {"below_quarter": True, "density": "1/999997",
+                             "density_decimal": "0.00000100000300001"}
+    assert main(["prime", "witness-density", "1000001"], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: n too large for witness density (limit 1000000)\n"
+
+
 def test_seed_refused_where_nothing_is_drawn(capsys):
     assert main(["prime", "witness-density", "561", "--seed", "3"], stdout=io.StringIO()) == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
@@ -388,6 +398,21 @@ def test_ramsey_anneal_rejects_bad_config(config, tmp_path, capsys):
     assert main(argv, stdout=io.StringIO()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad --config: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, message", [
+    ("initial_temperature", "initial_temperature must be positive"),
+    ("steps_per_temperature", "steps_per_temperature must be positive"),
+    ("restarts", "restarts must be non-negative"),
+])
+def test_ramsey_anneal_refuses_nan_config(field, message, tmp_path, capsys):
+    # json.load reads a bare NaN; each of these ran to exit 0 when let through.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"%s": NaN}' % field)
+    argv = ["ramsey", "anneal", "--n", "8", "--s", "3", "--t", "4", "--seed", "1",
+            "--config", str(cfg)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_ramsey_anneal_refuses_an_infinite_step_budget(tmp_path):

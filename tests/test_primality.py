@@ -102,10 +102,26 @@ def test_witness_density_examples():
     assert d561 < Fraction(1, 4)
 
 
+def per_base_density(n):
+    """witness_density by the definition: one strong round on every base in (1, n)."""
+    k, q = decompose_two_power(n)
+    return Fraction(sum(primality._strong_round(n, k, q, x) for x in range(2, n)), n - 2)
+
+
 def test_witness_density_matches_per_base_scan():
-    for n in (9, 15, 21, 25, 49, 91):
-        expected = sum(algorithm_p_single(n, x) for x in range(2, n))
-        assert witness_density(n) == Fraction(expected, n - 2)
+    # Every odd composite below 5000: the values criterion 1 bounds by 1/4.
+    flags = sieve(5000)
+    composites = [n for n in range(9, 5000, 2) if not flags[n]]
+    assert len(composites) == 1831
+    composites += [
+        # Carmichael numbers past 5000
+        6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745, 63973, 75361, 101101,
+        3**12, 7**6, 997**2,  # prime powers
+        255255, 996503, 999999,  # n = 3 mod 4, so k = 1 (999999 = 3**3 * 7 * 11 * 13 * 37)
+        9801, 9999, 10001, 10195, 10197,  # the range bench's bulk workload draws from
+    ]
+    for n in composites:
+        assert witness_density(n) == per_base_density(n), n
 
 
 def test_witness_density_validates():
