@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Every subcommand prints one JSON document on stdout carrying a manifest
-(subcommand, argv, seed, version, timestamps) next to the result, so a run
-can be replayed bit-for-bit from its own output.  Diagnostics go to stderr.
+Each ``_cmd_*`` handler returns ``(result, exit_code)``; ``main`` alone
+writes one JSON document, a manifest (subcommand, argv, seed, version,
+timestamps) next to the result, so a run can be replayed bit-for-bit from
+its own output.  It goes to stdout, or to stderr under ``--remote -``, where
+stdout is the wire.  ``fingerprint serve`` writes none.  Diagnostics go to
+stderr.
 
 Exit codes: 0 success, 1 negative domain verdict (composite / mismatch /
 exhausted / not-found), 2 usage or argument error, 3 internal invariant
@@ -37,25 +40,6 @@ def _probability(value) -> str:
         else:
             d = Decimal(repr(float(value)))
         return str(+d).lower()
-
-
-def _manifest(subcommand: str, argv: list[str], seed: int) -> dict:
-    now = datetime.now(timezone.utc).isoformat()
-    return {
-        "subcommand": subcommand,
-        "argv": argv,
-        "seed": seed,
-        "version": __version__,
-        "started": now,
-        "finished": None,
-    }
-
-
-def _emit(manifest: dict, result: dict, stdout) -> None:
-    manifest["finished"] = datetime.now(timezone.utc).isoformat()
-    json.dump({"manifest": manifest, "result": result}, stdout,
-              indent=2, sort_keys=True)
-    stdout.write("\n")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -161,42 +145,33 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
-def _cmd_prime(args, manifest, stdout) -> int:
+def _cmd_prime(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "test":
         verdict = primality.is_probable_prime(parse_natural(args.n), args.rounds,
                                               SplitMix64(args.seed))
-        _emit(manifest, {
+        return {
             "answer": verdict.answer,
             "rounds": verdict.rounds_used,
             "error_bound": _probability(verdict.error_bound),
-        }, stdout)
-        return 0 if verdict.is_probably_prime else 1
+        }, 0 if verdict.is_probably_prime else 1
     if args.subcommand == "witness-density":
         density = primality.witness_density(parse_natural(args.n))
-        _emit(manifest, {
+        return {
             "density": "%d/%d" % (density.numerator, density.denominator),
             "density_decimal": _probability(density),
             "below_quarter": density < Fraction(1, 4),
-        }, stdout)
-        return 0
+        }, 0
     prime = primality.random_prime_in(parse_natural(args.lo), parse_natural(args.hi),
                                       args.rounds, SplitMix64(args.seed))
-    _emit(manifest, {"prime": str(prime)}, stdout)
-    return 0
+    return {"prime": str(prime)}, 0
 
 
-def _make_oracle(args):
-    if args.remote == "-":
-        return fingerprint.StreamOracle(sys.stdin, sys.stdout)
-    return fingerprint.LocalOracle(fingerprint.Document.from_file(args.remote))
-
-
-def _cmd_fingerprint(args, manifest, stdout) -> int:
+def _cmd_fingerprint(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "serve":
         doc = fingerprint.Document.from_file(args.document)
         served = fingerprint.serve_oracle(doc, sys.stdin, stdout)
         print("served %d queries" % served, file=sys.stderr)
-        return 0
+        return None, 0
     # Refuse a past-cap round count or prime interval before reading either
     # document.
     rounds_arg = "rounds" if args.subcommand == "verify" else "rounds_per_probe"
@@ -205,30 +180,23 @@ def _cmd_fingerprint(args, manifest, stdout) -> int:
     primality.check_prime_interval(lo, hi)
     rng = SplitMix64(args.seed)
     local = fingerprint.Document.from_file(args.local)
-    oracle = _make_oracle(args)
-    if args.remote == "-":
-        # stdout is the protocol channel in stdio-remote mode; the report
-        # moves to stderr so the peer never sees it as a request.
-        stdout = sys.stderr
+    oracle = (fingerprint.StreamOracle(sys.stdin, sys.stdout) if args.remote == "-"
+              else fingerprint.LocalOracle(fingerprint.Document.from_file(args.remote)))
     if args.subcommand == "verify":
         report = fingerprint.verify(local, oracle, args.rounds, rng, lo, hi)
-        _emit(manifest, {
+        return {
             "verdict": report.verdict,
             "rounds": report.rounds,
             "primes_used": [str(p) for p in report.primes_used],
             "residue_pairs": [[str(a), str(b)] for a, b in report.per_round_residue_pairs],
             "false_positive_bound": _probability(report.false_positive_bound),
             "length_mismatch": report.length_mismatch,
-        }, stdout)
-        return 0 if report.matched else 1
+        }, 0 if report.matched else 1
     ranges = fingerprint.localize(local, oracle, args.rounds_per_probe, rng, lo, hi)
-    _emit(manifest, {
-        "corrupted_ranges": [{"offset": off, "length": ln} for off, ln in ranges],
-    }, stdout)
-    return 0
+    return {"corrupted_ranges": [{"offset": off, "length": ln} for off, ln in ranges]}, 0
 
 
-def _cmd_factor(args, manifest, stdout) -> int:
+def _cmd_factor(args, stdout) -> tuple[dict | None, int]:
     N = parse_natural(args.N)
     if args.subcommand == "pm1":
         outcome = factor.pollard_pm1(N, args.bound)
@@ -243,8 +211,7 @@ def _cmd_factor(args, manifest, stdout) -> int:
     }
     if args.subcommand == "ecm":
         result["curves_tried"] = outcome.trials
-    _emit(manifest, result, stdout)
-    return 0 if outcome.found else 1
+    return result, 0 if outcome.found else 1
 
 
 def _read_wordlist(path: str) -> list[bytes]:
@@ -254,24 +221,23 @@ def _read_wordlist(path: str) -> list[bytes]:
     return list(filter(None, map(bytes.rstrip, lines, repeat(b"\r\n"))))
 
 
-def _cmd_mphf(args, manifest, stdout) -> int:
+def _cmd_mphf(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "build":
         words = _read_wordlist(args.wordlist)
         fn, report = mphf.build(words, args.ratio, SplitMix64(args.seed))
         with open(args.output, "wb") as fh:
             fh.write(mphf.serialize(fn))
-        _emit(manifest, {
+        return {
             "m": fn.m, "n": fn.n, "max_word_len": fn.max_word_len,
             "trials": report.trials,
             "elapsed_seconds": report.elapsed_seconds,
             "output": args.output,
-        }, stdout)
-        return 0
+        }, 0
     with open(args.function, "rb") as fh:
         fn = mphf.deserialize(fh.read())
     if args.subcommand == "query":
-        _emit(manifest, {"index": mphf.query(fn, args.word.encode("utf-8"))}, stdout)
-        return 0
+        # The word's bytes as the OS passed them, as a word list file holds them.
+        return {"index": mphf.query(fn, os.fsencode(args.word))}, 0
     words = _read_wordlist(args.wordlist)
     hashed = mphf.query_many(fn, [w for w in words if len(w) <= fn.max_word_len])
     bad = []
@@ -280,9 +246,7 @@ def _cmd_mphf(args, manifest, stdout) -> int:
         rest = iter(hashed)
         bad = [j for j, w in enumerate(words)
                if len(w) > fn.max_word_len or next(rest) != j]
-    _emit(manifest, {"words": len(words), "mismatches": bad[:20],
-                     "ok": not bad}, stdout)
-    return 0 if not bad else 1
+    return {"words": len(words), "mismatches": bad[:20], "ok": not bad}, 0 if not bad else 1
 
 
 def _load_permutation(kind: str, d: int, rng: SplitMix64 | None) -> list[int]:
@@ -315,7 +279,7 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64 | None) -> list[int]:
     raise ValueError("unknown permutation %r" % kind)
 
 
-def _cmd_route(args, manifest, stdout) -> int:
+def _cmd_route(args, stdout) -> tuple[dict | None, int]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     if args.trials > route.MAX_TRIALS:
@@ -350,49 +314,50 @@ def _cmd_route(args, manifest, stdout) -> int:
             "phase1_steps": stats.phase1_steps,
         })
     steps = [r["total_steps"] for r in rows]
-    _emit(manifest, {
+    return {
         "trials": rows,
         "summary": {
             "runs": len(rows),
             "max_total_steps": max(steps),
             "mean_total_steps": _probability(sum(steps) / len(steps)),
         },
-    }, stdout)
-    return 0
+    }, 0
 
 
-def _cmd_ramsey(args, manifest, stdout) -> int:
+def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "anneal":
         cfg = ramsey.AnnealConfig()
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                fields = json.load(fh)
+                try:
+                    fields = json.load(fh)
+                except RecursionError as exc:  # nesting past the stack: bad input
+                    raise ValueError("bad --config: %s" % exc) from None
             try:
                 cfg = ramsey.AnnealConfig(**fields)
                 cfg.validate()
             except TypeError as exc:  # not an object, unknown key or mistyped value
-                raise ValueError("bad --config: %s" % exc) from None
+                # The message quotes an unknown key as is, line breaks and all.
+                raise ValueError("bad --config: %s" % " ".join(str(exc).splitlines())) from None
         outcome = ramsey.anneal(args.n, args.s, args.t, cfg, SplitMix64(args.seed))
         graph_text = ramsey.graph_to_text(outcome.graph) if outcome.found else None
         if args.graph_out and outcome.found:
             with open(args.graph_out, "w", encoding="utf-8") as fh:
                 fh.write(graph_text)
-        _emit(manifest, {
+        return {
             "found": outcome.found,
             "graph": graph_text,
             "steps": outcome.steps,
             "restarts_used": outcome.restarts_used,
             "best_energy": outcome.best_energy,
-        }, stdout)
-        return 0 if outcome.found else 1
+        }, 0 if outcome.found else 1
     if args.subcommand == "exhaustive":
         graphs = ramsey.exhaustive_search(args.n, args.s, args.t)
-        _emit(manifest, {
+        return {
             "count": len(graphs),
             "exists": bool(graphs),
             "sample": ramsey.graph_to_text(graphs[0]) if graphs else None,
-        }, stdout)
-        return 0 if graphs else 1
+        }, 0 if graphs else 1
     forms = set()
     files = sorted(os.listdir(args.dir))
     for name in files:
@@ -400,13 +365,12 @@ def _cmd_ramsey(args, manifest, stdout) -> int:
             forms.add(ramsey.canonical_form(ramsey.graph_from_text(fh.read())))
     runs = len(files)
     distinct = len(forms)
-    _emit(manifest, {
+    return {
         "runs": runs,
         "distinct": distinct,
         "confidence": _probability(ramsey.census_confidence(distinct, runs))
         if runs else None,
-    }, stdout)
-    return 0
+    }, 0
 
 
 _HANDLERS = {
@@ -426,10 +390,23 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    name = "%s.%s" % (args.command, args.subcommand)
-    manifest = _manifest(name, argv, getattr(args, "seed", 0))
+    started = datetime.now(timezone.utc).isoformat()
     try:
-        return _HANDLERS[args.command](args, manifest, stdout)
+        result, code = _HANDLERS[args.command](args, stdout)
+        if result is not None:
+            manifest = {
+                "subcommand": "%s.%s" % (args.command, args.subcommand),
+                "argv": argv,
+                "seed": getattr(args, "seed", 0),
+                "version": __version__,
+                "started": started,
+                "finished": datetime.now(timezone.utc).isoformat(),
+            }
+            # Under --remote -, stdout is the wire to the peer.
+            out = sys.stderr if getattr(args, "remote", None) == "-" else stdout
+            json.dump({"manifest": manifest, "result": result}, out, indent=2, sort_keys=True)
+            out.write("\n")
+        return code
     except (ValueError, OSError, fingerprint.TransportError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

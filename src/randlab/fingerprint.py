@@ -221,7 +221,7 @@ def _answer(doc: Document, parts: list[str]) -> str:
         return "L %d\n" % len(doc)
     if len(parts) != 4:
         raise ValueError("Q takes offset, length and prime")
-    offset, length, modulus = int(parts[1]), int(parts[2]), parse_natural(parts[3])
+    offset, length, modulus = map(parse_natural, parts[1:])
     if modulus.bit_length() > MAX_MODULUS_BITS:
         raise ValueError("modulus must be at most %d bits" % MAX_MODULUS_BITS)
     # The reply is in the request's base: an old decimal client reads decimal.

@@ -8,6 +8,8 @@ test, and string parsing for arbitrary-size CLI inputs.
 
 from __future__ import annotations
 
+import re
+
 
 def decompose_two_power(n: int) -> tuple[int, int]:
     """Write odd n >= 3 as n = 2**k * q + 1 with q odd, k >= 1; return (k, q)."""
@@ -18,14 +20,18 @@ def decompose_two_power(n: int) -> tuple[int, int]:
     return k, m >> k
 
 
-def parse_natural(text: str) -> int:
-    """Parse a decimal or 0x-prefixed hexadecimal non-negative integer."""
-    s = text.strip()
-    if s.startswith(("0x", "0X")):
-        value = int(s, 16)
-    else:
-        value = int(s, 10)
-    if value < 0:
-        raise ValueError("value must be non-negative: %r" % text)
-    return value
+# The only spellings of a natural: ASCII decimal digits, or 0x and ASCII hex
+# digits.  int() alone would also take a sign, underscores and any Unicode digit.
+_NATURAL = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
 
+
+def parse_natural(text: str) -> int:
+    """Parse a decimal or 0x-prefixed hexadecimal non-negative integer.
+
+    Surrounding whitespace is ignored; anything else that is not ASCII
+    ``[0-9]+`` or ``0[xX][0-9a-fA-F]+`` raises ValueError.
+    """
+    s = text.strip()
+    if not _NATURAL.fullmatch(s):
+        raise ValueError("not a decimal or 0x-hex natural: %r" % text)
+    return int(s, 16 if s[1:2] in ("x", "X") else 10)

@@ -90,22 +90,12 @@ class PrimalityVerdict:
         return self.answer == PROBABLY_PRIME
 
 
-def algorithm_p_single(n: int, x: int) -> bool:
-    """One round of the strong pseudoprime test for odd n >= 3, 1 < x < n.
-
-    Returns True ("yes": n passed, consistent with prime) or False ("no":
-    x witnesses that n is composite).
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if not 1 < x < n:
-        raise ValueError("need 1 < x < n")
-    k, q = decompose_two_power(n)
-    return _strong_round(n, k, q, x)
-
-
 def _strong_round(n: int, k: int, q: int, x: int) -> bool:
-    """The round body of ``algorithm_p_single`` for n - 1 = 2**k * q."""
+    """One strong round for odd n with n - 1 = 2**k * q, at base x in (1, n).
+
+    True ("yes": n passed, consistent with prime) or False ("no": x
+    witnesses that n is composite).
+    """
     y = pow(x, q, n)
     if y == 1:
         return True

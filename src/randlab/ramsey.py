@@ -82,10 +82,6 @@ class GraphColoring:
         full = (1 << self.n) - 1
         return GraphColoring(self.n, [(~self.adj[v] & full) & ~(1 << v) for v in range(self.n)])
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                if self.adj[u] >> v & 1]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GraphColoring)
                 and self.n == other.n and self.adj == other.adj)

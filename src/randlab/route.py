@@ -68,13 +68,13 @@ def _check_permutation(d: int, perm) -> list[int]:
 
 
 def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
-              then: list[int] | None = None):
+              then: list[int] | None = None) -> RunStats:
     """Run the synchronous queueing model, each packet walking greedily.
 
     Packet j starts at start[j] and walks its leading-bit path to goal[j],
-    then, when ``then`` is given, on to then[j].  Returns (total_steps,
-    latencies, busiest vertex, max queue depth, step at which the last
-    packet reached goal[j]).
+    then, when ``then`` is given, on to then[j].  Returns the run's
+    ``RunStats``; its ``phase1_steps`` is the step at which the last packet
+    reached goal[j] when ``then`` is given, else None.
 
     No queue is stored.  A queue pops its head every step while it holds
     anything, so a packet that joins edge e at step t leaves at
@@ -137,7 +137,8 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
             if step:  # a packet that moved met a queue of at least itself
                 depth = max(depth, 1)
             busiest = max(passes)
-            return step, tuple(latency), (passes.index(busiest), busiest), depth, goal_step
+            return RunStats(step, tuple(latency), (passes.index(busiest), busiest), depth,
+                            goal_step if then is not None else None)
         step = soon
         arrivals = nxt
 
@@ -146,8 +147,7 @@ def run_oblivious(d: int, perm) -> RunStats:
     """Route permutation ``perm`` greedily; returns timing and congestion."""
     perm = _check_permutation(d, perm)
     N = 1 << d
-    steps, latency, busiest, depth, _ = _simulate(N, d, range(N), perm)
-    return RunStats(steps, latency, busiest, depth)
+    return _simulate(N, d, range(N), perm)
 
 
 def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
@@ -168,13 +168,13 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
 
-    if phase_barrier:
-        s1, _, busy1, depth1, _ = _simulate(N, d, range(N), sigma)
-        s2, lat2, busy2, depth2, _ = _simulate(N, d, sigma, perm)
-        # Throughput maxima are per-phase; report the larger hot spot.
-        throughput = max(busy1, busy2, key=lambda t: (t[1], -t[0]))
-        return RunStats(s1 + s2, tuple(a + s1 for a in lat2), throughput,
-                        max(depth1, depth2), phase1_steps=s1)
-
-    steps, latency, busiest, depth, phase1_steps = _simulate(N, d, range(N), sigma, perm)
-    return RunStats(steps, latency, busiest, depth, phase1_steps=phase1_steps)
+    if not phase_barrier:
+        return _simulate(N, d, range(N), sigma, perm)
+    one = _simulate(N, d, range(N), sigma)
+    two = _simulate(N, d, sigma, perm)
+    s1 = one.total_steps
+    # Throughput maxima are per-phase; report the larger hot spot.
+    throughput = max(one.max_vertex_throughput, two.max_vertex_throughput,
+                     key=lambda t: (t[1], -t[0]))
+    return RunStats(s1 + two.total_steps, tuple(a + s1 for a in two.per_packet_latency),
+                    throughput, max(one.max_queue_depth, two.max_queue_depth), phase1_steps=s1)

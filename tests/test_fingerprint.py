@@ -477,15 +477,18 @@ def test_serve_oracle_modulus_cap_is_inclusive():
 
 # An old client's session: decimal moduli, L, bad and overlong lines, then
 # the end of the session.  The replies were recorded from the server that
-# took primes of at most MAX_PRIME_BITS, and must not change by a byte.
+# took primes of at most MAX_PRIME_BITS, and must not change by a byte,
+# except the reasons for `Q x 1 7` and `Q -1 5 7`: offsets and lengths are
+# read by the strict number grammar, which refuses both tokens itself.
 OLD_CLIENT_REQUESTS = [
     "L", "Q 0 11 101", "Q 3 5 1000000007", "Q 0 11 %d" % (2**MAX_PRIME_BITS - 189), "Q 0 0 7",
     "Q 10 1 65521", "Q 1 2", "Q x 1 7", "Q 0 50 7", "Q -1 5 7", "Q 0 1 1", "L 5", "",
     "Q 0 11 " + "9" * MAX_LINE, "  Q 0 11 101  ", "L", '{"report": 1}', "Q 0 11 101"]
 OLD_CLIENT_REPLIES = (
     "L 11\nR 9\nR 720863416\nR 126207244316550804821666916\nR 0\nR 100\n"
-    "E Q takes offset, length and prime\nE invalid literal for int() with base 10: 'x'\n"
-    "E byte range out of bounds\nE byte range out of bounds\nE modulus must be >= 2\n"
+    "E Q takes offset, length and prime\nE not a decimal or 0x-hex natural: 'x'\n"
+    "E byte range out of bounds\nE not a decimal or 0x-hex natural: '-1'\n"
+    "E modulus must be >= 2\n"
     "E L takes no arguments\nE request longer than 16384 characters\nR 9\nL 11\n")
 
 

@@ -4,28 +4,42 @@ Each property says what the CLI needs for a clean exit: a parser returns a
 value or raises ValueError (exit 2 with a one-line message), never another
 exception (a traceback) and never RuntimeError (exit 3).  The server side of
 the fingerprint protocol raises nothing at all: every request line gets a
-reply.  ``derandomize`` makes every run try the same examples.
+reply.  The file readers are driven through ``cli.main`` itself: any file
+content ends in exit 0, 1 or 2 with at most one stderr line.
+``derandomize`` makes every run try the same examples.
 """
 
+import contextlib
 import io
+import json
+import os
 import struct
+import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randlab import mphf, ramsey
+from randlab import cli, mphf, ramsey
 from randlab.fingerprint import Document, serve_oracle
 from randlab.natnum import parse_natural
 from randlab.rng import SplitMix64
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# Each example of a file reader writes files and makes one cli.main call.
+FUZZ_FILES = settings(FUZZ, max_examples=60)
 
 DOC = Document(b"hello world")
+
+# Spellings that int() reads as a number but the strict grammar refuses:
+# a sign, underscores, and non-ASCII digits (Arabic-Indic, fullwidth,
+# superscript).
+NOT_NATURALS = ["1_000", "+5", "0x_ff", "\u0667", "\u0661\u0662\u0663", "0x", "0X+1",
+                "\uff15", "\u00b9", "0b101", "1e3"]
 
 # Tokens near the edges of what a request may carry, mixed with any text.
 TOKENS = st.one_of(
     st.sampled_from(["Q", "L", "R", "E", "0", "1", "2", "7", "11", "12", "101", "-1", "x",
-                     "0x10", "1e3", "2000000011", "9" * 40]),
+                     "0x10", "1e3", "2000000011", "9" * 40] + NOT_NATURALS),
     st.integers().map(str),
     st.text(min_size=1, max_size=8),
 )
@@ -66,7 +80,32 @@ def test_serve_oracle_never_raises(text):
 @given(st.text(max_size=40))
 def test_parse_natural_returns_natural_or_value_error(text):
     value = parses_or_value_error(parse_natural, text)
-    assert value is None or value >= 0
+    assert value is None or value >= 0 and text.strip().isascii()
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one cli.main call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, stdout=io.StringIO())
+    return code, err.getvalue()
+
+
+def assert_clean_exit(argv):
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2), err
+    assert err == "" or err.endswith("\n") and err.count("\n") == 1, err
+    assert code != 2 or err, "exit 2 with no reason"
+
+
+def test_strict_grammar_refuses_int_spellings_on_argv_and_wire():
+    for token in NOT_NATURALS:
+        code, err = run_cli(["prime", "test", token])
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, token
+        for request in ("Q %s 1 7", "Q 0 %s 7", "Q 0 1 %s"):
+            out = io.StringIO()
+            assert serve_oracle(DOC, io.StringIO(request % token + "\n"), out) == 0
+            assert out.getvalue().startswith("E ") and out.getvalue().count("\n") == 1
 
 
 GRAPH_LINE = st.one_of(
@@ -104,3 +143,73 @@ def test_deserialize_returns_function_or_value_error(flips, header, resize):
     fn = parses_or_value_error(mphf.deserialize, data)
     if fn is not None:
         assert 0 <= mphf.query(fn, b"c"[:fn.max_word_len]) < fn.m
+
+
+# JSON nested past the interpreter's recursion limit: json.load raises
+# RecursionError, a RuntimeError, which once ended in exit 3.
+DEEP_JSON = b"[" * 200_000
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+CONFIG_FIELDS = st.sampled_from(["initial_temperature", "cooling", "steps_per_temperature",
+                                 "max_total_steps", "restarts", "bogus"])
+
+
+def write_files(folder, contents):
+    for i, data in enumerate(contents):
+        with open(os.path.join(folder, "f%d" % i), "wb") as fh:
+            fh.write(data)
+
+
+def test_deep_config_exits_two_with_one_line(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_bytes(DEEP_JSON)
+    code, err = run_cli(["ramsey", "anneal", "--n", "5", "--s", "3", "--t", "3",
+                         "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("error: bad --config: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+@FUZZ_FILES
+@given(st.one_of(st.dictionaries(CONFIG_FIELDS, JSON_VALUES, max_size=4).map(json.dumps),
+                 JSON_VALUES.map(json.dumps), st.text(max_size=30)).map(str.encode)
+       | st.binary(max_size=30))
+@example(DEEP_JSON)
+@example(b'{"a\\nb": 1}')  # an unknown key that holds a line break
+def test_anneal_config_file_exits_cleanly(data):
+    # At n = 3 every graph but K3 and its complement is a solution, and one
+    # downhill flip leaves either, so no schedule can make a run long.
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, [data])
+        assert_clean_exit(["ramsey", "anneal", "--n", "3", "--s", "3", "--t", "3",
+                           "--config", os.path.join(folder, "f0")])
+
+
+GRAPH_TEXT = st.builds(lambda count, lines: "\n".join([str(count)] + lines).encode(),
+                       st.integers(-2, 26), st.lists(GRAPH_LINE, max_size=6))
+
+
+@FUZZ_FILES
+@given(st.lists(GRAPH_TEXT | st.binary(max_size=20), max_size=3))
+def test_census_graph_files_exit_cleanly(contents):
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, contents)
+        assert_clean_exit(["ramsey", "census", "--dir", folder])
+
+
+PERM_LINE = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(NOT_NATURALS),
+                      st.text(max_size=70))
+
+
+@FUZZ_FILES
+@given(st.permutations(range(8)).map(lambda p: "\n".join(map(str, p)))
+       | st.lists(PERM_LINE, max_size=10).map("\n".join))
+def test_route_permutation_file_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, [text.encode()])
+        assert_clean_exit(["route", "sim", "--d", "3", "--perm",
+                           "file:" + os.path.join(folder, "f0")])

@@ -1,9 +1,13 @@
 import hashlib
+import io
+import json
+import os
 import struct
 from itertools import combinations_with_replacement
 
 import pytest
 
+from randlab import cli
 from randlab.mphf import (
     MAX_WORD_LEN,
     MIN_RATIO,
@@ -344,3 +348,17 @@ def test_ratio_too_low_error_raised():
             build(words, 3.0, SplitMix64(0))
     finally:
         m.MAX_TRIALS = old
+
+
+def test_cli_queries_latin1_words_by_their_os_bytes(tmp_path):
+    # A Latin-1 word list is not UTF-8; the OS hands such a word to argv as
+    # a str with surrogate escapes, and os.fsdecode gives the same str.
+    words = [b"caf\xe9", b"na\xefve", b"\xff\xfe", b"plain", b"\xe9t\xe9"]
+    (tmp_path / "words.txt").write_bytes(b"\n".join(words) + b"\n")
+    chm = str(tmp_path / "f.chm")
+    assert cli.main(["mphf", "build", str(tmp_path / "words.txt"), "-o", chm],
+                    stdout=io.StringIO()) == 0
+    for index, word in enumerate(words):
+        out = io.StringIO()
+        assert cli.main(["mphf", "query", chm, os.fsdecode(word)], stdout=out) == 0
+        assert json.loads(out.getvalue())["result"]["index"] == index

@@ -10,7 +10,6 @@ from randlab.primality import (
     MAX_ROUNDS,
     PROBABLY_PRIME,
     PrimelessIntervalError,
-    algorithm_p_single,
     is_probable_prime,
     random_prime_in,
     witness_density,
@@ -29,20 +28,17 @@ def sieve(limit):
     return flags
 
 
+def strong_round(n, x):
+    """One strong round of odd n >= 3 at base x in (1, n)."""
+    k, q = decompose_two_power(n)
+    return primality._strong_round(n, k, q, x)
+
+
 def test_single_round_examples():
-    assert algorithm_p_single(7, 2) is True
-    assert algorithm_p_single(561, 2) is False  # witness for smallest Carmichael
+    assert strong_round(7, 2) is True
+    assert strong_round(561, 2) is False  # witness for smallest Carmichael
     # x = n-1 always passes: (n-1)^q = n-1 for odd q
-    assert algorithm_p_single(1729, 1728) is True
-
-
-def test_single_round_validates_arguments():
-    with pytest.raises(ValueError):
-        algorithm_p_single(10, 3)
-    with pytest.raises(ValueError):
-        algorithm_p_single(7, 1)
-    with pytest.raises(ValueError):
-        algorithm_p_single(7, 7)
+    assert strong_round(1729, 1728) is True
 
 
 def test_no_false_negatives_exhaustive_small_primes():
@@ -52,7 +48,7 @@ def test_no_false_negatives_exhaustive_small_primes():
         if not flags[p]:
             continue
         for x in range(2, p):
-            assert algorithm_p_single(p, x) is True
+            assert strong_round(p, x) is True
 
 
 def test_verdict_examples():
@@ -182,14 +178,14 @@ def test_random_prime_in_wide_primeless_span_gives_up_after_draw_limit(monkeypat
 
 
 def reference_is_probable_prime(n, rounds, rng):
-    """The strong test made of public pieces: one uniform_natural_in draw
-    and one algorithm_p_single call per round."""
+    """The strong test round by round: one uniform_natural_in draw and one
+    strong round per round."""
     if n < 2 or (n % 2 == 0 and n != 2):
         return False, 0
     if n <= 3:
         return True, 0
     for used in range(1, rounds + 1):
-        if not algorithm_p_single(n, rng.uniform_natural_in(1, n)):
+        if not strong_round(n, rng.uniform_natural_in(1, n)):
             return False, used
     return True, rounds
 
@@ -267,7 +263,7 @@ def test_is_prime_exact_matches_sieve_below_10_6():
         [n for n in range(10**6) if flags[n]]
     # The base-2 strong pseudoprimes below 10**6, found by scan, are composite.
     spsp2 = [n for n in range(5, 10**6, 2)
-             if not flags[n] and algorithm_p_single(n, 2)]
+             if not flags[n] and strong_round(n, 2)]
     assert spsp2[:3] == [2047, 3277, 4033]
     assert not any(map(primality._is_prime_exact, spsp2))
 
