@@ -31,6 +31,12 @@ from .natnum import parse_natural
 from .rng import SplitMix64, derive_stream
 
 
+# Longest census graph text or --config file read, in characters: far past
+# any real one (a 24-vertex graph text is under 2 KB, an AnnealConfig object a
+# few hundred bytes), while a hostile file costs no memory that grows with it.
+MAX_TEXT_FILE_CHARS = 256 * 1024
+
+
 def _probability(value) -> str:
     """Decimal string with 12 significant digits, exact-rational friendly."""
     with localcontext() as ctx:
@@ -214,6 +220,15 @@ def _cmd_factor(args, stdout) -> tuple[dict | None, int]:
     return result, 0 if outcome.found else 1
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``, read no further than MAX_TEXT_FILE_CHARS + 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read(MAX_TEXT_FILE_CHARS + 1)
+    if len(text) > MAX_TEXT_FILE_CHARS:
+        raise ValueError("%s must be at most %d characters" % (what, MAX_TEXT_FILE_CHARS))
+    return text
+
+
 def _read_wordlist(path: str) -> list[bytes]:
     """The file's lines, each without its trailing CRs and LFs; empty ones dropped."""
     with open(path, "rb") as fh:
@@ -274,7 +289,7 @@ def _load_permutation(kind: str, d: int, rng: SplitMix64 | None) -> list[int]:
                 if line.strip():
                     if len(perm) == N:
                         raise ValueError("--perm file holds more than %d labels" % N)
-                    perm.append(int(line))
+                    perm.append(parse_natural(line))
         return perm
     raise ValueError("unknown permutation %r" % kind)
 
@@ -328,11 +343,10 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "anneal":
         cfg = ramsey.AnnealConfig()
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    fields = json.load(fh)
-                except RecursionError as exc:  # nesting past the stack: bad input
-                    raise ValueError("bad --config: %s" % exc) from None
+            try:
+                fields = json.loads(_read_text(args.config, "--config file"))
+            except RecursionError as exc:  # nesting past the stack: bad input
+                raise ValueError("bad --config: %s" % exc) from None
             try:
                 cfg = ramsey.AnnealConfig(**fields)
                 cfg.validate()
@@ -361,8 +375,8 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
     forms = set()
     files = sorted(os.listdir(args.dir))
     for name in files:
-        with open(os.path.join(args.dir, name), "r", encoding="utf-8") as fh:
-            forms.add(ramsey.canonical_form(ramsey.graph_from_text(fh.read())))
+        text = _read_text(os.path.join(args.dir, name), "census graph file %r" % name)
+        forms.add(ramsey.canonical_form(ramsey.graph_from_text(text)))
     runs = len(files)
     distinct = len(forms)
     return {

@@ -55,8 +55,6 @@ def _check_bound(name: str, bound: int) -> None:
 
 
 def _sieve_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for i in range(2, isqrt(limit) + 1):
@@ -83,9 +81,7 @@ def smooth_exponent(bound: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n (Newton on integers)."""
-    if n < 2:
-        return n
+    """Floor of the k-th root of n >= 1 (Newton on integers)."""
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

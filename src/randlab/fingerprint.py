@@ -67,8 +67,7 @@ MAX_LINE = 16 * 1024  # with its newline; a Q of the widest modulus in hex takes
 
 # residue's chunk: at least CHUNK_BYTES, and at least CHUNK_MODULI times the
 # modulus's width, so that a wide modulus's per-call pow and per-chunk weight
-# update stay small beside the chunks' products (the chunked form is then
-# no slower than one division from two chunks of data up).
+# update stay small beside the chunks' products.
 CHUNK_BYTES = 16 * 1024
 CHUNK_MODULI = 64
 
@@ -81,29 +80,28 @@ def residue(data: bytes, modulus: int) -> int:
     """Big-endian value of ``data`` (empty -> 0) mod any ``modulus`` >= 2.
 
     ``data`` is any bytes-like object; a ``memoryview`` range is read in
-    place.  Up to two chunks of data are reduced at once.  Longer data is
-    summed chunk by chunk from its end, each chunk times its weight
-    256**(k*i) mod ``modulus`` (k the chunk size, i the chunk's place from
-    the end), and the sum is reduced once.  The weights take one modular
+    place.  The data is summed chunk by chunk from its end, each chunk
+    times its weight 256**(k*i) mod ``modulus`` (k the chunk size, i the
+    chunk's place from the end), and the sum is reduced once; data of at
+    most one chunk is that chunk alone.  The weights take one modular
     multiplication per chunk, the sum stays within a few bytes of a chunk
     times the modulus, and so the one long division spans about one chunk,
-    not the data.  Beside the data, the transient ints take at most 6.4
-    chunk sizes, at two chunks of data (3.5 beyond), by tracemalloc: 0.1 MiB
-    for a modulus of up to CHUNK_BYTES / CHUNK_MODULI = 256 bytes, such as
-    a product of 10 round primes, and 1.6 MiB for the widest one ``verify``
-    makes, MAX_ROUNDS primes of MAX_PRIME_BITS bits.
+    not the data.  Beside the data, the transient ints take at most 3.5
+    chunk sizes, by tracemalloc: 0.05 MiB for a modulus of up to
+    CHUNK_BYTES / CHUNK_MODULI = 256 bytes, such as a product of 10 round
+    primes, and 0.86 MiB for the widest one ``verify`` makes, MAX_ROUNDS
+    primes of MAX_PRIME_BITS bits.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     size = max(CHUNK_BYTES, CHUNK_MODULI * -(-modulus.bit_length() // 8))
-    if len(data) <= 2 * size:
-        return int.from_bytes(data, "big") % modulus
     view = memoryview(data)
-    step = pow(256, size, modulus)
     acc, weight = int.from_bytes(view[-size:], "big"), 1
-    for end in range(len(view) - size, 0, -size):
-        weight = weight * step % modulus
-        acc += int.from_bytes(view[max(0, end - size) : end], "big") * weight
+    if len(view) > size:
+        step = pow(256, size, modulus)
+        for end in range(len(view) - size, 0, -size):
+            weight = weight * step % modulus
+            acc += int.from_bytes(view[max(0, end - size) : end], "big") * weight
     return acc % modulus
 
 
@@ -329,9 +327,12 @@ def localize(local: Document, remote, rounds_per_probe: int, rng: SplitMix64,
     """Bisect down to the corrupted bytes; returns (offset, length=1) ranges.
 
     Both sides fingerprint the same byte ranges (big-endian value of the
-    range alone), recursing into any half whose residues disagree.  Each
-    probe uses ``rounds_per_probe`` fresh primes, so a corruption escapes
-    notice only with the per-probe false-match probability.
+    range alone), bisecting any range whose residues disagree.  Each probe
+    uses ``rounds_per_probe`` fresh primes, stopping at the first unequal
+    pair, so a corruption escapes notice only with the per-probe
+    false-match probability.  Probes run depth first from the whole
+    document: a range's left half, and every probe inside it, comes before
+    its right half, so the ranges come out in offset order.
     """
     check_rounds("rounds_per_probe", rounds_per_probe)
     if remote.length() != len(local):
@@ -345,17 +346,14 @@ def localize(local: Document, remote, rounds_per_probe: int, rng: SplitMix64,
         return False
 
     found: list[tuple[int, int]] = []
-
-    def descend(offset: int, length: int) -> None:
+    pending = [(0, len(local))] if len(local) else []  # ranges still to probe, last first
+    while pending:
+        offset, length = pending.pop()
+        if not probe_mismatch(offset, length):
+            continue
         if length == 1:
             found.append((offset, 1))
-            return
-        half = length // 2
-        if probe_mismatch(offset, half):
-            descend(offset, half)
-        if probe_mismatch(offset + half, length - half):
-            descend(offset + half, length - half)
-
-    if len(local) and probe_mismatch(0, len(local)):
-        descend(0, len(local))
+        else:
+            half = length // 2
+            pending += [(offset + half, length - half), (offset, half)]
     return found

@@ -164,8 +164,8 @@ def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> list[tuple[int, int]]
     return order if len(order) == len(us) else None
 
 
-def build(words: Sequence[bytes], ratio: float = 3.0,
-          rng: SplitMix64 | None = None) -> tuple[MphfFunction, BuildReport]:
+def build(words: Sequence[bytes], ratio: float,
+          rng: SplitMix64) -> tuple[MphfFunction, BuildReport]:
     """Construct an ordered minimal perfect hash for ``words``.
 
     ``ratio`` is n/m; values at or below 2 make acceptance vanishingly rare
@@ -174,8 +174,6 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     trial graphs are rejected.
     """
     start = time.perf_counter()
-    if rng is None:
-        rng = SplitMix64(0)
     m = len(words)
     if m == 0:
         raise ValueError("word set is empty")
@@ -193,8 +191,6 @@ def build(words: Sequence[bytes], ratio: float = 3.0,
     if ratio > MAX_RATIO:
         raise ValueError("ratio must be <= %d" % MAX_RATIO)
     n = -(-int(ratio * m * 2**20) // 2**20)  # ceil without float edge cases
-    if n <= 2 * m:
-        n = 2 * m + 1
     max_len = max(map(len, words))
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)

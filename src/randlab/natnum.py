@@ -22,7 +22,7 @@ def decompose_two_power(n: int) -> tuple[int, int]:
 
 # The only spellings of a natural: ASCII decimal digits, or 0x and ASCII hex
 # digits.  int() alone would also take a sign, underscores and any Unicode digit.
-_NATURAL = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
 def parse_natural(text: str) -> int:
@@ -32,6 +32,8 @@ def parse_natural(text: str) -> int:
     ``[0-9]+`` or ``0[xX][0-9a-fA-F]+`` raises ValueError.
     """
     s = text.strip()
-    if not _NATURAL.fullmatch(s):
+    if s.isascii() and s.isdigit():  # the ASCII digits are exactly [0-9]
+        return int(s)
+    if not _HEX.fullmatch(s):
         raise ValueError("not a decimal or 0x-hex natural: %r" % text)
-    return int(s, 16 if s[1:2] in ("x", "X") else 10)
+    return int(s, 16)

@@ -136,19 +136,10 @@ def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
     if n.bit_length() > MAX_TARGET_BITS:
         raise ValueError("n must be at most %d bits" % MAX_TARGET_BITS)
     bound = Fraction(1, 4**rounds)
-    if n < 2:
-        return PrimalityVerdict(COMPOSITE, 0, bound)
-    if n == 2:
-        return PrimalityVerdict(PROBABLY_PRIME, 0, bound)
-    if n % 2 == 0:
-        return PrimalityVerdict(COMPOSITE, 0, bound)
-    if n == 3:
-        # (1, 3) contains only x = 2; handle directly rather than loop on it.
-        return PrimalityVerdict(PROBABLY_PRIME, 0, bound)
+    if n < 5 or n % 2 == 0:  # decided without a draw: only 2 and 3 are prime
+        return PrimalityVerdict(PROBABLY_PRIME if n in (2, 3) else COMPOSITE, 0, bound)
     used = _first_witness_round(n, rounds, rng)
-    if used:
-        return PrimalityVerdict(COMPOSITE, used, bound)
-    return PrimalityVerdict(PROBABLY_PRIME, rounds, bound)
+    return PrimalityVerdict(COMPOSITE if used else PROBABLY_PRIME, used or rounds, bound)
 
 
 def _first_witness_round(n: int, rounds: int, rng: SplitMix64) -> int:
@@ -219,10 +210,10 @@ def witness_density(n: int) -> Fraction:
         raise ValueError("n must be odd and >= 9")
     if n > WITNESS_SCAN_LIMIT:
         raise ValueError("n too large for witness density (limit %d)" % WITNESS_SCAN_LIMIT)
-    if _is_prime_exact(n):
+    phis = _unit_group_orders(n)
+    if phis == [n - 1]:  # n is its own one prime factor
         raise ValueError("n must be composite")
     k, q = decompose_two_power(n)
-    phis = _unit_group_orders(n)
     nu = min((phi & -phi).bit_length() - 1 for phi in phis)  # least v2(phi)
     liars = sum(math.prod(math.gcd(q << i, phi) for phi in phis) for i in range(min(k, nu)))
     liars += math.prod(math.gcd(q, phi) for phi in phis)

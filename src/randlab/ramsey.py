@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .natnum import parse_natural
 from .rng import SplitMix64
 
 MAX_VERTICES = 24  # exact violation counts and canonical forms: desk-scale up to here
@@ -133,10 +134,8 @@ def _subset_counter(size: int, flip: int, n: int):
     ``packed`` is sum(adj[w] << n*w).  Size 2: with sel(m) = sum(1 << n*w
     for w in m), read from two tables by the halves of m, the bit count of
     ``packed & m * sel(m)`` is twice the edges inside m; the non-edges are
-    C(k, 2) minus those.  Size 3 loops over pairs; larger sizes recurse.
+    C(k, 2) minus those.  Size 3 loops over pairs; size 0 and sizes past 3 recurse.
     """
-    if size == 0:
-        return lambda adj, packed, m: 1
     if size == 1:
         return lambda adj, packed, m: m.bit_count()
     if size == 2:
@@ -497,7 +496,7 @@ def graph_from_text(text: str) -> GraphColoring:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
-    n = int(lines[0])
+    n = parse_natural(lines[0])
     if n > MAX_VERTICES:
         # The count is read from a file: refuse it before GraphColoring
         # allocates a slot per vertex, as no larger graph has a census form.
@@ -505,8 +504,8 @@ def graph_from_text(text: str) -> GraphColoring:
     g = GraphColoring(n)  # refuses n < 1 before allocating
     for line in lines[1:]:
         head, _, rest = line.partition(":")
-        v = int(head)
-        for u in rest.split():
-            if int(u) != v:
-                g.set_edge(v, int(u), True)
+        v = parse_natural(head)
+        for u in map(parse_natural, rest.split()):
+            if u != v:
+                g.set_edge(v, u, True)
     return g

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from randlab import factor, fingerprint, mphf, primality, ramsey, route
+from randlab import cli, factor, fingerprint, mphf, primality, ramsey, route
 from randlab.cli import _probability, _read_wordlist, main
+from randlab.rng import derive_stream
 from replay import normalize
+from test_fingerprint import BrokenPipe
 
 
 def run_cli(argv):
@@ -331,6 +333,33 @@ def test_route_sim_permutation_file_read_is_bounded(text, message, tmp_path, cap
     assert peak < 2**20
 
 
+def test_route_sim_unknown_permutation_exits_two(capsys):
+    assert main(["route", "sim", "--d", "2", "--perm", "foo"], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: unknown permutation 'foo'\n"
+
+
+def test_route_sim_greedy_random_permutation_is_drawn_per_trial(capsys):
+    code, doc = run_cli(["route", "sim", "--d", "5", "--perm", "random", "--algo", "greedy",
+                         "--trials", "4", "--seed", "3"])
+    assert code == 0
+    rows = doc["result"]["trials"]
+    for trial, row in enumerate(rows):
+        perm = cli._load_permutation("random", 5, derive_stream(3, trial))
+        stats = route.run_oblivious(5, perm)
+        assert (row["total_steps"], row["max_queue_depth"]) == \
+            (stats.total_steps, stats.max_queue_depth)
+    assert len({r["total_steps"] for r in rows}) > 1
+
+
+def test_route_sim_permutation_file_takes_hex_labels(tmp_path, capsys):
+    decimal, hexa = tmp_path / "dec.txt", tmp_path / "hex.txt"
+    decimal.write_text("3\n2\n1\n0\n")
+    hexa.write_text("0x3\n 0X2 \n0x1\n0x0\n")
+    docs = [run_cli(["route", "sim", "--d", "2", "--perm", "file:%s" % f])[1]["result"]
+            for f in (decimal, hexa)]
+    assert docs[0] == docs[1]
+
+
 def test_ramsey_exhaustive(capsys):
     code, doc = run_cli(["ramsey", "exhaustive", "--n", "5", "--s", "3", "--t", "3"])
     assert code == 0
@@ -624,6 +653,39 @@ def test_ramsey_census_refuses_vertex_count_before_allocating(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: canonical_form supports at most 24 vertices\n"
     assert peak < 2**20
+
+
+def test_ramsey_census_graph_file_read_is_bounded(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "big.txt").write_text("25\n" + "0: 1\n" * 1_000_000)  # 5 MB
+    code, peak = main_peak_bytes(["ramsey", "census", "--dir", str(graphs)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: census graph file 'big.txt' must be at most %d characters\n" % cli.MAX_TEXT_FILE_CHARS
+    assert peak < 2**20
+
+
+def test_ramsey_anneal_config_read_is_bounded(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    argv = ["ramsey", "anneal", "--n", "3", "--s", "3", "--t", "3", "--config", str(cfg)]
+    cfg.write_text("{" + " " * 4_000_000 + "}")
+    code, peak = main_peak_bytes(argv)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: --config file must be at most %d characters\n" % cli.MAX_TEXT_FILE_CHARS
+    assert peak < 2**20
+    cfg.write_text("{" + " " * (cli.MAX_TEXT_FILE_CHARS - 2) + "}")  # at the cap
+    assert main(argv, stdout=io.StringIO()) == 0
+
+
+def test_fingerprint_remote_pipe_error_exits_two(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "doc.bin"
+    doc.write_bytes(b"hello world")
+    monkeypatch.setattr(sys, "stdin", io.StringIO())
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["fingerprint", "verify", str(doc), "--remote", "-"], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: oracle I/O failed: [Errno 32] Broken pipe\n"
 
 
 def test_fingerprint_serve_keeps_serving_after_bad_requests(tmp_path, monkeypatch, capsys):

@@ -107,6 +107,10 @@ def test_residue_memory_is_bounded_by_the_chunk():
     rng = SplitMix64(4)
     modulus = math.prod(random_prime_in(DEFAULT_PRIME_LO, DEFAULT_PRIME_HI, 2, rng) for _ in range(10))
     doc = Document(random.Random(4).randbytes(4 << 20))
+    # Two chunks of the widest modulus were reduced by one division, which
+    # peaked at 6.4 chunk sizes.
+    widest = (1 << MAX_MODULUS_BITS) - 1
+    two_chunks = memoryview(doc.data)[: 2 * chunk_size(widest)]
     tracemalloc.start()
     try:
         whole = residue(doc.data, modulus)
@@ -114,12 +118,17 @@ def test_residue_memory_is_bounded_by_the_chunk():
         tracemalloc.reset_peak()
         middle = doc.residue(modulus, 1 << 20, 2 << 20)
         middle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        wide = residue(two_chunks, widest)
+        wide_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert whole == int.from_bytes(doc.data, "big") % modulus
     assert middle == int.from_bytes(doc.data[1 << 20 : 3 << 20], "big") % modulus
+    assert wide == int.from_bytes(two_chunks, "big") % widest
     assert whole_peak < 1 << 20
     assert middle_peak < 1 << 20
+    assert wide_peak < 4 * chunk_size(widest)
 
 
 def reference_verify(local, remote, rounds, rng, prime_lo=DEFAULT_PRIME_LO,
@@ -401,6 +410,60 @@ def test_localize_odd_length_document():
     assert localize(local, LocalOracle(remote), 2, SplitMix64(5)) == [(997, 1)]
 
 
+def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PRIME_LO,
+                       prime_hi=DEFAULT_PRIME_HI):
+    """Recursive localize: probe the whole document, then descend into each
+    half whose probe mismatches, the left half before the right."""
+    def probe_mismatch(offset, length):
+        for _ in range(rounds_per_probe):
+            p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
+            if local.residue(p, offset, length) != remote.residue(offset, length, p):
+                return True
+        return False
+
+    found = []
+
+    def descend(offset, length):
+        if length == 1:
+            found.append((offset, 1))
+            return
+        half = length // 2
+        if probe_mismatch(offset, half):
+            descend(offset, half)
+        if probe_mismatch(offset + half, length - half):
+            descend(offset + half, length - half)
+
+    if len(local) and probe_mismatch(0, len(local)):
+        descend(0, len(local))
+    return found
+
+
+def test_localize_matches_recursive_reference():
+    # One round a probe over the primes below 50 matches a corrupted range
+    # falsely about one time in eleven, so some corrupted bytes go unfound.
+    missed = 0
+    for length in (1, 2, 3, 4095, 65537):
+        data = random.Random(length).randbytes(length)
+        for flips in range(1, 9):
+            for rounds, lo, hi in ((3, DEFAULT_PRIME_LO, DEFAULT_PRIME_HI), (1, 2, 50)):
+                seed = length * 100 + flips * 2 + rounds
+                pick = random.Random(seed)
+                corrupted = bytearray(data)
+                positions = sorted(pick.sample(range(length), min(flips, length)))
+                for i in positions:
+                    corrupted[i] ^= pick.randrange(1, 256)
+                local, remote = Document(data), Document(bytes(corrupted))
+                rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+                ranges = localize(local, LocalOracle(remote), rounds, rng, lo, hi)
+                assert ranges == reference_localize(local, LocalOracle(remote), rounds,
+                                                    ref_rng, lo, hi), seed
+                assert rng.state == ref_rng.state, seed
+                if lo == DEFAULT_PRIME_LO:
+                    assert ranges == [(i, 1) for i in positions], seed
+                missed += len(positions) - len(ranges)
+    assert missed > 0
+
+
 def test_stream_oracle_protocol_round_trip():
     doc = Document(bytes(range(200)))
     wire = Wire(doc)
@@ -433,6 +496,22 @@ def test_stream_oracle_rejects_a_residue_of_the_widest_modulus():
     oracle = StreamOracle(io.StringIO("R %#x\n" % widest), io.StringIO())
     with pytest.raises(TransportError, match="impossible oracle residue"):
         oracle.residue(0, 1, widest)
+
+
+class BrokenPipe:
+    """A writer whose peer has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_stream_oracle_turns_a_pipe_error_into_a_transport_error():
+    oracle = StreamOracle(io.StringIO(), BrokenPipe())
+    with pytest.raises(TransportError, match="oracle I/O failed: .*Broken pipe"):
+        oracle.residue(0, 1, 101)
 
 
 def test_stream_oracle_rejects_negative_length():

@@ -98,7 +98,22 @@ def assert_clean_exit(argv):
     assert code != 2 or err, "exit 2 with no reason"
 
 
-def test_strict_grammar_refuses_int_spellings_on_argv_and_wire():
+def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
+    def refused(argv):
+        code, err = run_cli(argv)
+        return (code == 2 and err.startswith("error: not a decimal or 0x-hex natural: ")
+                and err.count("\n") == 1)
+
+    def perm_file_refused(text):
+        (tmp_path / "perm").write_text(text)
+        return refused(["route", "sim", "--d", "2", "--perm", "file:%s" % (tmp_path / "perm")])
+
+    def graph_file_refused(text):
+        folder = tmp_path / ("graphs%d" % len(os.listdir(tmp_path)))
+        folder.mkdir()
+        (folder / "g").write_text(text)
+        return refused(["ramsey", "census", "--dir", str(folder)])
+
     for token in NOT_NATURALS:
         code, err = run_cli(["prime", "test", token])
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, token
@@ -106,6 +121,13 @@ def test_strict_grammar_refuses_int_spellings_on_argv_and_wire():
             out = io.StringIO()
             assert serve_oracle(DOC, io.StringIO(request % token + "\n"), out) == 0
             assert out.getvalue().startswith("E ") and out.getvalue().count("\n") == 1
+        # The --perm file: labels and census graph texts, read from files.
+        assert perm_file_refused("%s\n0\n1\n2\n" % token), token
+        for text in ("%s\n", "2\n%s: 1\n", "2\n0: %s\n"):
+            assert graph_file_refused(text % token), (text, token)
+    # int() read each of these as a number.
+    assert perm_file_refused("+0\n\u0663\n0_2\n1\n")
+    assert graph_file_refused("+2\n\u0660: +1\n")
 
 
 GRAPH_LINE = st.one_of(

@@ -297,6 +297,17 @@ def test_deserialize_rejects_garbage():
     assert info.value.offset == 4
 
 
+def test_deserialize_locates_a_header_cut_short():
+    with pytest.raises(FormatError, match="truncated before version byte") as info:
+        deserialize(b"CHM1")
+    assert info.value.offset == 4
+    blob = serialize(build([b"q", b"r"], 3.0, SplitMix64(0))[0])
+    for cut in (5, 13, 28):
+        with pytest.raises(FormatError, match="truncated header") as info:
+            deserialize(blob[:cut])
+        assert info.value.offset == cut
+
+
 def test_deserialize_rejects_out_of_range_entries():
     fn, _ = build([b"q", b"r"], 3.0, SplitMix64(0))
     blob = bytearray(serialize(fn))

@@ -123,6 +123,9 @@ def test_witness_density_matches_per_base_scan():
 def test_witness_density_validates():
     with pytest.raises(ValueError):
         witness_density(13)  # prime
+    assert sieve(primality.WITNESS_SCAN_LIMIT + 1).rindex(1) == 999_983
+    with pytest.raises(ValueError, match="n must be composite"):
+        witness_density(999_983)  # the largest prime under the cap
     with pytest.raises(ValueError):
         witness_density(8)  # even
     with pytest.raises(ValueError):
