@@ -48,8 +48,14 @@ def _probability(value) -> str:
         return str(+d).lower()
 
 
+def natural(text: str) -> int:
+    """parse_natural as an argparse type: a bad spelling is a usage error
+    that names the option, as for any other type."""
+    return parse_natural(text)
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=natural, default=0,
                         help="64-bit seed; default 0 (deterministic by default)")
 
 
@@ -62,14 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = prime.add_parser("test", help="probabilistic primality test")
     p.add_argument("n")
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--rounds", type=natural, default=10)
     _add_seed(p)
     p = prime.add_parser("witness-density", help="single-round pass rate, exact from n's factorization")
     p.add_argument("n")
     p = prime.add_parser("random", help="random prime in an open interval")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
-    p.add_argument("--rounds", type=int, default=24)
+    p.add_argument("--rounds", type=natural, default=24)
     _add_seed(p)
 
     fp = sub.add_parser("fingerprint", help="remote document comparison").add_subparsers(
@@ -80,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--remote", required=True,
                        help="remote document file, or '-' to speak the text protocol on stdio")
         if name == "verify":
-            p.add_argument("--rounds", type=int, default=10)
+            p.add_argument("--rounds", type=natural, default=10)
         else:
-            p.add_argument("--rounds-per-probe", type=int, default=3)
+            p.add_argument("--rounds-per-probe", type=natural, default=3)
         p.add_argument("--prime-lo", default=str(fingerprint.DEFAULT_PRIME_LO))
         p.add_argument("--prime-hi", default=str(fingerprint.DEFAULT_PRIME_HI))
         _add_seed(p)
@@ -93,11 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True)
     p = fa.add_parser("pm1", help="Pollard p-1, stage 1")
     p.add_argument("N")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=natural, required=True)
     p = fa.add_parser("ecm", help="elliptic curve method, stage 1")
     p.add_argument("N")
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--curves", type=int, default=100)
+    p.add_argument("--b1", type=natural, required=True)
+    p.add_argument("--curves", type=natural, default=100)
     _add_seed(p)
 
     mp = sub.add_parser("mphf", help="minimal perfect hashing").add_subparsers(
@@ -117,29 +123,29 @@ def _build_parser() -> argparse.ArgumentParser:
     rt = sub.add_parser("route", help="hypercube routing simulator").add_subparsers(
         dest="subcommand", required=True)
     p = rt.add_parser("sim")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=natural, required=True)
     p.add_argument("--perm", default="bitrev",
                    help="bitrev | identity | random | file:<path>")
     p.add_argument("--algo", choices=("greedy", "valiant"), default="greedy")
     p.add_argument("--phase-barrier", action="store_true",
                    help="synchronize the two valiant phases globally")
-    p.add_argument("--trials", type=int, default=1,
+    p.add_argument("--trials", type=natural, default=1,
                    help="independent trials on derived seed streams")
     _add_seed(p)
 
     rs = sub.add_parser("ramsey", help="clique/independent-set-free graphs").add_subparsers(
         dest="subcommand", required=True)
     p = rs.add_parser("anneal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
+    p.add_argument("--s", type=natural, required=True)
+    p.add_argument("--t", type=natural, required=True)
     p.add_argument("--config", help="JSON file with AnnealConfig fields")
     p.add_argument("-o", "--graph-out", help="also write the graph text to a file")
     _add_seed(p)
     p = rs.add_parser("exhaustive")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
+    p.add_argument("--s", type=natural, required=True)
+    p.add_argument("--t", type=natural, required=True)
     p = rs.add_parser("census")
     p.add_argument("--dir", required=True, help="directory of graph text files")
 
@@ -249,7 +255,7 @@ def _cmd_mphf(args, stdout) -> tuple[dict | None, int]:
             "output": args.output,
         }, 0
     with open(args.function, "rb") as fh:
-        fn = mphf.deserialize(fh.read())
+        fn = mphf.load(fh)
     if args.subcommand == "query":
         # The word's bytes as the OS passed them, as a word list file holds them.
         return {"index": mphf.query(fn, os.fsencode(args.word))}, 0

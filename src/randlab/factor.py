@@ -15,8 +15,8 @@ runtime is random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .primality import MAX_TARGET_BITS, is_probable_prime
 from .rng import SplitMix64
@@ -38,8 +38,7 @@ MAX_BOUND = 10**6
 MAX_CURVES = 10**4
 
 
-@dataclass(frozen=True)
-class FactorOutcome:
+class FactorOutcome(NamedTuple):
     divisor: int | None  # None means the search budget was exhausted
     trials: int  # bases tried (p-1) or curves tried (ECM)
     smoothness_bound: int

@@ -37,8 +37,8 @@ treats an ``E`` reply, or one longer than MAX_LINE, as a transport failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .natnum import parse_natural
 from .primality import MAX_PRIME_BITS, MAX_ROUNDS, _is_prime_exact, check_rounds, random_prime_in
@@ -227,14 +227,13 @@ def _answer(doc: Document, parts: list[str]) -> str:
     return form % doc.residue(modulus, offset, length)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     verdict: str  # MATCH or MISMATCH
     rounds: int  # residue rounds actually executed
     primes_used: list[int]
     per_round_residue_pairs: list[tuple[int, int]]
     false_positive_bound: Fraction
-    length_mismatch: bool = field(default=False)
+    length_mismatch: bool = False
 
     @property
     def matched(self) -> bool:

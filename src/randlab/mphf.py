@@ -33,17 +33,19 @@ word lengths, takes back out.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import eq, getitem, mod
-from typing import Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .rng import SplitMix64
 
 MAGIC = b"CHM1"
 VERSION = 1
+# Magic, version byte, then m, n and max word length as 64-bit words.
+HEADER_BYTES = 29
 
 # Consecutive rejected graphs before concluding the ratio is too low.
 MAX_TRIALS = 1000
@@ -67,8 +69,7 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class MphfFunction:
+class MphfFunction(NamedTuple):
     m: int  # number of build words == table size
     n: int  # vertex count
     max_word_len: int
@@ -77,8 +78,7 @@ class MphfFunction:
     g: tuple  # n values in [0, m)
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(NamedTuple):
     trials: int
     elapsed_seconds: float
 
@@ -230,6 +230,30 @@ def serialize(fn: MphfFunction) -> bytes:
     return b"".join(out)
 
 
+def _header(head: bytes, size: int) -> tuple[int, int, int]:
+    """m, n and max word length from the first HEADER_BYTES bytes of a
+    serialized function ``size`` bytes long, checked as deserialize states."""
+    if len(head) < 4 or head[:4] != MAGIC:
+        raise FormatError(0, "bad magic")
+    if len(head) < 5:
+        raise FormatError(4, "truncated before version byte")
+    if head[4] != VERSION:
+        raise FormatError(4, "unsupported version %d" % head[4])
+    if len(head) < HEADER_BYTES:
+        raise FormatError(len(head), "truncated header")
+    m, n, max_len = struct.unpack_from("<QQQ", head, 5)
+    if m < 1:
+        raise FormatError(5, "m must be >= 1")
+    if n < 1:
+        raise FormatError(13, "n must be >= 1")
+    if not 1 <= max_len <= MAX_WORD_LEN:  # query's byte columns rely on this
+        raise FormatError(21, "max word length must be in [1, %d]" % MAX_WORD_LEN)
+    expected = HEADER_BYTES + (2 * max_len * 256 + n) * 8
+    if size != expected:
+        raise FormatError(min(size, expected), "expected %d bytes, got %d" % (expected, size))
+    return m, n, max_len
+
+
 def deserialize(data: bytes) -> MphfFunction:
     """Parse bytes produced by serialize, validating every field range.
 
@@ -237,30 +261,22 @@ def deserialize(data: bytes) -> MphfFunction:
     64-bit little-endian words (the last in [1, MAX_WORD_LEN]), table T1 (max_word_len rows of 256 words),
     table T2 likewise, and the g array (n words).
     """
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(0, "bad magic")
-    if len(data) < 5:
-        raise FormatError(4, "truncated before version byte")
-    if data[4] != VERSION:
-        raise FormatError(4, "unsupported version %d" % data[4])
-    if len(data) < 29:
-        raise FormatError(len(data), "truncated header")
-    m, n, max_len = struct.unpack_from("<QQQ", data, 5)
-    if m < 1:
-        raise FormatError(5, "m must be >= 1")
-    if n < 1:
-        raise FormatError(13, "n must be >= 1")
-    if not 1 <= max_len <= MAX_WORD_LEN:  # query's byte columns rely on this
-        raise FormatError(21, "max word length must be in [1, %d]" % MAX_WORD_LEN)
-    expected = 29 + (2 * max_len * 256 + n) * 8
-    if len(data) != expected:
-        raise FormatError(min(len(data), expected), "expected %d bytes, got %d" % (expected, len(data)))
-    rows = [struct.unpack_from("<256Q", data, 29 + 2048 * r) for r in range(2 * max_len)]
-    g = struct.unpack_from("<%dQ" % n, data, expected - 8 * n)
+    m, n, max_len = _header(data[:HEADER_BYTES], len(data))
+    rows = [struct.unpack_from("<256Q", data, HEADER_BYTES + 2048 * r) for r in range(2 * max_len)]
+    g = struct.unpack_from("<%dQ" % n, data, len(data) - 8 * n)
     for r, row in enumerate(rows + [g]):  # g lies right after the last table row
         what, limit = ("table", n) if r < len(rows) else ("g", m)
         if max(row) >= limit:
             i = next(i for i, value in enumerate(row) if value >= limit)
-            raise FormatError(29 + 2048 * r + 8 * i,
+            raise FormatError(HEADER_BYTES + 2048 * r + 8 * i,
                               "%s entry %d out of range [0, %d)" % (what, row[i], limit))
     return MphfFunction(m, n, max_len, tuple(rows[:max_len]), tuple(rows[max_len:]), g)
+
+
+def load(fh: BinaryIO) -> MphfFunction:
+    """deserialize() of an open binary file.  Its header is checked against
+    the file's size first, so a file of any other length is refused before
+    its body is read."""
+    _header(fh.read(HEADER_BYTES), os.fstat(fh.fileno()).st_size)
+    fh.seek(0)
+    return deserialize(fh.read())

@@ -33,8 +33,8 @@ Trial division up to sqrt(n) finds the factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .natnum import decompose_two_power
 from .rng import SplitMix64
@@ -79,8 +79,7 @@ class PrimelessIntervalError(RuntimeError):
     """Raised when random prime search keeps drawing composites."""
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     answer: str  # PROBABLY_PRIME or COMPOSITE
     rounds_used: int
     error_bound: Fraction  # false-positive bound: 4**-(requested rounds)

@@ -29,8 +29,8 @@ walks the labeled graphs in Gray-code order (Gray 1953), one flip a step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .natnum import parse_natural
 from .rng import SplitMix64
@@ -187,8 +187,7 @@ def _flip_counter(n: int, s: int, t: int):
     return delta
 
 
-@dataclass
-class AnnealConfig:
+class AnnealConfig(NamedTuple):
     """Schedule knobs; None fields are derived from the instance at run time.
 
     Defaults: starting temperature calibrated to the mean |delta| of 100
@@ -221,8 +220,7 @@ class AnnealConfig:
             raise ValueError("restarts must be non-negative")
 
 
-@dataclass(frozen=True)
-class AnnealOutcome:
+class AnnealOutcome(NamedTuple):
     graph: GraphColoring | None  # None: budget exhausted with no solution
     steps: int
     restarts_used: int

@@ -23,7 +23,8 @@ length.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .rng import SplitMix64
 
 # Largest cube dimension: a run holds 2**d packets and d * 2**d edges.
@@ -32,8 +33,7 @@ MAX_DIMENSION = 16
 MAX_TRIALS = 1000
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     total_steps: int
     per_packet_latency: tuple
     max_vertex_throughput: tuple  # (vertex, distinct packets through it)

@@ -679,6 +679,29 @@ def test_ramsey_anneal_config_read_is_bounded(tmp_path, capsys):
     assert main(argv, stdout=io.StringIO()) == 0
 
 
+@pytest.mark.parametrize("kind", ["bad-magic", "trailing-junk"])
+@pytest.mark.parametrize("subcommand", ["query", "verify"])
+def test_mphf_function_file_read_is_bounded(kind, subcommand, tmp_path, capsys):
+    # 8 MiB files that the 29-byte header already refuses.
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("alpha\nbeta\n")
+    chm = tmp_path / "fn.chm"
+    assert main(["mphf", "build", str(wordlist), "-o", str(chm)], stdout=io.StringIO()) == 0
+    valid, junk = chm.read_bytes(), bytes(8 * 2**20)
+    if kind == "bad-magic":
+        chm.write_bytes(b"NOPE" + junk[4:])
+        message = "bad magic (at byte offset 0)"
+    else:
+        chm.write_bytes(valid + junk)
+        message = "expected %d bytes, got %d (at byte offset %d)" % (
+            len(valid), len(valid) + len(junk), len(valid))
+    last = str(wordlist) if subcommand == "verify" else "alpha"
+    code, peak = main_peak_bytes(["mphf", subcommand, str(chm), last])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert peak < 2**20
+
+
 def test_fingerprint_remote_pipe_error_exits_two(tmp_path, monkeypatch, capsys):
     doc = tmp_path / "doc.bin"
     doc.write_bytes(b"hello world")
@@ -725,3 +748,58 @@ def test_parser_reuse_matches_fresh_processes(capsys):
         out = io.StringIO()
         assert main(argv, stdout=out) == expected_code
         assert (expected_code, normalize(out.getvalue())) == fresh_process_document(argv)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # The modules the import adds, so that whatever site preloads does not count.
+    probe = ("import sys; before = set(sys.modules); import randlab.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "randlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+RECORDS = [
+    factor.FactorOutcome(None, 3, 100),
+    fingerprint.VerifyReport(fingerprint.MATCH, 1, [7], [(3, 3)], Fraction(1, 7)),
+    mphf.MphfFunction(1, 3, 1, ((0,) * 256,), ((1,) * 256,), (0, 0, 0)),
+    mphf.BuildReport(1, 0.5),
+    primality.PrimalityVerdict(primality.COMPOSITE, 1, Fraction(1, 4)),
+    ramsey.AnnealConfig(),
+    ramsey.AnnealOutcome(None, 10, 0, 2),
+    route.RunStats(3, (1, 2), (0, 2), 1),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_tuples(record):
+    assert record == tuple(record) and len(record) == len(record._fields)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+def test_record_defaults_and_properties(tmp_path, capsys):
+    report = fingerprint.VerifyReport(fingerprint.MATCH, 1, [7], [(3, 3)], Fraction(1, 7))
+    assert report.length_mismatch is False and report.matched
+    assert not report._replace(verdict=fingerprint.MISMATCH).matched
+    assert route.RunStats(3, (1, 2), (0, 2), 1).phase1_steps is None
+    assert ramsey.AnnealConfig() == (None, 0.995, None, 10**7, 1000)
+    assert ramsey.AnnealConfig().validate() is None
+    assert not factor.FactorOutcome(None, 3, 100).found
+    assert factor.FactorOutcome(5, 3, 100).found
+    verdict = primality.PrimalityVerdict(primality.PROBABLY_PRIME, 2, Fraction(1, 16))
+    assert verdict.is_probably_prime
+    assert not verdict._replace(answer=primality.COMPOSITE).is_probably_prime
+    assert not ramsey.AnnealOutcome(None, 10, 0, 2).found
+    assert ramsey.AnnealOutcome(ramsey.GraphColoring(2), 10, 0, 0).found
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        ramsey.AnnealConfig(**{"bogus": 1})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bogus": 1}')
+    argv = ["ramsey", "anneal", "--n", "5", "--s", "3", "--t", "3", "--config", str(cfg)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == ("error: bad --config: AnnealConfig.__new__() got an "
+                                       "unexpected keyword argument 'bogus'\n")

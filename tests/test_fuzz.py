@@ -96,6 +96,7 @@ def assert_clean_exit(argv):
     assert code in (0, 1, 2), err
     assert err == "" or err.endswith("\n") and err.count("\n") == 1, err
     assert code != 2 or err, "exit 2 with no reason"
+    return code
 
 
 def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
@@ -128,6 +129,14 @@ def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
     # int() read each of these as a number.
     assert perm_file_refused("+0\n\u0663\n0_2\n1\n")
     assert graph_file_refused("+2\n\u0660: +1\n")
+    # Integer options take the same grammar, refused as argparse usage errors.
+    for token in NOT_NATURALS + ["\u0663", "+3", "1_0", "\u0665", "-1"]:
+        for argv in (["prime", "test", "7", "--rounds", token],
+                     ["route", "sim", "--d", token],
+                     ["ramsey", "exhaustive", "--n", token, "--s", "3", "--t", "3"],
+                     ["prime", "test", "7", "--seed", token]):
+            code, err = run_cli(argv)
+            assert code == 2 and "invalid natural value: %r" % token in err, (argv, err)
 
 
 GRAPH_LINE = st.one_of(
@@ -156,15 +165,54 @@ VALID_CHM = mphf.serialize(mphf.build([b"ab", b"c", b"de"], 3.0, SplitMix64(1))[
        st.one_of(st.none(), st.tuples(st.sampled_from([5, 13, 21]), st.integers(0, 2**64 - 1))),
        st.integers(-8, 8))
 def test_deserialize_returns_function_or_value_error(flips, header, resize):
+    fn = parses_or_value_error(mphf.deserialize, mutated_chm(flips, header, resize))
+    if fn is not None:
+        assert 0 <= mphf.query(fn, b"c"[:fn.max_word_len]) < fn.m
+
+
+def mutated_chm(flips, header, resize):
+    """VALID_CHM with bytes overwritten, one header field set, then cut or padded."""
     data = bytearray(VALID_CHM)
     for offset, byte in flips:
         data[offset] = byte
     if header is not None:  # m, n or max word length set to any 64-bit value
         struct.pack_into("<Q", data, header[0], header[1])
-    data = bytes(data[:len(data) + resize]) if resize < 0 else bytes(data) + b"\0" * resize
-    fn = parses_or_value_error(mphf.deserialize, data)
-    if fn is not None:
-        assert 0 <= mphf.query(fn, b"c"[:fn.max_word_len]) < fn.m
+    return bytes(data[:len(data) + resize]) if resize < 0 else bytes(data) + b"\0" * resize
+
+
+WORDS = st.one_of(
+    st.sampled_from([b"", b"a", b"a\0b", b"x\r", b"\r", b"\0", b"caf\xe9", b"\xff\xfe",
+                     b"w" * mphf.MAX_WORD_LEN, b"w" * (mphf.MAX_WORD_LEN + 1)]),
+    st.binary(max_size=6))
+
+
+@FUZZ_FILES
+@given(st.lists(WORDS, max_size=10), st.sampled_from([b"\n", b"\r\n"]))
+@example([b"a", b"b", b"a"], b"\n")  # a duplicate
+@example([b"a\0b", b"x\r", b"caf\xe9", b"w" * mphf.MAX_WORD_LEN], b"\r\n")  # builds
+def test_mphf_word_lists_exit_cleanly(words, eol):
+    # A list that builds also verifies, through the same word-list reader.
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, [eol.join(words)])
+        wordlist, chm = os.path.join(folder, "f0"), os.path.join(folder, "f.chm")
+        code = assert_clean_exit(["mphf", "build", wordlist, "-o", chm])
+        if code == 0:
+            assert run_cli(["mphf", "verify", chm, wordlist]) == (0, "")
+
+
+@FUZZ_FILES
+@given(st.lists(st.tuples(st.integers(0, len(VALID_CHM) - 1), st.integers(0, 255)), max_size=4),
+       st.one_of(st.none(), st.tuples(st.sampled_from([5, 13, 21]), st.integers(0, 2**64 - 1))),
+       st.integers(-40, 40))
+@example([], (5, 2**63), 0)  # a header that claims a huge m
+@example([], (13, 2**63), 0)  # or a huge n
+@example([], None, 8 * 2**20)  # 8 MiB of trailing bytes
+def test_mphf_function_files_exit_cleanly(flips, header, resize):
+    with tempfile.TemporaryDirectory() as folder:
+        write_files(folder, [mutated_chm(flips, header, resize), b"ab\nc\nde\n"])
+        chm = os.path.join(folder, "f0")
+        assert_clean_exit(["mphf", "query", chm, "c"])
+        assert_clean_exit(["mphf", "verify", chm, os.path.join(folder, "f1")])
 
 
 # JSON nested past the interpreter's recursion limit: json.load raises
