@@ -20,11 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
+from operator import ne
 
 from . import __version__, factor, fingerprint, mphf, primality, ramsey, route
 from .natnum import parse_natural
@@ -35,6 +37,13 @@ from .rng import SplitMix64, derive_stream
 # any real one (a 24-vertex graph text is under 2 KB, an AnnealConfig object a
 # few hundred bytes), while a hostile file costs no memory that grows with it.
 MAX_TEXT_FILE_CHARS = 256 * 1024
+
+# SplitMix64 keeps a seed's low 64 bits, so a larger seed would replay another.
+MAX_SEED = 2**64 - 1
+
+# --ratio: ASCII digits, an optional fraction and an optional exponent.  The
+# float spellings inf and nan also pass, for mphf.build to refuse as not finite.
+_RATIO = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|inf|nan")
 
 
 def _probability(value) -> str:
@@ -54,9 +63,26 @@ def natural(text: str) -> int:
     return parse_natural(text)
 
 
+def natural_at_most(limit: int):
+    """natural as an argparse type that also refuses a value past ``limit``."""
+    def natural(text: str) -> int:  # argparse names a bad spelling by this name
+        value = parse_natural(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError("must be at most %d" % limit)
+        return value
+    return natural
+
+
+def ratio(text: str) -> float:
+    """The --ratio grammar as an argparse type; any other spelling is a usage error."""
+    if not _RATIO.fullmatch(text.strip()):
+        raise ValueError(text)
+    return float(text)
+
+
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=natural, default=0,
-                        help="64-bit seed; default 0 (deterministic by default)")
+    parser.add_argument("--seed", type=natural_at_most(MAX_SEED), default=0,
+                        help="64-bit seed in [0, 2^64 - 1]; default 0 (deterministic by default)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = mp.add_parser("build")
     p.add_argument("wordlist", help="file with one word per line")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ratio", type=float, default=3.0)
+    p.add_argument("--ratio", type=ratio, default=3.0)
     _add_seed(p)
     p = mp.add_parser("query")
     p.add_argument("function", help=".chm file")
@@ -262,7 +288,8 @@ def _cmd_mphf(args, stdout) -> tuple[dict | None, int]:
     words = _read_wordlist(args.wordlist)
     hashed = mphf.query_many(fn, [w for w in words if len(w) <= fn.max_word_len])
     bad = []
-    if hashed != list(range(len(words))):  # also when a too-long word left hashed short
+    # A too-long word is not hashed, so the lengths differ.
+    if len(hashed) != len(words) or any(map(ne, hashed, count())):
         # Only a failure walks the words, to name the bad indices.
         rest = iter(hashed)
         bad = [j for j, w in enumerate(words)

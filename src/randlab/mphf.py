@@ -27,7 +27,10 @@ max_len * (n - 1), so no lane carries into the next.  Byte k of the entries
 T[j][w[j]] for all words is one ``translate`` of column j (byte j of every
 word, zero-padded), stored into every lane by one slice.  The padding adds
 sum_{j >= len(w)} T[j][0] to a word's lane, which one more pass, over the
-word lengths, takes back out.
+word lengths, takes back out.  The lanes are read back as one machine array
+(little-endian, so byte-swapped on a big-endian host), and every table of
+one int per word or per peeled edge -- the vertex pairs, the peel order --
+is an ``array("q")``, 8 bytes an entry rather than an int object each.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 import time
-from itertools import accumulate, repeat
-from operator import eq, getitem, mod
+from array import array
+from itertools import accumulate, count, repeat
+from operator import add, eq, getitem, mod, ne
 from typing import BinaryIO, NamedTuple, Sequence
 
 from .rng import SplitMix64
@@ -55,6 +60,12 @@ MIN_RATIO = 2.05
 MAX_RATIO = 100
 # Longest build word in bytes: each trial draws 2 * 256 table entries per byte.
 MAX_WORD_LEN = 64
+
+# Words padded at a time when the columns are cut, bounding the padded copies.
+PAD_SLICE = 4096
+
+# An unsigned array typecode for each lane width in bytes.
+_LANE_TYPECODE = {array(code).itemsize: code for code in "ILQ"}
 
 
 class RatioTooLowError(RuntimeError):
@@ -83,13 +94,15 @@ class BuildReport(NamedTuple):
     elapsed_seconds: float
 
 
-def _columns(words: Sequence[bytes], max_len: int) -> tuple[list[bytes], bytes]:
+def _columns(words: Sequence[bytes], max_len: int) -> tuple[list[bytearray], bytes]:
     """Byte j of every word, zero-padded to max_len, for each j; and the word lengths."""
-    blob = b"".join(map(bytes.ljust, words, repeat(max_len), repeat(b"\0")))
+    blob = bytearray()
+    for i in range(0, len(words), PAD_SLICE):
+        blob += b"".join(map(bytes.ljust, words[i:i + PAD_SLICE], repeat(max_len), repeat(b"\0")))
     return [blob[j::max_len] for j in range(max_len)], bytes(map(len, words))
 
 
-def _hash(columns: list[bytes], lengths: bytes, table, n: int) -> list[int]:
+def _hash(columns: list[bytearray], lengths: bytes, table, n: int) -> array:
     """sum_j table[j][w[j]] mod n for every word, from the words' columns."""
     width = 4 if len(table) * (n - 1) < 2**32 else 8  # bytes per lane
     buf = bytearray(width * len(lengths))
@@ -105,9 +118,10 @@ def _hash(columns: list[bytes], lengths: bytes, table, n: int) -> list[int]:
     pad = [*accumulate(row[0] for row in reversed(table))][::-1]
     total = (sum(map(lanes, columns, table, repeat(planes)))
              - lanes(lengths, pad + [0] * (256 - len(pad)), width))
-    sums = struct.unpack("<%d%s" % (len(lengths), "IQ"[width == 8]),
-                         total.to_bytes(len(buf), "little"))
-    return [*map(mod, sums, repeat(n))]
+    sums = array(_LANE_TYPECODE[width], total.to_bytes(len(buf), "little"))
+    if sys.byteorder == "big":
+        sums.byteswap()
+    return array("q", map(mod, sums, repeat(n)))
 
 
 def query_many(fn: MphfFunction, words: Sequence[bytes]) -> list[int]:
@@ -130,8 +144,8 @@ def query(fn: MphfFunction, word: bytes) -> int:
     return (fn.g[u] + fn.g[v]) % fn.m
 
 
-def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> list[tuple[int, int]] | None:
-    """(edge, vertex it was peeled from) pairs in peel order, or None on a cycle.
+def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> tuple[array, array] | None:
+    """The edges in peel order and the vertex each was peeled from, or None on a cycle.
 
     Edge i joins us[i] and vs[i].  Self-loops are refused up front by one
     C-level pass.  Each vertex then keeps only its degree and the XOR of its
@@ -148,20 +162,22 @@ def _peel(n: int, us: Sequence[int], vs: Sequence[int]) -> list[tuple[int, int]]
         degree[v] += 1
         xor[u] ^= idx
         xor[v] ^= idx
-    order = []
+    edges = array("q")
+    peeled_from = array("q")
     queue = [v for v in range(n) if degree[v] == 1]
     for v in queue:  # grows while it is walked
         if degree[v] != 1:
             continue  # the other end of a peeled last edge
         idx = xor[v]
-        order.append((idx, v))
+        edges.append(idx)
+        peeled_from.append(v)
         other = us[idx] ^ vs[idx] ^ v  # the endpoint that is not v
         degree[v] = 0
         degree[other] -= 1
         xor[other] ^= idx
         if degree[other] == 1:
             queue.append(other)
-    return order if len(order) == len(us) else None
+    return (edges, peeled_from) if len(edges) == len(us) else None
 
 
 def build(words: Sequence[bytes], ratio: float,
@@ -202,18 +218,20 @@ def build(words: Sequence[bytes], ratio: float,
         t2 = tuple(tuple(vertex() for _ in range(256)) for _ in range(max_len))
         us = _hash(columns, lengths, t1, n)
         vs = _hash(columns, lengths, t2, n)
-        order = _peel(n, us, vs)
-        if order is None:
+        peeled = _peel(n, us, vs)
+        if peeled is None:
             continue
         # In reverse peel order no later edge touches the vertex an edge was
         # peeled from, so setting it fixes that edge's sum for good.
+        edges, peeled_from = peeled
         g = [0] * n
-        for idx, v in reversed(order):
+        for idx, v in zip(reversed(edges), reversed(peeled_from)):
             g[v] = (idx - g[us[idx] ^ vs[idx] ^ v]) % m  # the other endpoint's g
-        # The ordered property, checked exhaustively.
-        h = [(g[u] + g[v]) % m for u, v in zip(us, vs)]
-        if h != list(range(m)):
-            j = next(j for j, value in enumerate(h) if value != j)
+        del peeled, edges, peeled_from
+        # The ordered property, checked exhaustively; only a failure looks for j.
+        at = g.__getitem__
+        if any(map(ne, map(mod, map(add, map(at, us), map(at, vs)), repeat(m)), count())):
+            j = next(j for j, (u, v) in enumerate(zip(us, vs)) if (g[u] + g[v]) % m != j)
             raise RuntimeError("internal error: assignment broke h(w_%d) = %d" % (j, j))
         return (MphfFunction(m, n, max_len, t1, t2, tuple(g)),
                 BuildReport(trial, time.perf_counter() - start))

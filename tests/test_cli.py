@@ -78,6 +78,18 @@ def test_seed_refused_where_nothing_is_drawn(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+def test_seed_past_64_bits_is_usage_error(capsys):
+    # SplitMix64 keeps a seed's low 64 bits: 2^64 would replay seed 0.
+    code, doc = run_cli(["prime", "random", "--lo", "1000", "--hi", "100000",
+                         "--seed", str(2**64 - 1)])
+    assert code == 0 and doc["manifest"]["seed"] == 2**64 - 1
+    capsys.readouterr()
+    for seed in (str(2**64), "0x10000000000000000"):
+        assert main(["prime", "random", "--lo", "1000", "--hi", "100000", "--seed", seed],
+                    stdout=io.StringIO()) == 2
+        assert "argument --seed: must be at most %d" % (2**64 - 1) in capsys.readouterr().err
+
+
 def test_prime_random(capsys):
     code, doc = run_cli(["prime", "random", "--lo", "8", "--hi", "12"])
     assert code == 0

@@ -137,6 +137,12 @@ def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
                      ["prime", "test", "7", "--seed", token]):
             code, err = run_cli(argv)
             assert code == 2 and "invalid natural value: %r" % token in err, (argv, err)
+    # --ratio takes ASCII digits, a fraction and an exponent (so 1e3 is a ratio);
+    # float() took the rest.
+    for token in [t for t in NOT_NATURALS if t != "1e3"] + ["\u0663", "3_0", "+3", "-3", "3.",
+                                                            ".5", "Infinity", "0x3"]:
+        code, err = run_cli(["mphf", "build", "words.txt", "-o", "f.chm", "--ratio", token])
+        assert code == 2 and "invalid ratio value: %r" % token in err, (token, err)
 
 
 GRAPH_LINE = st.one_of(

@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import os
+import random
 import struct
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -103,16 +105,16 @@ def test_hash_matches_scalar_reference(n):
     random_table = tuple(tuple(vertex() for _ in range(256)) for _ in range(MAX_WORD_LEN))
     top_table = ((n - 1,) * 256,) * MAX_WORD_LEN  # every lane at its largest sum
     us, vs = zip(*(vertex_pair(w, random_table, top_table, n) for w in words))
-    assert _hash(columns, lengths, random_table, n) == list(us)
-    assert _hash(columns, lengths, top_table, n) == list(vs)
+    assert list(_hash(columns, lengths, random_table, n)) == list(us)
+    assert list(_hash(columns, lengths, top_table, n)) == list(vs)
 
 
 def test_hash_of_one_word_and_of_none():
     table = tuple(tuple(range(r, r + 256)) for r in range(0, 3 * 256, 256))
     for word in (b"", b"\0", b"\xff\0", b"abc"):
         columns, lengths = _columns([word], 3)
-        assert _hash(columns, lengths, table, 1000) == [vertex_pair(word, table, table, 1000)[0]]
-    assert _hash(*_columns([], 3), table, 1000) == []
+        assert list(_hash(columns, lengths, table, 1000)) == [vertex_pair(word, table, table, 1000)[0]]
+    assert list(_hash(*_columns([], 3), table, 1000)) == []
 
 
 def test_query_many_matches_scalar_reference():
@@ -156,6 +158,57 @@ def test_is_acyclic_exhaustive_against_forest_oracle():
             assert (peel(6, edges) is None) == (not forest_oracle(6, edges)), edges
 
 
+def reference_peel(n, us, vs):
+    """The peel as a list of (edge, vertex it was peeled from) pairs, or None
+    on a cycle: the list-of-tuples form that _peel's two arrays replaced."""
+    if any(u == v for u, v in zip(us, vs)):
+        return None
+    degree = [0] * n
+    xor = [0] * n
+    for idx, (u, v) in enumerate(zip(us, vs)):
+        degree[u] += 1
+        degree[v] += 1
+        xor[u] ^= idx
+        xor[v] ^= idx
+    order = []
+    queue = [v for v in range(n) if degree[v] == 1]
+    for v in queue:
+        if degree[v] != 1:
+            continue
+        idx = xor[v]
+        order.append((idx, v))
+        other = us[idx] ^ vs[idx] ^ v
+        degree[v] = 0
+        degree[other] -= 1
+        xor[other] ^= idx
+        if degree[other] == 1:
+            queue.append(other)
+    return order if len(order) == len(us) else None
+
+
+def test_peel_matches_reference_on_random_graphs():
+    rng = SplitMix64(29)
+    outcomes = set()
+    for trial in range(600):
+        n = 2 + rng.uniform_below(60)
+        m = rng.uniform_below(n)
+        us = [rng.uniform_below(n) for _ in range(m)]
+        vs = [rng.uniform_below(n) for _ in range(m)]
+        if m and trial % 3 == 0:  # repeat an edge, in either direction
+            i = rng.uniform_below(m)
+            u, v = (us[i], vs[i]) if trial % 2 else (vs[i], us[i])
+            j = rng.uniform_below(m + 1)
+            us.insert(j, u)
+            vs.insert(j, v)
+        expected = reference_peel(n, us, vs)
+        peeled = _peel(n, us, vs)
+        assert (peeled is None) == (expected is None), (n, us, vs)
+        if peeled is not None:
+            assert list(zip(*peeled)) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
 def test_build_three_words_is_ordered():
     fn, report = build([b"a", b"b", b"c"], 3.0, SplitMix64(1))
     assert fn.m == 3 and fn.n == 9
@@ -174,6 +227,24 @@ def test_build_is_minimal_perfect_and_ordered():
     fn, _ = build(words, 3.0, SplitMix64(5))
     values = [query(fn, w) for w in words]
     assert values == list(range(500))  # ordered, hence bijective onto 0..m-1
+
+
+def test_build_working_set_is_flat_arrays():
+    # The per-word and per-edge tables are machine arrays, not lists of int
+    # objects or tuples; as lists they peaked at 5.7 MiB on these words.
+    rng = random.Random(14)
+    words = {}
+    while len(words) < 2**14:
+        words[bytes(rng.choices(b"abcdefghijklmnopqrstuvwxyz", k=rng.randint(5, 12)))] = None
+    words = list(words)
+    tracemalloc.start()
+    try:
+        fn, _ = build(words, 3.0, SplitMix64(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fn.m == 2**14
+    assert peak < 4 * 2**20, peak
 
 
 def test_build_rejects_bad_input():
