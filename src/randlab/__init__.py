@@ -13,7 +13,7 @@ Everything randomized takes an explicit generator, so any result can be
 replayed bit-for-bit from its seed.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .rng import SplitMix64, derive_stream
 

@@ -101,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = prime.add_parser("random", help="random prime in an open interval")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
-    p.add_argument("--rounds", type=natural, default=24)
+    p.add_argument("--rounds", type=natural, default=24,
+                   help="random-base rounds for a candidate of 2^64 or more; below 2^64 "
+                        "every prime is decided exactly")
     _add_seed(p)
 
     fp = sub.add_parser("fingerprint", help="remote document comparison").add_subparsers(

@@ -53,7 +53,9 @@ DEFAULT_PRIME_HI = 2 * 10**9
 # pi(2*10**9) - pi(10**9); exact, from the standard prime-counting tables.
 PRIMES_IN_DEFAULT_INTERVAL = 47_374_753
 
-# Probable-prime test rounds used when drawing the per-round primes.
+# Random-base rounds for a round-prime candidate of 2**64 or more (a
+# --prime-hi past 2**64); below 2**64, as in the default interval, every
+# round prime is decided exactly and this has no effect.
 PRIME_DRAW_ROUNDS = 16
 
 # Other intervals of at most this many integers, below 2**64, are counted

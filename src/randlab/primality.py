@@ -6,17 +6,23 @@ seeing n-1 accepts, seeing 1 without having seen n-1 first rejects.  A "no"
 is always correct; a "yes" on composite n happens for fewer than a quarter
 of the bases, so independent repetitions drive the error below any target.
 
-Random prime generation sieves each odd candidate with one gcd against the
-product of the odd primes below 200 before any base is drawn, the standard
+Below 2**64 a fixed set of bases decides primality exactly (2, 7, 61 below
+4,759,123,141, Jaeschke 1993; seven bases below 2**64, Sinclair 2011).  The
+random-base test uses them only to skip work: once its first random round
+passes, n is settled with those bases, and a prime then still makes the
+remaining random-base draws, which it would pass anyway, so the draws, round
+counts and results are those of the all-random test.
+
+Random prime generation draws its candidates from the odd integers of the
+interval (and 2, when the interval holds it) and sieves each with one gcd
+against the product of the odd primes below 200, the standard
 trial-division step (Menezes et al., Handbook of Applied Cryptography, 4.4):
 about four in five odd candidates have such a factor and are skipped at the
-cost of that gcd instead of a Miller-Rabin round.
-
-Below 2**64 a fixed set of bases decides primality exactly (2, 7, 61 below
-4,759,123,141, Jaeschke 1993; seven bases below 2**64, Sinclair 2011), so once
-the first random round passes, n is settled with those bases; a prime then
-still makes the remaining random-base draws, which it would pass anyway, so
-the draws, round counts and results are those of the all-random test.
+cost of that gcd.  Below 2**64 a candidate that survives is decided by the
+fixed bases, with no draw, so there the search is Las Vegas: the prime it
+returns is certain and only the number of candidates drawn is random.  From
+2**64 up each survivor gets random-base rounds, and the search is Monte
+Carlo: a composite passes them with probability below 4**-rounds.
 
 The witness density of an odd composite n is counted exactly, not by testing
 every base (Rabin, J. Number Theory 12, 1980; Monier, Theoret. Comput. Sci.
@@ -76,7 +82,7 @@ _EXACT_BASES = (
 
 
 class PrimelessIntervalError(RuntimeError):
-    """Raised when random prime search keeps drawing composites."""
+    """Raised when random prime search finds no prime in its interval."""
 
 
 class PrimalityVerdict(NamedTuple):
@@ -239,36 +245,40 @@ def _unit_group_orders(n: int) -> list[int]:
 
 
 def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
-    """Uniformly draw from (lo, hi) until a probable prime appears.
+    """Draw uniformly from the odd integers of (lo, hi), and 2 if it lies
+    inside, until a prime appears; below 2**64 it is certain, from 2**64 up
+    probable.
 
-    ``hi`` is at most 2**MAX_PRIME_BITS.  Raises PrimelessIntervalError after
-    PRIME_SEARCH_LIMIT = 10**6 candidate draws without a probable prime,
-    sieved ones included, which for any interval actually containing primes
-    is overwhelmingly unlikely.  A span of at most SMALL_SPAN integers below
-    2**64 is first checked with an exact test, so one holding no prime fails
-    at once, without a draw.  An odd candidate above 3 with an odd prime
-    factor below 200, other than itself, is skipped without a base draw;
-    every other odd candidate above 3 gets up to ``rounds`` (at most
-    MAX_ROUNDS) rounds.  The result stays uniform over the probable primes
-    of the interval.
+    ``hi`` is at most 2**MAX_PRIME_BITS.  Raises PrimelessIntervalError,
+    without a draw, when the interval holds no candidate, or when it spans
+    at most SMALL_SPAN integers below 2**64 and an exact test finds no prime
+    there; otherwise after PRIME_SEARCH_LIMIT = 10**6 candidate draws
+    without a prime, sieved ones included, which for any interval actually
+    containing primes is overwhelmingly unlikely.  A candidate with an odd
+    prime factor below 200, other than itself, is skipped without further
+    work.  Every other candidate below 2**64 is decided exactly with no draw
+    (``rounds`` has no effect there); one of 2**64 or more gets up to
+    ``rounds`` (at most MAX_ROUNDS) random-base rounds.  The result is
+    uniform over the primes (from 2**64 up, the probable primes) of the
+    interval.
     """
     check_rounds("rounds", rounds)
     check_prime_interval(lo, hi)
+    first = (lo + 1) | 1  # the least odd integer above lo
+    odds = (hi - first + 1) // 2
+    span = odds + (lo < 2 < hi)  # index ``odds`` stands for 2
+    if not span:
+        raise PrimelessIntervalError("no prime in (%d, %d): its one integer is even" % (lo, hi))
     if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**64
             and not any(map(_is_prime_exact, range(lo + 1, hi)))):
         raise PrimelessIntervalError("no probable prime in (%d, %d): an exact test finds none" % (lo, hi))
-    first = lo + 1
-    draw = rng.sampler(hi - first)
+    draw = rng.sampler(span)
     for _ in range(PRIME_SEARCH_LIMIT):
-        n = first + draw()
-        # As in is_probable_prime: 2 and 3 are prime, other even and small
-        # candidates composite, all without a draw.  So is an odd candidate
-        # with a factor in _SIEVE, unless it is that factor.
-        if n % 2 and n > 3:
-            if ((math.gcd(n, _SIEVE) == 1 or n in _SIEVE_PRIMES)
-                    and not _first_witness_round(n, rounds, rng)):
-                return n
-        elif n == 2 or n == 3:
+        i = draw()
+        n = first + 2 * i if i < odds else 2
+        # A factor in _SIEVE makes n composite unless it is that factor.
+        if ((math.gcd(n, _SIEVE) == 1 or n in _SIEVE_PRIMES)
+                and (_is_prime_exact(n) if n < 1 << 64 else not _first_witness_round(n, rounds, rng))):
             return n
     raise PrimelessIntervalError(
         "no probable prime in (%d, %d) after %d draws" % (lo, hi, PRIME_SEARCH_LIMIT)

@@ -22,9 +22,11 @@ drops the bits the right shift brought in from the next lane (after the
 last one, those bits sit above the low 64 of each lane, which the unpack
 skips).
 
-Every bounded draw goes through ``SplitMix64.sampler``: modulo rejection on
-as few 64-bit words as the bound needs (Lemire, ACM TOMACS 2019, without the
-multiply trick).
+Every bounded draw follows the rule of ``SplitMix64.sampler``: modulo
+rejection on as few 64-bit words as the bound needs (Lemire, ACM TOMACS
+2019, without the multiply trick).  ``_draw`` is that rule's one loop;
+``uniform_below`` runs it directly for a bound of at most 2**64, with no
+sampler built.
 
 Reference output for seed 0: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
 """
@@ -32,6 +34,7 @@ Reference output for seed 0: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 MASK64 = (1 << 64) - 1
 
@@ -90,6 +93,8 @@ class SplitMix64:
 
     def uniform_below(self, bound: int) -> int:
         """Uniform integer in [0, bound): one draw of ``sampler(bound)``."""
+        if 1 <= bound <= 1 << 64:  # one word a try, with no sampler to build
+            return _draw(self.next_u64, bound, (1 << 64) - (1 << 64) % bound)
         return self.sampler(bound)()
 
     def sampler(self, span: int):
@@ -117,13 +122,7 @@ class SplitMix64:
                     r |= next_u64() << s
                 return r
 
-        def draw() -> int:
-            r = word()
-            while r >= limit:
-                r = word()
-            return r % span
-
-        return draw
+        return partial(_draw, word, span, limit)
 
     def uniform_natural_in(self, lo: int, hi: int) -> int:
         """Uniform integer strictly between lo and hi (both ends excluded).
@@ -140,14 +139,25 @@ class SplitMix64:
         return lo + 1 + self.sampler(hi - lo - 1)()
 
 
+def _draw(word, span: int, limit: int) -> int:
+    """One draw of ``sampler``'s rule: re-draw ``word()`` at or past ``limit``."""
+    r = word()
+    while r >= limit:
+        r = word()
+    return r % span
+
+
 def derive_stream(seed: int, index: int) -> SplitMix64:
     """Decorrelated generator number ``index`` for a master ``seed``.
 
     The stream seed is one SplitMix64 output of (seed XOR index*GOLDEN_GAMMA),
     so distinct indices give unrelated sequences while staying a pure
-    function of (seed, index).
+    function of (seed, index).  That output is mixed here, one word, rather
+    than by a generator that would compute a block of them.
     """
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    mixed = (seed ^ ((index * GOLDEN_GAMMA) & MASK64)) & MASK64
-    return SplitMix64(SplitMix64(mixed).next_u64())
+    z = ((seed ^ (index * GOLDEN_GAMMA)) + GOLDEN_GAMMA) & MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return SplitMix64(z ^ (z >> 31))

@@ -10,7 +10,7 @@ after d draws from seed s the state is s + d*GOLDEN_GAMMA mod 2**64.
 import importlib.util
 from pathlib import Path
 
-from randlab import cli, primality
+from randlab import cli, fingerprint, primality
 from randlab.rng import GOLDEN_GAMMA, SplitMix64
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -30,4 +30,31 @@ def test_traced_draws_match_the_generator_state():
         tracer.uninstall()
     draws = (rng.state - 5) * pow(GOLDEN_GAMMA, -1, 2**64) % 2**64
     assert draws > 64  # the run crosses several refills
+    assert tracer.rng_draws == draws
+
+
+def test_traced_draws_match_the_state_over_verify_and_localize():
+    # One verify and one localize on a single generator: every output that
+    # their round primes take must be handed out by next_u64.
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    data = bytes(range(256)) * 8
+    corrupt = bytearray(data)
+    corrupt[100] ^= 1
+    corrupt[1500] ^= 4
+    local = fingerprint.Document(data)
+    rng = SplitMix64(9)
+    tracer = tracing.Tracer()
+    tracer.install(cli)
+    try:
+        report = fingerprint.verify(local, fingerprint.LocalOracle(fingerprint.Document(data)),
+                                    10, rng)
+        ranges = fingerprint.localize(local, fingerprint.LocalOracle(fingerprint.Document(corrupt)),
+                                      3, rng)
+    finally:
+        tracer.uninstall()
+    assert report.verdict == fingerprint.MATCH and ranges == [(100, 1), (1500, 1)]
+    draws = (rng.state - 9) * pow(GOLDEN_GAMMA, -1, 2**64) % 2**64
+    assert draws > 64
     assert tracer.rng_draws == draws

@@ -363,6 +363,20 @@ def test_route_sim_greedy_random_permutation_is_drawn_per_trial(capsys):
     assert len({r["total_steps"] for r in rows}) > 1
 
 
+def test_random_permutation_matches_a_sampler_per_swap():
+    # uniform_below draws a bound of at most 2**64 without building a
+    # sampler; each swap must still be one draw of sampler(i + 1).
+    for d in range(1, route.MAX_DIMENSION + 1):
+        for seed in (0, 7, 2**64 - 1):
+            rng, ref = derive_stream(seed, d), derive_stream(seed, d)
+            expected = list(range(1 << d))
+            for i in range((1 << d) - 1, 0, -1):
+                j = ref.sampler(i + 1)()
+                expected[i], expected[j] = expected[j], expected[i]
+            assert cli._load_permutation("random", d, rng) == expected, (d, seed)
+            assert rng.state == ref.state
+
+
 def test_route_sim_permutation_file_takes_hex_labels(tmp_path, capsys):
     decimal, hexa = tmp_path / "dec.txt", tmp_path / "hex.txt"
     decimal.write_text("3\n2\n1\n0\n")

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -196,16 +197,51 @@ def reference_is_probable_prime(n, rounds, rng):
 SMALL_ODD_PRIMES = [p for p in range(3, 200, 2) if sieve(200)[p]]
 
 
-def reference_random_prime_in(lo, hi, rounds, rng):
-    """Candidate loop made of public pieces: one uniform_natural_in draw per
-    candidate, and one is_probable_prime call per candidate unless it is odd,
-    above 3 and has an odd prime factor below 200 other than itself."""
-    while True:
-        candidate = rng.uniform_natural_in(lo, hi)
-        if candidate % 2 and candidate > 3 and any(
-                candidate % p == 0 and candidate != p for p in SMALL_ODD_PRIMES):
+# The first twelve primes.  As strong-test bases they decide every n below
+# 3.18 * 10**23, and so below 2**64 (Sorenson & Webster, Math. Comp. 86, 2017).
+FIRST_TWELVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def reference_is_prime_below_2_64(n):
+    """Exact for n < 2**64: trial division by the first twelve primes, then
+    a strong round at each of them as a base, written out with pow."""
+    if n < 2:
+        return False
+    for p in FIRST_TWELVE_PRIMES:
+        if n % p == 0:
+            return n == p
+    q, k = n - 1, 0
+    while q % 2 == 0:
+        q, k = q // 2, k + 1
+    for a in FIRST_TWELVE_PRIMES:
+        y = pow(a, q, n)
+        if y in (1, n - 1):
             continue
-        if is_probable_prime(candidate, rounds, rng).is_probably_prime:
+        for _ in range(k - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_random_prime_in(lo, hi, rounds, rng):
+    """Candidate loop made of public pieces: one uniform_below index per
+    candidate, over the odd integers of (lo, hi) in order and then 2 when it
+    lies inside.  Below 2**64 a candidate is decided by an exact test with
+    no draw; from 2**64 up it gets one is_probable_prime call unless it has
+    an odd prime factor below 200."""
+    first = lo + 1 if lo % 2 == 0 else lo + 2
+    odds = (hi - first + 1) // 2
+    while True:
+        i = rng.uniform_below(odds + (lo < 2 < hi))
+        candidate = first + 2 * i if i < odds else 2
+        if candidate < 2**64:
+            if reference_is_prime_below_2_64(candidate):
+                return candidate
+        elif (not any(candidate % p == 0 for p in SMALL_ODD_PRIMES)
+                and is_probable_prime(candidate, rounds, rng).is_probably_prime):
             return candidate
 
 
@@ -311,6 +347,62 @@ def test_random_prime_in_sieve_keeps_every_prime(monkeypatch):
             ref = SplitMix64(n)
             ref.uniform_natural_in(n - 1, n + 1)
             assert rng.state == ref.state, n
+
+
+def test_reference_is_prime_below_2_64_matches_sieve_and_known_cases():
+    flags = sieve(10**5)
+    assert [n for n in range(10**5) if reference_is_prime_below_2_64(n)] == \
+        [n for n in range(10**5) if flags[n]]
+    assert all(map(reference_is_prime_below_2_64, [4759123129, 2**61 - 1, 2**64 - 59]))
+    assert not any(map(reference_is_prime_below_2_64, [3215031751, 4759123141,
+                                                       3825123056546413051, 2**64 - 1]))
+
+
+@pytest.mark.parametrize("lo, hi, draws", [(0, 30, 20000), (10**9, 10**9 + 300, 10000)])
+def test_random_prime_in_is_uniform_over_the_primes(lo, hi, draws):
+    # (0, 30) holds 2, the one even candidate, and nine odd primes; the
+    # window above 10**9 holds 16 primes among 150 odd candidates.
+    primes = [n for n in range(lo + 1, hi) if reference_is_prime_below_2_64(n)]
+    counts = collections.Counter(random_prime_in(lo, hi, 16, SplitMix64(seed))
+                                 for seed in range(draws))
+    assert set(counts) == set(primes)
+    # Each count is binomial; a uniform draw leaves five standard deviations
+    # of its mean with probability below 6 * 10**-7 per prime.
+    mean = draws / len(primes)
+    sd = (mean * (1 - 1 / len(primes))) ** 0.5
+    for p in primes:
+        assert abs(counts[p] - mean) <= 5 * sd, (p, counts[p], mean, sd)
+
+
+# (prime before, composite, prime after): a strong pseudoprime to the bases
+# 2, 3, 5 and 7 (151 * 751 * 28351), the Carmichael number 211 * 421 * 631
+# and a strong pseudoprime to the first nine prime bases.  Only the first
+# has a factor below 200.
+PSEUDOPRIME_GAPS = [
+    (3215031749, 3215031751, 3215031767),
+    (56052343, 56052361, 56052379),
+    (3825123056546412979, 3825123056546413051, 3825123056546413057),
+]
+
+
+@pytest.mark.parametrize("before, composite, after", PSEUDOPRIME_GAPS)
+def test_random_prime_in_at_one_round_never_returns_a_composite_below_2_64(before, composite,
+                                                                           after):
+    # One random round passes each composite for hundreds of these seeds,
+    # but below 2**64 a candidate is decided exactly, whatever ``rounds``.
+    seeds = range(2000)
+    assert sum(is_probable_prime(composite, 1, SplitMix64(s)).is_probably_prime
+               for s in seeds) > 200
+    drawn = {random_prime_in(before - 1, after + 1, 1, SplitMix64(s)) for s in seeds}
+    assert drawn == {before, after}
+
+
+def test_random_prime_in_even_one_integer_interval_draws_nothing():
+    for lo in (3, 2**64 - 1, 2**70 - 1, 2**primality.MAX_PRIME_BITS - 3):
+        rng = SplitMix64(7)
+        with pytest.raises(PrimelessIntervalError):
+            random_prime_in(lo, lo + 2, 1, rng)
+        assert rng.state == SplitMix64(7).state
 
 
 def test_random_prime_in_one_prime_interval_below_1000():

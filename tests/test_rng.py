@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from randlab.rng import SplitMix64, derive_stream
@@ -282,6 +284,17 @@ def test_two_word_draw_spanning_a_refill_matches_reference():
     low, high = reference_outputs(23, 65)[63:]
     assert expected == low | high << 64
     assert rng.state == ref.state == (23 + 65 * GAMMA) % 2**64
+
+
+def test_derive_stream_is_one_output_of_the_mixed_seed():
+    # derive_stream mixes its one word itself; a generator started at the
+    # mixed seed gives the same word as its first output.
+    gen = random.Random(20)
+    for _ in range(20000):
+        seed = gen.getrandbits(64)
+        index = gen.choice((gen.getrandbits(16), gen.getrandbits(64), gen.getrandbits(80)))
+        mixed = (seed ^ (index * GAMMA % 2**64)) % 2**64
+        assert derive_stream(seed, index).state == SplitMix64(mixed).next_u64(), (seed, index)
 
 
 def test_derive_stream_pinned_values():
