@@ -38,6 +38,10 @@ from .rng import SplitMix64, derive_stream
 # few hundred bytes), while a hostile file costs no memory that grows with it.
 MAX_TEXT_FILE_CHARS = 256 * 1024
 
+# Longest mphf word list read, in bytes: 2^16 words of 63 bytes; split into
+# two-byte words, a list at the cap takes 70 MiB (tracemalloc).
+MAX_WORDLIST_BYTES = 4 * 1024 * 1024
+
 # SplitMix64 keeps a seed's low 64 bits, so a larger seed would replay another.
 MAX_SEED = 2**64 - 1
 
@@ -208,8 +212,8 @@ def _cmd_prime(args, stdout) -> tuple[dict | None, int]:
 
 def _cmd_fingerprint(args, stdout) -> tuple[dict | None, int]:
     if args.subcommand == "serve":
-        doc = fingerprint.Document.from_file(args.document)
-        served = fingerprint.serve_oracle(doc, sys.stdin, stdout)
+        served = fingerprint.serve_oracle(fingerprint.LocalOracle.from_file(args.document),
+                                          sys.stdin, stdout)
         print("served %d queries" % served, file=sys.stderr)
         return None, 0
     # Refuse a past-cap round count or prime interval before reading either
@@ -219,9 +223,9 @@ def _cmd_fingerprint(args, stdout) -> tuple[dict | None, int]:
     lo, hi = parse_natural(args.prime_lo), parse_natural(args.prime_hi)
     primality.check_prime_interval(lo, hi)
     rng = SplitMix64(args.seed)
-    local = fingerprint.Document.from_file(args.local)
+    local = fingerprint.LocalOracle.from_file(args.local)
     oracle = (fingerprint.StreamOracle(sys.stdin, sys.stdout) if args.remote == "-"
-              else fingerprint.LocalOracle(fingerprint.Document.from_file(args.remote)))
+              else fingerprint.LocalOracle.from_file(args.remote))
     if args.subcommand == "verify":
         report = fingerprint.verify(local, oracle, args.rounds, rng, lo, hi)
         return {
@@ -266,7 +270,10 @@ def _read_text(path: str, what: str) -> str:
 def _read_wordlist(path: str) -> list[bytes]:
     """The file's lines, each without its trailing CRs and LFs; empty ones dropped."""
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
+        data = fh.read(MAX_WORDLIST_BYTES + 1)
+    if len(data) > MAX_WORDLIST_BYTES:
+        raise ValueError("word list must be at most %d bytes" % MAX_WORDLIST_BYTES)
+    lines = data.split(b"\n")
     return list(filter(None, map(bytes.rstrip, lines, repeat(b"\r\n"))))
 
 

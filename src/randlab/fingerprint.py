@@ -16,9 +16,9 @@ of the sum, so no int the size of the document is built.  Corrupted
 regions are then pinned down by bisecting the byte range and
 fingerprinting the halves.
 
-The remote side is abstracted as a residue oracle, whose whole interface is
-``length()`` and ``residue(offset, length, modulus)``; this module ships an
-in-process oracle and a line-oriented text protocol for genuinely remote use:
+Both sides are residue oracles, whose whole interface is ``length()`` and
+``residue(offset, length, modulus)``: an in-process ``LocalOracle(data)`` (or
+``.from_file(path)``), and a line-oriented text protocol for remote use:
 
     request   Q <offset> <length> <modulus>\n
     response  R <residue>\n        (in the base the modulus was written in)
@@ -107,41 +107,30 @@ def residue(data: bytes, modulus: int) -> int:
     return acc % modulus
 
 
-class Document:
-    """Immutable byte sequence compared via modular fingerprints."""
+class LocalOracle:
+    """In-process residue oracle over a byte sequence it holds a copy of."""
 
     def __init__(self, data: bytes):
         self.data = bytes(data)
+        self.queries = 0
 
     @classmethod
-    def from_file(cls, path: str) -> "Document":
+    def from_file(cls, path: str) -> "LocalOracle":
         with open(path, "rb") as fh:
             return cls(fh.read())
 
-    def __len__(self) -> int:
+    def length(self) -> int:
         return len(self.data)
 
-    def residue(self, modulus: int, offset: int = 0, length: int | None = None) -> int:
-        if length is None:
-            length = len(self.data) - offset
+    def residue(self, offset: int, length: int, modulus: int) -> int:
+        self.queries += 1
         if offset < 0 or length < 0 or offset + length > len(self.data):
             raise ValueError("byte range out of bounds")
         return residue(memoryview(self.data)[offset : offset + length], modulus)
 
 
-class LocalOracle:
-    """In-process residue oracle over a document held in memory."""
-
-    def __init__(self, doc: Document):
-        self._doc = doc
-        self.queries = 0
-
-    def length(self) -> int:
-        return len(self._doc)
-
-    def residue(self, offset: int, length: int, modulus: int) -> int:
-        self.queries += 1
-        return self._doc.residue(modulus, offset, length)
+# A second name for the one class: bench/tracing.py traces Document's methods by name.
+Document = LocalOracle
 
 
 class StreamOracle:
@@ -182,8 +171,8 @@ class StreamOracle:
         return value
 
 
-def serve_oracle(doc: Document, reader, writer) -> int:
-    """Answer protocol requests for ``doc``; returns the queries answered.
+def serve_oracle(oracle, reader, writer) -> int:
+    """Answer protocol requests from ``oracle``; returns the queries answered.
 
     Serves until EOF or until the first line that is not a protocol request
     (end of session: the peer has started printing its own report on the
@@ -203,7 +192,7 @@ def serve_oracle(doc: Document, reader, writer) -> int:
                 raise ValueError("request longer than %d characters" % MAX_LINE)
             if not parts:
                 continue
-            reply = _answer(doc, parts)
+            reply = _answer(oracle, parts)
         except ValueError as exc:
             reply = "E %s\n" % exc
         else:
@@ -213,12 +202,12 @@ def serve_oracle(doc: Document, reader, writer) -> int:
     return served
 
 
-def _answer(doc: Document, parts: list[str]) -> str:
+def _answer(oracle, parts: list[str]) -> str:
     """The reply line to one L or Q request; ValueError if it is bad."""
     if parts[0] == "L":
         if len(parts) != 1:
             raise ValueError("L takes no arguments")
-        return "L %d\n" % len(doc)
+        return "L %d\n" % oracle.length()
     if len(parts) != 4:
         raise ValueError("Q takes offset, length and prime")
     offset, length, modulus = map(parse_natural, parts[1:])
@@ -226,7 +215,7 @@ def _answer(doc: Document, parts: list[str]) -> str:
         raise ValueError("modulus must be at most %d bits" % MAX_MODULUS_BITS)
     # The reply is in the request's base: an old decimal client reads decimal.
     form = "R %#x\n" if parts[3][:2] in ("0x", "0X") else "R %d\n"
-    return form % doc.residue(modulus, offset, length)
+    return form % oracle.residue(offset, length, modulus)
 
 
 class VerifyReport(NamedTuple):
@@ -287,19 +276,18 @@ def structural_bound(doc_len: int, rounds: int, prime_lo: int = DEFAULT_PRIME_LO
     return per_round**rounds
 
 
-def verify(local: Document, remote, rounds: int, rng: SplitMix64,
+def verify(local, remote, rounds: int, rng: SplitMix64,
            prime_lo: int = DEFAULT_PRIME_LO, prime_hi: int = DEFAULT_PRIME_HI) -> VerifyReport:
-    """Compare the local document against a remote oracle's document.
+    """Compare the document of the ``local`` oracle against the ``remote`` one's.
 
     Draws a fresh random prime per round, all before the first round, and
     compares full-document residues, stopping at the first unequal pair.
-    Each side is asked once, modulo the product M of the primes: one
-    ``local.residue(M)`` and one ``remote.residue(0, n, M)``, a single ``Q``
-    over the wire.  Round i's pair is the two remainders mod its prime.  A
-    match after all rounds carries the structural false-positive bound; a
-    mismatch is exact.  Documents of different length are reported as a
-    mismatch without any residue rounds (flagged on the report, since no
-    residue pair witnesses it).
+    Each side is asked once, with the same ``residue(0, n, M)`` for M the
+    product of the primes: a single ``Q`` over the wire.  Round i's pair is
+    the two remainders mod its prime.  A match after all rounds carries the
+    structural false-positive bound; a mismatch is exact.  Documents of
+    different length are reported as a mismatch without any residue rounds
+    (flagged on the report, since no residue pair witnesses it).
 
     Randomness: the draws never depend on residues, so the primes are the
     ones a round-by-round loop would draw, in the same order.  A match
@@ -308,26 +296,26 @@ def verify(local: Document, remote, rounds: int, rng: SplitMix64,
     report is unchanged but ``rng`` ends further on.
     """
     check_rounds("rounds", rounds)
-    if remote.length() != len(local):
+    if remote.length() != (n := local.length()):
         return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
     primes = [random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng) for _ in range(rounds)]
     product = math.prod(primes)
-    local_whole, remote_whole = local.residue(product), remote.residue(0, len(local), product)
+    local_whole, remote_whole = local.residue(0, n, product), remote.residue(0, n, product)
     pairs: list[tuple[int, int]] = []
     for done, p in enumerate(primes, 1):
         pairs.append((local_whole % p, remote_whole % p))
         if pairs[-1][0] != pairs[-1][1]:
             return VerifyReport(MISMATCH, done, primes[:done], pairs,
-                                structural_bound(len(local), done, prime_lo, prime_hi))
+                                structural_bound(n, done, prime_lo, prime_hi))
     return VerifyReport(MATCH, rounds, primes, pairs,
-                        structural_bound(len(local), rounds, prime_lo, prime_hi))
+                        structural_bound(n, rounds, prime_lo, prime_hi))
 
 
-def localize(local: Document, remote, rounds_per_probe: int, rng: SplitMix64,
+def localize(local, remote, rounds_per_probe: int, rng: SplitMix64,
              prime_lo: int = DEFAULT_PRIME_LO, prime_hi: int = DEFAULT_PRIME_HI) -> list[tuple[int, int]]:
     """Bisect down to the corrupted bytes; returns (offset, length=1) ranges.
 
-    Both sides fingerprint the same byte ranges (big-endian value of the
+    Both oracles fingerprint the same byte ranges (big-endian value of the
     range alone), bisecting any range whose residues disagree.  Each probe
     uses ``rounds_per_probe`` fresh primes, stopping at the first unequal
     pair, so a corruption escapes notice only with the per-probe
@@ -336,18 +324,18 @@ def localize(local: Document, remote, rounds_per_probe: int, rng: SplitMix64,
     its right half, so the ranges come out in offset order.
     """
     check_rounds("rounds_per_probe", rounds_per_probe)
-    if remote.length() != len(local):
+    if remote.length() != (n := local.length()):
         raise ValueError("localize requires documents of equal length")
 
     def probe_mismatch(offset: int, length: int) -> bool:
         for _ in range(rounds_per_probe):
             p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
-            if local.residue(p, offset, length) != remote.residue(offset, length, p):
+            if local.residue(offset, length, p) != remote.residue(offset, length, p):
                 return True
         return False
 
     found: list[tuple[int, int]] = []
-    pending = [(0, len(local))] if len(local) else []  # ranges still to probe, last first
+    pending = [(0, n)] if n else []  # ranges still to probe, last first
     while pending:
         offset, length = pending.pop()
         if not probe_mismatch(offset, length):

@@ -58,6 +58,8 @@ MAX_TRIALS = 1000
 MIN_RATIO = 2.05
 # The vertex table has ratio*m entries; past this it only wastes memory.
 MAX_RATIO = 100
+# Most vertices n = ceil(ratio * m); at 60 bytes a vertex (tracemalloc, ratio 3), 120 MiB.
+MAX_VERTICES = 2**21
 # Longest build word in bytes: each trial draws 2 * 256 table entries per byte.
 MAX_WORD_LEN = 64
 
@@ -185,9 +187,9 @@ def build(words: Sequence[bytes], ratio: float,
     """Construct an ordered minimal perfect hash for ``words``.
 
     ``ratio`` is n/m; values at or below 2 make acceptance vanishingly rare
-    and are refused, and so are values above MAX_RATIO and words longer
-    than MAX_WORD_LEN bytes.  Raises RatioTooLowError if 1000 consecutive
-    trial graphs are rejected.
+    and are refused, and so are values above MAX_RATIO, a table of more
+    than MAX_VERTICES vertices and words longer than MAX_WORD_LEN bytes.
+    Raises RatioTooLowError if 1000 consecutive trial graphs are rejected.
     """
     start = time.perf_counter()
     m = len(words)
@@ -207,6 +209,8 @@ def build(words: Sequence[bytes], ratio: float,
     if ratio > MAX_RATIO:
         raise ValueError("ratio must be <= %d" % MAX_RATIO)
     n = -(-int(ratio * m * 2**20) // 2**20)  # ceil without float edge cases
+    if n > MAX_VERTICES:
+        raise ValueError("table size ceil(ratio * words) = %d must be at most %d" % (n, MAX_VERTICES))
     max_len = max(map(len, words))
     if max_len > MAX_WORD_LEN:
         raise ValueError("words must be at most %d bytes long" % MAX_WORD_LEN)

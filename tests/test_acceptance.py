@@ -14,7 +14,7 @@ from math import isqrt
 
 from randlab.cli import main as cli_main
 from randlab.factor import ecm_stage1, pollard_pm1
-from randlab.fingerprint import Document, LocalOracle, structural_bound, verify
+from randlab.fingerprint import LocalOracle, structural_bound, verify
 from randlab.mphf import build, deserialize, query, serialize
 from randlab.primality import is_probable_prime, witness_density
 from randlab.ramsey import anneal, census_confidence, count_violations, exhaustive_search
@@ -108,15 +108,15 @@ def test_criterion_04_fingerprint_soundness_and_power():
     try:
         rng = SplitMix64(88)
         base = bytes(rng.uniform_below(256) for _ in range(1024))
-        equal_local = Document(base)
-        equal_remote = LocalOracle(Document(base))
+        equal_local = LocalOracle(base)
+        equal_remote = LocalOracle(base)
         for trial in range(10**4):
             report = verify(equal_local, equal_remote, 1, derive_stream(1, trial))
             assert report.matched, trial
 
         corrupted = bytearray(base)
         corrupted[512] ^= 0x01
-        unequal_remote = LocalOracle(Document(bytes(corrupted)))
+        unequal_remote = LocalOracle(bytes(corrupted))
         for trial in range(10**5):
             report = verify(equal_local, unequal_remote, 1, derive_stream(2, trial))
             assert not report.matched, trial

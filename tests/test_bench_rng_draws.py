@@ -43,15 +43,13 @@ def test_traced_draws_match_the_state_over_verify_and_localize():
     corrupt = bytearray(data)
     corrupt[100] ^= 1
     corrupt[1500] ^= 4
-    local = fingerprint.Document(data)
+    local = fingerprint.LocalOracle(data)
     rng = SplitMix64(9)
     tracer = tracing.Tracer()
     tracer.install(cli)
     try:
-        report = fingerprint.verify(local, fingerprint.LocalOracle(fingerprint.Document(data)),
-                                    10, rng)
-        ranges = fingerprint.localize(local, fingerprint.LocalOracle(fingerprint.Document(corrupt)),
-                                      3, rng)
+        report = fingerprint.verify(local, fingerprint.LocalOracle(data), 10, rng)
+        ranges = fingerprint.localize(local, fingerprint.LocalOracle(corrupt), 3, rng)
     finally:
         tracer.uninstall()
     assert report.verdict == fingerprint.MATCH and ranges == [(100, 1), (1500, 1)]

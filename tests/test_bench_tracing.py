@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from randlab import cli, fingerprint
 from randlab.rng import SplitMix64
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -49,3 +50,15 @@ def test_methods_exist(tracing):
 def test_rng_methods_exist(tracing):
     for m in tracing.RNG_METHODS:
         assert m in SplitMix64.__dict__, m
+
+
+def test_uninstall_restores_the_oracle_methods(tracing):
+    # Document is a second name for LocalOracle, so METHODS wraps its
+    # residue twice; uninstall must put the original back, not a wrapper.
+    originals = dict(fingerprint.LocalOracle.__dict__)
+    tracer = tracing.Tracer()
+    tracer.install(cli)
+    assert fingerprint.LocalOracle.__dict__["residue"] is not originals["residue"]
+    tracer.uninstall()
+    for name in ("residue", "from_file", "length"):
+        assert fingerprint.LocalOracle.__dict__[name] is originals[name], name

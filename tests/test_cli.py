@@ -222,6 +222,21 @@ def test_wordlist_read_rules(tmp_path):
     assert _read_wordlist(str(path)) == [b"alpha", b"beta", b"  ", b"\tx ", b"gam\rma", b"delta"]
 
 
+@pytest.mark.parametrize("subcommand", ["build", "verify"])
+def test_mphf_word_list_read_is_bounded(subcommand, monkeypatch, tmp_path, capsys):
+    wordlist, chm = tmp_path / "words.txt", tmp_path / "fn.chm"
+    wordlist.write_text("alpha\nbeta\ngamma\ndelta\n")
+    assert main(["mphf", "build", str(wordlist), "-o", str(chm)], stdout=io.StringIO()) == 0
+    argv = (["mphf", "build", str(wordlist), "-o", str(chm)] if subcommand == "build"
+            else ["mphf", "verify", str(chm), str(wordlist)])
+    monkeypatch.setattr(cli, "MAX_WORDLIST_BYTES", wordlist.stat().st_size)  # at the cap
+    assert main(argv, stdout=io.StringIO()) == 0
+    wordlist.write_text("alpha\nbeta\ngamma\ndelta\n\n")  # one past: a blank line more
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: word list must be at most %d bytes\n" % cli.MAX_WORDLIST_BYTES
+
+
 def test_mphf_verify_matches_per_word_query(tmp_path, capsys):
     words = ["w%03d" % i for i in range(60)]
     (tmp_path / "words.txt").write_text("".join(w + "\n" for w in words))
@@ -269,6 +284,27 @@ def test_mphf_build_rejects_ratio_past_cap(ratio, tmp_path, capsys):
     argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio", ratio]
     assert main(argv, stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == "error: ratio must be <= %d\n" % mphf.MAX_RATIO
+
+
+def test_mphf_build_vertex_cap_is_inclusive(monkeypatch, tmp_path, capsys):
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("alpha\nbeta\ngamma\ndelta\n")
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio"]
+    monkeypatch.setattr(mphf, "MAX_VERTICES", 12)
+    assert main(argv + ["3"], stdout=io.StringIO()) == 0  # n = 12, at the cap
+    assert main(argv + ["3.25"], stdout=io.StringIO()) == 2  # n = 13
+    assert capsys.readouterr().err == \
+        "error: table size ceil(ratio * words) = 13 must be at most 12\n"
+
+
+def test_mphf_build_refuses_a_table_past_the_vertex_cap(tmp_path, capsys):
+    # 20,972 words at ratio 100 ask for 2,097,200 vertices, 48 past 2**21.
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text("".join("w%05d\n" % i for i in range(20972)))
+    argv = ["mphf", "build", str(wordlist), "-o", str(tmp_path / "fn.chm"), "--ratio", "100"]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: table size ceil(ratio * words) = 2097200 must be at most %d\n" % mphf.MAX_VERTICES
 
 
 def test_mphf_build_trial_budget_exhausted_exits_one(monkeypatch, tmp_path, capsys):

@@ -16,7 +16,6 @@ from randlab.fingerprint import (
     MAX_MODULUS_BITS,
     MISMATCH,
     PRIME_DRAW_ROUNDS,
-    Document,
     LocalOracle,
     StreamOracle,
     TransportError,
@@ -40,7 +39,7 @@ def make_docs(length, corrupt_at, seed=1):
     corrupted = bytearray(data)
     for i in corrupt_at:
         corrupted[i] ^= 0x5A
-    return Document(data), Document(bytes(corrupted))
+    return LocalOracle(data), LocalOracle(bytes(corrupted))
 
 
 def test_residue_examples():
@@ -86,16 +85,16 @@ def test_residue_chunking_boundaries():
             value = int.from_bytes(data[:length], "big")
             assert residue(data[:length], m) == value % m, (m, length)
             assert residue(data[:length], value + 2) == value  # wider than the data
-    # Ranges of a document that start and end mid-chunk, through Document
+    # Ranges of a document that start and end mid-chunk, through LocalOracle
     # and through the wire protocol.
     k = fingerprint.CHUNK_BYTES
-    doc = Document(data[: 5 * k + 123])
-    ranges = ((0, len(doc)), (100, 3 * k + 77), (k - 1, 2 * k + 3), (2 * k + 5, 3 * k - 9),
-              (k // 2, 4 * k + 1), (len(doc) - 2 * k - 1, 2 * k + 1))
+    doc = LocalOracle(data[: 5 * k + 123])
+    ranges = ((0, doc.length()), (100, 3 * k + 77), (k - 1, 2 * k + 3), (2 * k + 5, 3 * k - 9),
+              (k // 2, 4 * k + 1), (doc.length() - 2 * k - 1, 2 * k + 1))
     for m in (round_primes[0], wide_primes[0], math.prod(round_primes[:10])):
         for offset, length in ranges:
             expected = int.from_bytes(data[offset : offset + length], "big") % m
-            assert doc.residue(m, offset, length) == expected, (m, offset, length)
+            assert doc.residue(offset, length, m) == expected, (m, offset, length)
             if m.bit_length() <= MAX_PRIME_BITS:
                 out = io.StringIO()
                 assert serve_oracle(doc, io.StringIO("Q %d %d %d\n" % (offset, length, m)), out) == 1
@@ -106,7 +105,7 @@ def test_residue_memory_is_bounded_by_the_chunk():
     # Reducing the whole 4 MiB at once peaked at 12.8 MiB, and a range was a copy.
     rng = SplitMix64(4)
     modulus = math.prod(random_prime_in(DEFAULT_PRIME_LO, DEFAULT_PRIME_HI, 2, rng) for _ in range(10))
-    doc = Document(random.Random(4).randbytes(4 << 20))
+    doc = LocalOracle(random.Random(4).randbytes(4 << 20))
     # Two chunks of the widest modulus were reduced by one division, which
     # peaked at 6.4 chunk sizes.
     widest = (1 << MAX_MODULUS_BITS) - 1
@@ -116,7 +115,7 @@ def test_residue_memory_is_bounded_by_the_chunk():
         whole = residue(doc.data, modulus)
         whole_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        middle = doc.residue(modulus, 1 << 20, 2 << 20)
+        middle = doc.residue(1 << 20, 2 << 20, modulus)
         middle_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         wide = residue(two_chunks, widest)
@@ -134,18 +133,19 @@ def test_residue_memory_is_bounded_by_the_chunk():
 def reference_verify(local, remote, rounds, rng, prime_lo=DEFAULT_PRIME_LO,
                      prime_hi=DEFAULT_PRIME_HI):
     """Round-by-round verify: one draw and one reduction per side per round."""
-    if remote.length() != len(local):
+    n = local.length()
+    if remote.length() != n:
         return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
     primes, pairs = [], []
     for done in range(1, rounds + 1):
         p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
         primes.append(p)
-        pairs.append((local.residue(p), remote.residue(0, len(local), p)))
+        pairs.append((local.residue(0, n, p), remote.residue(0, n, p)))
         if pairs[-1][0] != pairs[-1][1]:
             return VerifyReport(MISMATCH, done, primes, pairs,
-                                structural_bound(len(local), done, prime_lo, prime_hi))
+                                structural_bound(n, done, prime_lo, prime_hi))
     return VerifyReport(MATCH, rounds, primes, pairs,
-                        structural_bound(len(local), rounds, prime_lo, prime_hi))
+                        structural_bound(n, rounds, prime_lo, prime_hi))
 
 
 def verify_cases():
@@ -176,15 +176,15 @@ def verify_cases():
                 value = int.from_bytes(data, "big")
             other = value.to_bytes(size, "big")
             rounds = max(rounds, 2)
-        yield Document(data), Document(other), rounds, seed
+        yield LocalOracle(data), LocalOracle(other), rounds, seed
 
 
 def test_verify_matches_round_by_round_reference():
     kinds = {"match": 0, "mismatch": 0, "late": 0, "length": 0}
     for local, remote, rounds, seed in verify_cases():
         rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
-        report = verify(local, LocalOracle(remote), rounds, rng)
-        expected = reference_verify(local, LocalOracle(remote), rounds, ref_rng)
+        report = verify(local, remote, rounds, rng)
+        expected = reference_verify(local, remote, rounds, ref_rng)
         assert report == expected, seed
         wire, wire_rng = Wire(remote), SplitMix64(seed)
         assert verify(local, StreamOracle(wire, wire), rounds, wire_rng) == report, seed
@@ -235,7 +235,7 @@ def test_verify_over_wire_sends_one_query(corrupt_at, rounds, lo, hi):
     oracle, rng = StreamOracle(wire, wire), SplitMix64(5)
     report = verify(local, oracle, rounds, rng, lo, hi)
     ref_rng = SplitMix64(5)
-    assert report == reference_verify(local, LocalOracle(remote), rounds, ref_rng, lo, hi)
+    assert report == reference_verify(local, remote, rounds, ref_rng, lo, hi)
     assert report.rounds == (1 if corrupt_at else rounds)
     # A mismatch draws the later rounds' primes too; one Q names the product of all.
     primes = report.primes_used + [random_prime_in(lo, hi, PRIME_DRAW_ROUNDS, ref_rng)
@@ -245,11 +245,41 @@ def test_verify_over_wire_sends_one_query(corrupt_at, rounds, lo, hi):
     assert rng.state == ref_rng.state
 
 
+def test_verify_asks_each_side_once():
+    for corrupt_at in ([], [1234]):
+        local, remote = make_docs(3000, corrupt_at)
+        verify(local, remote, 10, SplitMix64(5))
+        assert local.queries == remote.queries == 1
+        local, remote = make_docs(3000, corrupt_at)
+        wire = Wire(remote)
+        oracle = StreamOracle(wire, wire)
+        verify(local, oracle, 10, SplitMix64(5))
+        assert local.queries == oracle.queries == wire.queries == 1
+
+
+def test_localize_asks_both_sides_alike():
+    local, remote = make_docs(1024, [3, 700, 900])
+    assert localize(local, remote, 2, SplitMix64(7)) == [(3, 1), (700, 1), (900, 1)]
+    assert local.queries == remote.queries > 3
+
+
+def test_local_oracle_answers_from_its_copy():
+    data = bytearray(b"hello world")
+    oracle = LocalOracle(data)
+    data[0] ^= 1
+    assert oracle.length() == 11
+    assert oracle.residue(0, 11, 10**9 + 7) == int.from_bytes(b"hello world", "big") % (10**9 + 7)
+
+
+def test_document_is_a_name_for_local_oracle():
+    assert fingerprint.Document is LocalOracle
+
+
 def test_residue_modulo_a_product_reduces_to_each_prime():
     doc, _ = make_docs(3000, [])
     primes = [random_prime_in(10**9, 2 * 10**9, 8, SplitMix64(s)) for s in range(10)]
     wire = Wire(doc)
-    for oracle in (LocalOracle(doc), StreamOracle(wire, wire)):
+    for oracle in (LocalOracle(doc.data), StreamOracle(wire, wire)):
         for offset, length in ((0, 3000), (17, 1000), (2999, 1), (5, 0)):
             whole = oracle.residue(offset, length, math.prod(primes))
             assert [whole % p for p in primes] == \
@@ -260,7 +290,7 @@ def test_residue_modulo_a_product_reduces_to_each_prime():
 def test_verify_equal_documents_always_match():
     doc, _ = make_docs(256, [])
     for seed in range(20):
-        report = verify(doc, LocalOracle(Document(doc.data)), 3, SplitMix64(seed))
+        report = verify(doc, LocalOracle(doc.data), 3, SplitMix64(seed))
         assert report.verdict == MATCH
         assert all(a == b for a, b in report.per_round_residue_pairs)
 
@@ -268,20 +298,20 @@ def test_verify_equal_documents_always_match():
 def test_verify_single_byte_difference_detected():
     local, remote = make_docs(1024, [700])
     for seed in range(50):
-        report = verify(local, LocalOracle(remote), 10, SplitMix64(seed))
+        report = verify(local, remote, 10, SplitMix64(seed))
         assert report.verdict == MISMATCH
         a, b = report.per_round_residue_pairs[-1]
         assert a != b
 
 
 def test_verify_tiny_documents():
-    report = verify(Document(b"\x02"), LocalOracle(Document(b"\x03")), 1, SplitMix64(0))
+    report = verify(LocalOracle(b"\x02"), LocalOracle(b"\x03"), 1, SplitMix64(0))
     assert report.verdict == MISMATCH
     assert report.per_round_residue_pairs[0] == (2, 3)
 
 
 def test_verify_length_mismatch_flagged():
-    report = verify(Document(b"ab"), LocalOracle(Document(b"abc")), 5, SplitMix64(0))
+    report = verify(LocalOracle(b"ab"), LocalOracle(b"abc"), 5, SplitMix64(0))
     assert report.verdict == MISMATCH
     assert report.length_mismatch
     assert report.rounds == 0
@@ -290,9 +320,9 @@ def test_verify_length_mismatch_flagged():
 def test_verify_rejects_zero_rounds():
     for rounds in (0, MAX_ROUNDS + 1):
         with pytest.raises(ValueError):
-            verify(Document(b"x"), LocalOracle(Document(b"x")), rounds, SplitMix64(0))
+            verify(LocalOracle(b"x"), LocalOracle(b"x"), rounds, SplitMix64(0))
         with pytest.raises(ValueError):
-            localize(Document(b"x"), LocalOracle(Document(b"x")), rounds, SplitMix64(0))
+            localize(LocalOracle(b"x"), LocalOracle(b"x"), rounds, SplitMix64(0))
 
 
 def test_structural_bound_values():
@@ -375,39 +405,38 @@ def test_wide_interval_prime_count_not_positive_reads_one():
 
 def test_false_positive_bound_reported_on_match():
     doc, _ = make_docs(1024, [])
-    report = verify(doc, LocalOracle(Document(doc.data)), 10, SplitMix64(4))
+    report = verify(doc, LocalOracle(doc.data), 10, SplitMix64(4))
     assert report.false_positive_bound == structural_bound(1024, 10)
 
 
 def test_localize_single_corruption():
     local, remote = make_docs(1024, [700])
-    oracle = LocalOracle(remote)
-    ranges = localize(local, oracle, 2, SplitMix64(11))
+    ranges = localize(local, remote, 2, SplitMix64(11))
     assert ranges == [(700, 1)]
     # Message budget: one root probe plus two probes per bisection level.
-    assert oracle.queries <= 2 * 10 * 2 + 2
+    assert remote.queries <= 2 * 10 * 2 + 2
 
 
 def test_localize_two_corruptions():
     local, remote = make_docs(1024, [3, 900])
-    ranges = localize(local, remote_oracle := LocalOracle(remote), 2, SplitMix64(7))
+    ranges = localize(local, remote, 2, SplitMix64(7))
     assert ranges == [(3, 1), (900, 1)]
-    assert remote_oracle.queries >= 2
+    assert remote.queries >= 2
 
 
 def test_localize_identical_documents_empty():
     doc, _ = make_docs(64, [])
-    assert localize(doc, LocalOracle(Document(doc.data)), 2, SplitMix64(0)) == []
+    assert localize(doc, LocalOracle(doc.data), 2, SplitMix64(0)) == []
 
 
 def test_localize_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        localize(Document(b"ab"), LocalOracle(Document(b"abc")), 2, SplitMix64(0))
+        localize(LocalOracle(b"ab"), LocalOracle(b"abc"), 2, SplitMix64(0))
 
 
 def test_localize_odd_length_document():
     local, remote = make_docs(1001, [997])
-    assert localize(local, LocalOracle(remote), 2, SplitMix64(5)) == [(997, 1)]
+    assert localize(local, remote, 2, SplitMix64(5)) == [(997, 1)]
 
 
 def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PRIME_LO,
@@ -417,7 +446,7 @@ def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PR
     def probe_mismatch(offset, length):
         for _ in range(rounds_per_probe):
             p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
-            if local.residue(p, offset, length) != remote.residue(offset, length, p):
+            if local.residue(offset, length, p) != remote.residue(offset, length, p):
                 return True
         return False
 
@@ -433,8 +462,8 @@ def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PR
         if probe_mismatch(offset + half, length - half):
             descend(offset + half, length - half)
 
-    if len(local) and probe_mismatch(0, len(local)):
-        descend(0, len(local))
+    if local.length() and probe_mismatch(0, local.length()):
+        descend(0, local.length())
     return found
 
 
@@ -452,11 +481,10 @@ def test_localize_matches_recursive_reference():
                 positions = sorted(pick.sample(range(length), min(flips, length)))
                 for i in positions:
                     corrupted[i] ^= pick.randrange(1, 256)
-                local, remote = Document(data), Document(bytes(corrupted))
+                local, remote = LocalOracle(data), LocalOracle(bytes(corrupted))
                 rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
-                ranges = localize(local, LocalOracle(remote), rounds, rng, lo, hi)
-                assert ranges == reference_localize(local, LocalOracle(remote), rounds,
-                                                    ref_rng, lo, hi), seed
+                ranges = localize(local, remote, rounds, rng, lo, hi)
+                assert ranges == reference_localize(local, remote, rounds, ref_rng, lo, hi), seed
                 assert rng.state == ref_rng.state, seed
                 if lo == DEFAULT_PRIME_LO:
                     assert ranges == [(i, 1) for i in positions], seed
@@ -465,14 +493,14 @@ def test_localize_matches_recursive_reference():
 
 
 def test_stream_oracle_protocol_round_trip():
-    doc = Document(bytes(range(200)))
+    doc = LocalOracle(bytes(range(200)))
     wire = Wire(doc)
     oracle = StreamOracle(wire, wire)
     assert oracle.length() == 200
-    assert oracle.residue(0, 200, 10**9 + 7) == doc.residue(10**9 + 7)
-    assert oracle.residue(10, 20, 65521) == doc.residue(65521, 10, 20)
+    assert oracle.residue(0, 200, 10**9 + 7) == doc.residue(0, 200, 10**9 + 7)
+    assert oracle.residue(10, 20, 65521) == doc.residue(10, 20, 65521)
 
-    report = verify(Document(doc.data), StreamOracle(wire, wire), 2, SplitMix64(0))
+    report = verify(LocalOracle(doc.data), StreamOracle(wire, wire), 2, SplitMix64(0))
     assert report.verdict == MATCH
 
 
@@ -526,32 +554,32 @@ def test_stream_oracle_rejects_negative_length():
                          ids=["short-Q", "non-numeric", "out-of-range", "prime-below-2",
                               "L-with-argument", "modulus-past-cap"])
 def test_serve_oracle_answers_bad_request_and_keeps_serving(request_line):
-    doc = Document(b"hello world")  # 11 bytes
+    doc = LocalOracle(b"hello world")  # 11 bytes
     out = io.StringIO()
     served = serve_oracle(doc, io.StringIO(request_line + "\nQ 0 11 101\n"), out)
     error, answer = out.getvalue().splitlines()
     assert error.startswith("E ")
-    assert answer == "R %d" % doc.residue(101)
+    assert answer == "R %d" % doc.residue(0, 11, 101)
     assert served == 1
 
 
 def test_serve_oracle_prime_cap_is_inclusive():
     # 2**256 - 189 and 2**256 + 297 are the primes on either side of 2**256.
-    doc = Document(b"hello world")
+    doc = LocalOracle(b"hello world")
     out = io.StringIO()
     widest = 2**MAX_PRIME_BITS - 189
     assert serve_oracle(doc, io.StringIO("Q 0 11 %d\n" % widest), out) == 1
-    assert out.getvalue() == "R %d\n" % doc.residue(widest)
+    assert out.getvalue() == "R %d\n" % doc.residue(0, 11, widest)
 
 
 def test_serve_oracle_modulus_cap_is_inclusive():
-    doc = Document(b"hello world")
+    doc = LocalOracle(b"hello world")
     widest = (1 << MAX_MODULUS_BITS) - 1
     out = io.StringIO()
     requests = "Q 0 11 %#x\nQ 0 11 %#x\n" % (widest, widest + 1)
     assert serve_oracle(doc, io.StringIO(requests), out) == 1
     assert out.getvalue() == "R %#x\nE modulus must be at most %d bits\n" % (
-        doc.residue(widest), MAX_MODULUS_BITS)
+        doc.residue(0, 11, widest), MAX_MODULUS_BITS)
 
 
 # An old client's session: decimal moduli, L, bad and overlong lines, then
@@ -574,7 +602,7 @@ OLD_CLIENT_REPLIES = (
 def test_serve_oracle_replays_an_old_decimal_session():
     out = io.StringIO()
     requests = io.StringIO("".join(line + "\n" for line in OLD_CLIENT_REQUESTS))
-    assert serve_oracle(Document(b"hello world"), requests, out) == 6
+    assert serve_oracle(LocalOracle(b"hello world"), requests, out) == 6
     assert out.getvalue() == OLD_CLIENT_REPLIES
 
 
@@ -586,9 +614,9 @@ def test_stream_oracle_raises_on_error_reply():
 
 def test_serve_oracle_stops_at_non_protocol_line():
     out = io.StringIO()
-    served = serve_oracle(Document(b"xy"), io.StringIO('Q 0 2 101\n{"report": 1}\n'), out)
+    served = serve_oracle(LocalOracle(b"xy"), io.StringIO('Q 0 2 101\n{"report": 1}\n'), out)
     assert served == 1
-    assert out.getvalue() == "R %d\n" % Document(b"xy").residue(101)
+    assert out.getvalue() == "R %d\n" % LocalOracle(b"xy").residue(0, 2, 101)
 
 
 class LongLineReader:
@@ -621,7 +649,7 @@ def test_serve_oracle_skips_an_overlong_line_in_bounded_memory():
     out = io.StringIO()
     tracemalloc.start()
     try:
-        served = serve_oracle(Document(b"hello world"), reader, out)
+        served = serve_oracle(LocalOracle(b"hello world"), reader, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,8 +662,8 @@ def test_serve_oracle_skips_an_overlong_line_in_bounded_memory():
 def test_serve_oracle_reads_a_line_of_the_bound():
     line = "Q 0 11 101" + " " * (MAX_LINE - 11) + "\n"
     out = io.StringIO()
-    assert serve_oracle(Document(b"hello world"), io.StringIO(line), out) == 1
-    assert out.getvalue() == "R %d\n" % Document(b"hello world").residue(101)
+    assert serve_oracle(LocalOracle(b"hello world"), io.StringIO(line), out) == 1
+    assert out.getvalue() == "R %d\n" % LocalOracle(b"hello world").residue(0, 11, 101)
 
 
 def test_stream_oracle_refuses_an_overlong_reply():
@@ -656,6 +684,6 @@ def test_completeness_random_unequal_pairs():
         other = bytearray(data)
         index = byte()
         other[index] ^= 1 + flip()
-        report = verify(Document(bytes(data)), LocalOracle(Document(bytes(other))),
+        report = verify(LocalOracle(bytes(data)), LocalOracle(bytes(other)),
                         1, derive_stream(3141, trial))
         assert report.verdict == MISMATCH, trial

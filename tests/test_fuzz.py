@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randlab import cli, mphf, ramsey
-from randlab.fingerprint import Document, serve_oracle
+from randlab.fingerprint import LocalOracle, serve_oracle
 from randlab.natnum import parse_natural
 from randlab.rng import SplitMix64
 
@@ -28,7 +28,7 @@ FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None
 # Each example of a file reader writes files and makes one cli.main call.
 FUZZ_FILES = settings(FUZZ, max_examples=60)
 
-DOC = Document(b"hello world")
+DOC = LocalOracle(b"hello world")
 
 # Spellings that int() reads as a number but the strict grammar refuses:
 # a sign, underscores, and non-ASCII digits (Arabic-Indic, fullwidth,
@@ -66,7 +66,7 @@ def test_serve_oracle_answers_every_request(requests):
     replies = out.getvalue().splitlines()
     assert len(replies) == len(lines) + 1
     assert all(r[:2] in ("R ", "L ", "E ") for r in replies)
-    assert replies[-1] == "R %d" % DOC.residue(101)
+    assert replies[-1] == "R %d" % DOC.residue(0, 11, 101)
     assert served == sum(r.startswith("R ") for r in replies)
 
 
