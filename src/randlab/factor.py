@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .primality import MAX_TARGET_BITS, is_probable_prime
+from .primality import MAX_TARGET_BITS, _is_prime_exact, is_probable_prime
 from .rng import SplitMix64
 
 # Bases tried by pollard_pm1, in order.  Base 2 alone is blind to inputs
@@ -27,7 +27,7 @@ from .rng import SplitMix64
 # bases break those ties.
 PM1_BASES = (2, 3, 5, 7)
 
-# Rounds for the compositeness precondition checks.
+# Rounds for the compositeness precondition check of an N of 2**64 or more.
 _VALIDATION_ROUNDS = 16
 _VALIDATION_SEED = 0x5EED
 
@@ -109,7 +109,9 @@ def _check_target(N: int, require_coprime_6: bool = False) -> None:
         raise ValueError("N must be coprime to 6")
     if is_perfect_power(N):
         raise ValueError("N must not be a perfect power")
-    if is_probable_prime(N, _VALIDATION_ROUNDS, SplitMix64(_VALIDATION_SEED)).is_probably_prime:
+    # Below 2**64 the fixed bases decide N exactly, with no generator built.
+    if (_is_prime_exact(N) if N < 1 << 64 else
+            is_probable_prime(N, _VALIDATION_ROUNDS, SplitMix64(_VALIDATION_SEED)).is_probably_prime):
         raise ValueError("N is probably prime; nothing to factor")
 
 

@@ -6,9 +6,10 @@ integer mod p, and the residues are compared: unequal residues prove the
 documents differ, while equal residues on every round make inequality
 extremely unlikely (a difference of n-byte documents has at most
 8n / log2(10**9 + 1) prime divisors above 10**9, compared with the tens of
-millions of primes in the interval).  ``verify`` draws every round's prime
-up front, and each side is asked once for its document's residue modulo
-the product of the primes; a round's residue is that remainder mod its
+millions of primes in the interval).  A ``verify`` or ``localize`` call
+draws all its primes from one ``prime_sampler``.  ``verify`` draws every
+round's prime up front, and each side is asked once for its document's
+residue modulo the product of the primes; a round's residue is that remainder mod its
 prime, since each prime divides the product.  ``residue`` reduces a long
 byte range by a multiply-accumulate over fixed-size chunks, each times its
 weight 256**(chunk bytes * place) mod the modulus, and one short division
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .natnum import parse_natural
-from .primality import MAX_PRIME_BITS, MAX_ROUNDS, _is_prime_exact, check_rounds, random_prime_in
+from .primality import MAX_PRIME_BITS, MAX_ROUNDS, _is_prime_exact, check_rounds, prime_sampler
 from .rng import SplitMix64
 
 MATCH = "match"
@@ -298,7 +299,8 @@ def verify(local, remote, rounds: int, rng: SplitMix64,
     check_rounds("rounds", rounds)
     if remote.length() != (n := local.length()):
         return VerifyReport(MISMATCH, 0, [], [], Fraction(0), length_mismatch=True)
-    primes = [random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng) for _ in range(rounds)]
+    draw = prime_sampler(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
+    primes = [draw() for _ in range(rounds)]
     product = math.prod(primes)
     local_whole, remote_whole = local.residue(0, n, product), remote.residue(0, n, product)
     pairs: list[tuple[int, int]] = []
@@ -326,16 +328,19 @@ def localize(local, remote, rounds_per_probe: int, rng: SplitMix64,
     check_rounds("rounds_per_probe", rounds_per_probe)
     if remote.length() != (n := local.length()):
         raise ValueError("localize requires documents of equal length")
+    if not n:  # nothing to probe, so no sampler and no draw
+        return []
+    draw = prime_sampler(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
 
     def probe_mismatch(offset: int, length: int) -> bool:
         for _ in range(rounds_per_probe):
-            p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
+            p = draw()
             if local.residue(offset, length, p) != remote.residue(offset, length, p):
                 return True
         return False
 
     found: list[tuple[int, int]] = []
-    pending = [(0, n)] if n else []  # ranges still to probe, last first
+    pending = [(0, n)]  # ranges still to probe, last first
     while pending:
         offset, length = pending.pop()
         if not probe_mismatch(offset, length):

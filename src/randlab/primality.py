@@ -23,6 +23,9 @@ fixed bases, with no draw, so there the search is Las Vegas: the prime it
 returns is certain and only the number of candidates drawn is random.  From
 2**64 up each survivor gets random-base rounds, and the search is Monte
 Carlo: a composite passes them with probability below 4**-rounds.
+``prime_sampler`` is that search as work out once, draw many: the interval's
+checks and layout are settled when it is built, and each call of the function
+it returns draws one prime; ``random_prime_in`` is one such call.
 
 The witness density of an odd composite n is counted exactly, not by testing
 every base (Rabin, J. Number Theory 12, 1980; Monier, Theoret. Comput. Sci.
@@ -73,12 +76,9 @@ MAX_PRIME_BITS = 256
 # prime with _is_prime_exact before any draw.
 SMALL_SPAN = 64
 
-# (bound, bases): an odd n >= 3 below bound that passes a strong round at
-# every base (reduced mod n, skipped where n divides it) is prime.
-_EXACT_BASES = (
-    (4_759_123_141, (2, 7, 61)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-)
+# (bound, bases, bases): an odd n >= 3 below bound (below 2**64) that passes a
+# strong round at every base of the first (second) tuple is prime.
+_EXACT_BASES = (4_759_123_141, (2, 7, 61), (2, 325, 9375, 28178, 450775, 9780504, 1795265022))
 
 
 class PrimelessIntervalError(RuntimeError):
@@ -95,22 +95,27 @@ class PrimalityVerdict(NamedTuple):
         return self.answer == PROBABLY_PRIME
 
 
-def _strong_round(n: int, k: int, q: int, x: int) -> bool:
-    """One strong round for odd n with n - 1 = 2**k * q, at base x in (1, n).
+def _strong_rounds(n: int, k: int, q: int, bases: tuple[int, ...]) -> bool:
+    """Strong rounds on odd n with n - 1 = 2**k * q, one at each base (reduced
+    mod n, skipped where n divides it).
 
-    True ("yes": n passed, consistent with prime) or False ("no": x
+    True ("yes": n passed them all, consistent with prime) or False (a base
     witnesses that n is composite).
     """
-    y = pow(x, q, n)
-    if y == 1:
-        return True
-    for _ in range(k):
-        if y == n - 1:
-            return True
-        if y == 1:
+    m = n - 1
+    for x in bases:
+        if not x % n:
+            continue
+        y = pow(x, q, n)
+        if y == 1 or y == m:
+            continue
+        for _ in range(k - 1):
+            y = y * y % n
+            if y == m:
+                break
+        else:  # no x**(2**i * q) with i < k is -1
             return False
-        y = y * y % n
-    return False
+    return True
 
 
 def check_rounds(name: str, rounds: int) -> None:
@@ -157,31 +162,19 @@ def _first_witness_round(n: int, rounds: int, rng: SplitMix64) -> int:
     """
     k, q = decompose_two_power(n)
     draw = rng.sampler(n - 2)
-    if not _strong_round(n, k, q, 2 + draw()):
+    if not _strong_rounds(n, k, q, (2 + draw(),)):
         return 1
-    bases = _exact_bases(n)
-    if bases is not None and len(bases) < rounds - 1 and _passes_bases(n, k, q, bases):
+    bound, small, large = _EXACT_BASES
+    bases = small if n < bound else large
+    if n < 1 << 64 and len(bases) < rounds - 1 and _strong_rounds(n, k, q, bases):
         # n is prime, so every later round passes: make its draws, skip its pow.
         for _ in range(rounds - 1):
             draw()
         return 0
     for used in range(2, rounds + 1):
-        if not _strong_round(n, k, q, 2 + draw()):
+        if not _strong_rounds(n, k, q, (2 + draw(),)):
             return used
     return 0
-
-
-def _exact_bases(n: int) -> tuple[int, ...] | None:
-    """The bases of n's tier in _EXACT_BASES, or None at 2**64 and above."""
-    for bound, bases in _EXACT_BASES:
-        if n < bound:
-            return bases
-    return None
-
-
-def _passes_bases(n: int, k: int, q: int, bases: tuple[int, ...]) -> bool:
-    """Strong rounds on odd n - 1 = 2**k * q at each base mod n but 0."""
-    return all(_strong_round(n, k, q, a % n) for a in bases if a % n)
 
 
 def _is_prime_exact(n: int) -> bool:
@@ -192,8 +185,10 @@ def _is_prime_exact(n: int) -> bool:
             return n == p
     if n < 2:
         return False
-    k, q = decompose_two_power(n)
-    return _passes_bases(n, k, q, _exact_bases(n))
+    m = n - 1
+    k = (m & -m).bit_length() - 1  # m & -m is the lowest set bit of m
+    bound, small, large = _EXACT_BASES
+    return _strong_rounds(n, k, m >> k, small if n < bound else large)
 
 
 # The 45 odd primes below 200 and their product; random_prime_in skips an odd
@@ -244,6 +239,38 @@ def _unit_group_orders(n: int) -> list[int]:
     return orders
 
 
+def prime_sampler(lo: int, hi: int, rounds: int, rng: SplitMix64):
+    """Function of no arguments drawing one prime of (lo, hi) per call, as
+    ``random_prime_in`` does: work out once, draw many.  The checks, the
+    SMALL_SPAN probe and the index sampler run here, so their errors come
+    from this call, with no draw."""
+    check_rounds("rounds", rounds)
+    check_prime_interval(lo, hi)
+    first = (lo + 1) | 1  # the least odd integer above lo
+    odds = (hi - first + 1) // 2
+    span = odds + (lo < 2 < hi)  # index ``odds`` stands for 2
+    if not span:
+        raise PrimelessIntervalError("no prime in (%d, %d): its one integer is even" % (lo, hi))
+    if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**64
+            and not any(map(_is_prime_exact, range(lo + 1, hi)))):
+        raise PrimelessIntervalError("no probable prime in (%d, %d): an exact test finds none" % (lo, hi))
+    draw = rng.sampler(span)
+
+    def sample() -> int:
+        for _ in range(PRIME_SEARCH_LIMIT):
+            i = draw()
+            n = first + 2 * i if i < odds else 2
+            # A factor in _SIEVE makes n composite unless it is that factor.
+            if ((math.gcd(n, _SIEVE) == 1 or n in _SIEVE_PRIMES)
+                    and (_is_prime_exact(n) if n < 1 << 64 else not _first_witness_round(n, rounds, rng))):
+                return n
+        raise PrimelessIntervalError(
+            "no probable prime in (%d, %d) after %d draws" % (lo, hi, PRIME_SEARCH_LIMIT)
+        )
+
+    return sample
+
+
 def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     """Draw uniformly from the odd integers of (lo, hi), and 2 if it lies
     inside, until a prime appears; below 2**64 it is certain, from 2**64 up
@@ -262,24 +289,4 @@ def random_prime_in(lo: int, hi: int, rounds: int, rng: SplitMix64) -> int:
     uniform over the primes (from 2**64 up, the probable primes) of the
     interval.
     """
-    check_rounds("rounds", rounds)
-    check_prime_interval(lo, hi)
-    first = (lo + 1) | 1  # the least odd integer above lo
-    odds = (hi - first + 1) // 2
-    span = odds + (lo < 2 < hi)  # index ``odds`` stands for 2
-    if not span:
-        raise PrimelessIntervalError("no prime in (%d, %d): its one integer is even" % (lo, hi))
-    if (hi - lo - 1 <= SMALL_SPAN and hi <= 2**64
-            and not any(map(_is_prime_exact, range(lo + 1, hi)))):
-        raise PrimelessIntervalError("no probable prime in (%d, %d): an exact test finds none" % (lo, hi))
-    draw = rng.sampler(span)
-    for _ in range(PRIME_SEARCH_LIMIT):
-        i = draw()
-        n = first + 2 * i if i < odds else 2
-        # A factor in _SIEVE makes n composite unless it is that factor.
-        if ((math.gcd(n, _SIEVE) == 1 or n in _SIEVE_PRIMES)
-                and (_is_prime_exact(n) if n < 1 << 64 else not _first_witness_round(n, rounds, rng))):
-            return n
-    raise PrimelessIntervalError(
-        "no probable prime in (%d, %d) after %d draws" % (lo, hi, PRIME_SEARCH_LIMIT)
-    )
+    return prime_sampler(lo, hi, rounds, rng)()

@@ -15,6 +15,7 @@ from randlab.cli import _probability, _read_wordlist, main
 from randlab.rng import derive_stream
 from replay import normalize
 from test_fingerprint import BrokenPipe
+from test_golden import CASES
 
 
 def run_cli(argv):
@@ -39,6 +40,43 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def parsed_by_main(argv, monkeypatch):
+    """vars() of the namespace main hands its handler for ``argv``."""
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args, stdout: (seen.append(vars(args)),
+                                                                      (None, 0))[1])
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_leaf_dispatch_parses_every_golden_argv_as_the_full_parser_does(monkeypatch):
+    for argv in CASES.values():
+        assert tuple(argv[:2]) in cli.LEAVES
+        by_leaf = parsed_by_main(argv, monkeypatch)
+        with monkeypatch.context() as full:
+            full.setattr(cli, "LEAVES", {})
+            assert parsed_by_main(argv, full) == by_leaf, argv
+        assert [by_leaf["command"], by_leaf["subcommand"]] == argv[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prime", "witness-density", "561", "--seed", "3"],  # an extra argument
+    ["prime", "test", "561", "--rounds", "x"],  # a bad type
+    ["prime", "random", "--lo", "3"],  # a missing required option
+    ["prime", "test", "-h"],
+    ["prime", "foo"],
+    ["prime"],
+    [],
+])
+def test_leaf_dispatch_fails_as_the_full_parser_does(argv, monkeypatch, capsys):
+    code = main(argv)
+    by_leaf = capsys.readouterr()
+    monkeypatch.setattr(cli, "LEAVES", {})
+    assert main(argv) == code
+    assert capsys.readouterr() == by_leaf
+    assert code == (0 if "-h" in argv else 2) and (by_leaf.err or by_leaf.out)
 
 
 def test_prime_test_carmichael(capsys):
@@ -190,6 +228,15 @@ def test_fingerprint_localize_files(tmp_path, capsys):
     code, doc = run_cli(["fingerprint", "localize", str(a), "--remote", str(b)])
     assert code == 0
     assert doc["result"]["corrupted_ranges"] == [{"offset": 700, "length": 1}]
+
+
+def test_fingerprint_localize_empty_files_exits_zero_on_a_primeless_interval(tmp_path, capsys):
+    for name in ("a.bin", "b.bin"):
+        (tmp_path / name).write_bytes(b"")
+    code, doc = run_cli(["fingerprint", "localize", str(tmp_path / "a.bin"), "--remote",
+                         str(tmp_path / "b.bin"), "--prime-lo", "8", "--prime-hi", "10"])
+    assert code == 0
+    assert doc["result"]["corrupted_ranges"] == []
 
 
 def test_mphf_build_query_verify(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from randlab import factor
 from randlab.factor import (
     _add,
     _double,
@@ -306,6 +307,20 @@ def test_ecm_validates_input():
         ecm_stage1(35, 1, 5, SplitMix64(0))  # b1 too small
     with pytest.raises(ValueError):
         ecm_stage1(35, 10, 0, SplitMix64(0))  # no curves
+
+
+def test_targets_below_2_64_are_decided_exactly_with_no_generator(monkeypatch):
+    # Below 2**64 the fixed bases settle N: no seeded rounds, no generator.
+    monkeypatch.setattr(factor, "SplitMix64", None)
+    for prime in (97, 4759123129, 2**61 - 1, 2**64 - 59):
+        with pytest.raises(ValueError, match="nothing to factor"):
+            pollard_pm1(prime, 5)
+    # Strong pseudoprimes to 2, 7, 61 and to the first nine prime bases.
+    for composite in (4759123141, 3825123056546413051):
+        factor._check_target(composite, require_coprime_6=True)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="nothing to factor"):
+        pollard_pm1(2**89 - 1, 5)  # from 2**64 up, the seeded rounds decide
 
 
 def test_not_invertible_is_the_factoring_channel():

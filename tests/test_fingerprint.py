@@ -429,6 +429,13 @@ def test_localize_identical_documents_empty():
     assert localize(doc, LocalOracle(doc.data), 2, SplitMix64(0)) == []
 
 
+def test_localize_empty_documents_draw_nothing_even_from_a_primeless_interval():
+    # No probe, so no sampler: (8, 10) holds only 9, which would be refused.
+    rng = SplitMix64(4)
+    assert localize(LocalOracle(b""), LocalOracle(b""), 3, rng, 8, 10) == []
+    assert rng.state == 4
+
+
 def test_localize_length_mismatch_rejected():
     with pytest.raises(ValueError):
         localize(LocalOracle(b"ab"), LocalOracle(b"abc"), 2, SplitMix64(0))

@@ -1,6 +1,8 @@
 import collections
 import random
+from array import array
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -32,7 +34,7 @@ def sieve(limit):
 def strong_round(n, x):
     """One strong round of odd n >= 3 at base x in (1, n)."""
     k, q = decompose_two_power(n)
-    return primality._strong_round(n, k, q, x)
+    return primality._strong_rounds(n, k, q, (x,))
 
 
 def test_single_round_examples():
@@ -100,9 +102,32 @@ def test_witness_density_examples():
 
 
 def per_base_density(n):
-    """witness_density by the definition: one strong round on every base in (1, n)."""
+    """witness_density by the definition: one strong round on every base in (1, n).
+
+    x**q mod n comes from a smallest-prime-factor table, so ``pow`` runs only
+    at primes: x = p * y with p the least prime factor of x takes the one
+    product (p**q mod n) * (y**q mod n).  The round's squarings follow.
+    """
     k, q = decompose_two_power(n)
-    return Fraction(sum(primality._strong_round(n, k, q, x) for x in range(2, n)), n - 2)
+    least = array("l", range(n))  # least prime factor of each x < n
+    flags = sieve(isqrt(n - 1) + 1)
+    for p in reversed(range(len(flags))):  # the smallest prime writes last
+        if flags[p]:
+            least[p * p :: p] = array("l", [p]) * len(range(p * p, n, p))
+    powers = array("l", [0]) * n  # powers[x] = x**q mod n once x is reached
+    liars = 0
+    for x in range(2, n):
+        p = least[x]
+        y = powers[x] = pow(x, q, n) if p == x else powers[p] * powers[x // p] % n
+        if y == 1 or y == n - 1:
+            liars += 1
+            continue
+        for _ in range(k - 1):
+            y = y * y % n
+            if y == n - 1:
+                liars += 1
+                break
+    return Fraction(liars, n - 2)
 
 
 def test_witness_density_matches_per_base_scan():
@@ -262,7 +287,7 @@ def reference_first_witness_round(n, rounds, rng):
     k, q = decompose_two_power(n)
     draw = rng.sampler(n - 2)
     for used in range(1, rounds + 1):
-        if not primality._strong_round(n, k, q, 2 + draw()):
+        if not primality._strong_rounds(n, k, q, (2 + draw(),)):
             return used
     return 0
 
@@ -291,7 +316,7 @@ def test_first_witness_round_catches_pseudoprimes_to_fixed_bases():
     # must still be reported composite.
     n = 4759123141
     k, q = decompose_two_power(n)
-    assert all(primality._strong_round(n, k, q, a) for a in (2, 7, 61))
+    assert primality._strong_rounds(n, k, q, (2, 7, 61))
     for seed in range(200):
         assert primality._first_witness_round(n, 16, SplitMix64(seed)) > 0
 
@@ -313,6 +338,54 @@ def test_is_prime_exact_above_the_small_tier():
     primes = [4759123129, 4759123151, 2**61 - 1, 2**63 - 25, 2**64 - 59]
     assert not any(map(primality._is_prime_exact, composites))
     assert all(map(primality._is_prime_exact, primes))
+
+
+def segment_sieve(lo, hi):
+    """Primality flags of lo <= n < hi (lo >= 2), crossed off by the primes up to sqrt(hi)."""
+    flags = bytearray([1]) * (hi - lo)
+    small = sieve(isqrt(hi) + 1)
+    for p in range(len(small)):
+        if small[p]:
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return flags
+
+
+def test_is_prime_exact_matches_a_sieve_across_the_tier_bound():
+    # 4759123141 passes 2, 7 and 61: the window's composites below it are
+    # decided by those bases, and it and the rest by the seven of 2**64.
+    bound = 4_759_123_141
+    lo, hi = bound - 30_000, bound + 30_000
+    flags = segment_sieve(lo, hi)
+    assert not flags[bound - lo]
+    assert [n for n in range(lo, hi) if primality._is_prime_exact(n)] == \
+        [n for n in range(lo, hi) if flags[n - lo]]
+    for before, composite, after in PSEUDOPRIME_GAPS:
+        assert primality._is_prime_exact(before) and primality._is_prime_exact(after)
+        assert not primality._is_prime_exact(composite)
+    assert [primality._is_prime_exact(n) for n in FIXED_BASE_CASES if n < 2**64] == \
+        [reference_is_prime_below_2_64(n) for n in FIXED_BASE_CASES if n < 2**64]
+
+
+@pytest.mark.parametrize("lo, hi, rounds", [(10**9, 2 * 10**9, 16), (2**64, 2**64 + 2**20, 4)])
+def test_prime_sampler_draws_as_random_prime_in(lo, hi, rounds):
+    # Above 2**64 each candidate's bases come from the same generator.
+    for seed in range(4):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        draw = primality.prime_sampler(lo, hi, rounds, rng)
+        for _ in range(6):
+            assert draw() == random_prime_in(lo, hi, rounds, ref)
+            assert rng.state == ref.state
+
+
+def test_prime_sampler_refuses_a_primeless_interval_before_any_draw():
+    for lo, hi, message in ((3, 5, "its one integer is even"),
+                            (24, 28, "an exact test finds none"),
+                            (2**64 - 59, 2**64, "an exact test finds none")):
+        rng = SplitMix64(7)
+        with pytest.raises(PrimelessIntervalError, match=message):
+            primality.prime_sampler(lo, hi, 16, rng)
+        assert rng.state == 7
 
 
 @pytest.mark.parametrize("lo, span", [
