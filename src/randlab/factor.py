@@ -36,6 +36,11 @@ _VALIDATION_SEED = 0x5EED
 MAX_BOUND = 10**6
 # Most ECM curves in one call; each costs a stage-1 scalar multiplication.
 MAX_CURVES = 10**4
+# Most ECM work in one call, as curves * b1 * ceil(bits(N) / 64)**2: a curve's
+# stage 1 is linear in b1, and each product mod N grows as N's 64-bit limbs
+# squared.  At the cap a call takes about 20 s on a 64-bit N (the dearest
+# unit: 4 curves at b1 = 10**6, or 400 at 10**4) and 1 s on a 4096-bit one.
+MAX_ECM_WORK = 4 * 10**6
 
 
 class FactorOutcome(NamedTuple):
@@ -197,12 +202,18 @@ def ecm_stage1(N: int, b1: int, max_curves: int, rng: SplitMix64) -> FactorOutco
     r**e <= b1 in turn, taking d = gcd(Z, N) after each one.  A d strictly
     between 1 and N ends the search; d == N (the point became the identity
     mod every factor at once) discards the curve; d == 1 goes on to the next
-    prime power.
+    prime power.  A call whose curves * b1 * ceil(bits(N) / 64)**2 passes
+    MAX_ECM_WORK is refused before any draw.
     """
     _check_bound("b1", b1)
     if not 1 <= max_curves <= MAX_CURVES:
         raise ValueError("curves must be in [1, %d]" % MAX_CURVES)
     _check_target(N, require_coprime_6=True)
+    limbs = -(-N.bit_length() // 64)
+    work = max_curves * b1 * limbs * limbs
+    if work > MAX_ECM_WORK:
+        raise ValueError("curves * b1 * ceil(bits(N) / 64)**2 = %d must be at most %d"
+                         % (work, MAX_ECM_WORK))
     powers = _prime_powers(b1)
     residue = rng.sampler(N)
     for curve in range(1, max_curves + 1):

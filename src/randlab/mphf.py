@@ -22,10 +22,11 @@ positions of T_i[position][byte] mod n, with both tables drawn from the
 build's random stream, so a (words, seed, ratio) triple rebuilds the
 identical function.  ``query`` sums one word's entries directly; ``build``
 and ``query_many`` hash all their words at once, column by column: word
-i's sum is lane i of one big int, 4 or 8 bytes wide, as fits
-max_len * (n - 1), so no lane carries into the next.  Byte k of the entries
-T[j][w[j]] for all words is one ``translate`` of column j (byte j of every
-word, zero-padded), stored into every lane by one slice.  The padding adds
+i's sum is lane i of one big int, 4 bytes wide: a sum is at most
+max_len * (n - 1) < MAX_WORD_LEN * MAX_VERTICES = 2**27, so no lane carries
+into the next.  Byte k of the entries T[j][w[j]] for all words is one
+``translate`` of column j (byte j of every word, zero-padded), stored into
+every lane by one slice.  The padding adds
 sum_{j >= len(w)} T[j][0] to a word's lane, which one more pass, over the
 word lengths, takes back out.  The lanes are read back as one machine array
 (little-endian, so byte-swapped on a big-endian host), and every table of
@@ -66,9 +67,6 @@ MAX_WORD_LEN = 64
 # Words padded at a time when the columns are cut, bounding the padded copies.
 PAD_SLICE = 4096
 
-# An unsigned array typecode for each lane width in bytes.
-_LANE_TYPECODE = {array(code).itemsize: code for code in "ILQ"}
-
 
 class RatioTooLowError(RuntimeError):
     """Every trial graph kept coming out cyclic; n/m is too close to 2."""
@@ -106,21 +104,20 @@ def _columns(words: Sequence[bytes], max_len: int) -> tuple[list[bytearray], byt
 
 def _hash(columns: list[bytearray], lengths: bytes, table, n: int) -> array:
     """sum_j table[j][w[j]] mod n for every word, from the words' columns."""
-    width = 4 if len(table) * (n - 1) < 2**32 else 8  # bytes per lane
-    buf = bytearray(width * len(lengths))
+    buf = bytearray(4 * len(lengths))  # one 4-byte lane per word
 
     def lanes(column: bytes, row, planes: int) -> int:
-        entries = struct.pack("<256Q", *row)
+        entries = struct.pack("<256I", *row)
         for k in range(planes):
-            buf[k::width] = column.translate(entries[k::8])
+            buf[k::4] = column.translate(entries[k::4])
         return int.from_bytes(buf, "little")
 
     # Entries are below n, so the upper planes of buf stay 0 until the padding pass.
     planes = -(-(n - 1).bit_length() // 8)
     pad = [*accumulate(row[0] for row in reversed(table))][::-1]
     total = (sum(map(lanes, columns, table, repeat(planes)))
-             - lanes(lengths, pad + [0] * (256 - len(pad)), width))
-    sums = array(_LANE_TYPECODE[width], total.to_bytes(len(buf), "little"))
+             - lanes(lengths, pad + [0] * (256 - len(pad)), 4))
+    sums = array("I", total.to_bytes(len(buf), "little"))
     if sys.byteorder == "big":
         sums.byteswap()
     return array("q", map(mod, sums, repeat(n)))
@@ -266,8 +263,8 @@ def _header(head: bytes, size: int) -> tuple[int, int, int]:
     m, n, max_len = struct.unpack_from("<QQQ", head, 5)
     if m < 1:
         raise FormatError(5, "m must be >= 1")
-    if n < 1:
-        raise FormatError(13, "n must be >= 1")
+    if not 1 <= n <= MAX_VERTICES:  # _hash's 4-byte lanes rely on this
+        raise FormatError(13, "n must be in [1, %d]" % MAX_VERTICES)
     if not 1 <= max_len <= MAX_WORD_LEN:  # query's byte columns rely on this
         raise FormatError(21, "max word length must be in [1, %d]" % MAX_WORD_LEN)
     expected = HEADER_BYTES + (2 * max_len * 256 + n) * 8
@@ -280,7 +277,8 @@ def deserialize(data: bytes) -> MphfFunction:
     """Parse bytes produced by serialize, validating every field range.
 
     Layout: "CHM1" magic, version byte 0x01, then m, n, max word length as
-    64-bit little-endian words (the last in [1, MAX_WORD_LEN]), table T1 (max_word_len rows of 256 words),
+    64-bit little-endian words (n in [1, MAX_VERTICES], the last in
+    [1, MAX_WORD_LEN]), table T1 (max_word_len rows of 256 words),
     table T2 likewise, and the g array (n words).
     """
     m, n, max_len = _header(data[:HEADER_BYTES], len(data))

@@ -7,11 +7,7 @@ is always correct; a "yes" on composite n happens for fewer than a quarter
 of the bases, so independent repetitions drive the error below any target.
 
 Below 2**64 a fixed set of bases decides primality exactly (2, 7, 61 below
-4,759,123,141, Jaeschke 1993; seven bases below 2**64, Sinclair 2011).  The
-random-base test uses them only to skip work: once its first random round
-passes, n is settled with those bases, and a prime then still makes the
-remaining random-base draws, which it would pass anyway, so the draws, round
-counts and results are those of the all-random test.
+4,759,123,141, Jaeschke 1993; seven bases below 2**64, Sinclair 2011).
 
 Random prime generation draws its candidates from the odd integers of the
 interval (and 2, when the interval holds it) and sieves each with one gcd
@@ -155,23 +151,10 @@ def is_probable_prime(n: int, rounds: int, rng: SplitMix64) -> PrimalityVerdict:
 def _first_witness_round(n: int, rounds: int, rng: SplitMix64) -> int:
     """Run up to ``rounds`` rounds on odd n >= 5, each with a base drawn
     uniformly from (1, n); return the number of the first round whose base
-    witnesses that n is composite, or 0 if every round passes.
-
-    Below 2**64, once round 1 passes, n's fixed bases (when fewer than the
-    rounds left) settle it: a prime makes the remaining draws and returns 0.
-    """
+    witnesses that n is composite, or 0 if every round passes."""
     k, q = decompose_two_power(n)
     draw = rng.sampler(n - 2)
-    if not _strong_rounds(n, k, q, (2 + draw(),)):
-        return 1
-    bound, small, large = _EXACT_BASES
-    bases = small if n < bound else large
-    if n < 1 << 64 and len(bases) < rounds - 1 and _strong_rounds(n, k, q, bases):
-        # n is prime, so every later round passes: make its draws, skip its pow.
-        for _ in range(rounds - 1):
-            draw()
-        return 0
-    for used in range(2, rounds + 1):
+    for used in range(1, rounds + 1):
         if not _strong_rounds(n, k, q, (2 + draw(),)):
             return used
     return 0

@@ -36,7 +36,9 @@ MAX_TRIALS = 1000
 class RunStats(NamedTuple):
     total_steps: int
     per_packet_latency: tuple
-    max_vertex_throughput: tuple  # (vertex, distinct packets through it)
+    # (vertex, distinct packets through it); with a phase barrier, the larger
+    # of the two phases' own maxima, each phase's legs counted apart.
+    max_vertex_throughput: tuple
     max_queue_depth: int
     phase1_steps: int | None = None  # two-phase runs only
 
@@ -159,6 +161,12 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
     packet starts its second phase as soon as it reaches sigma(j); with
     ``phase_barrier`` every packet instead waits for the slowest phase-1
     packet, which is the easier variant to analyse but a little slower.
+
+    Without the barrier ``max_vertex_throughput`` counts a packet once at
+    each vertex either of its legs passes.  With it the phases are simulated
+    apart and the larger of the two phases' own hot spots is reported: a
+    vertex is charged only the packets of one phase, so the figure can differ
+    from the per-path count of the same sigma.
     """
     perm = _check_permutation(d, perm)
     N = 1 << d

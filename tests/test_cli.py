@@ -2,6 +2,8 @@ import io
 import json
 import os
 import random
+import re
+import struct
 import subprocess
 import sys
 import time
@@ -40,6 +42,24 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_every_readme_exit_code_is_reached(monkeypatch, capsys):
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    sentence = re.search(r"Exit codes:(.*?)\.\s", readme, re.DOTALL).group(1)
+    assert re.findall(r"`(\d)`", sentence) == ["0", "1", "2", "3"]
+    out = io.StringIO()
+    assert main(["prime", "test", "7"], stdout=out) == 0
+    assert main(["prime", "test", "9"], stdout=out) == 1
+    assert main(["prime", "test", "7", "--seed", "-1"], stdout=out) == 2
+
+    def broken(args, stdout):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "prime", broken)
+    assert main(["prime", "test", "7"], stdout=out) == 3
+    assert capsys.readouterr().err.endswith("internal error: invariant broken\n")
 
 
 def parsed_by_main(argv, monkeypatch):
@@ -313,6 +333,18 @@ def test_mphf_query_refuses_max_word_len_past_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: max word length must be in [1, %d] (at byte offset 21)\n" \
         % mphf.MAX_WORD_LEN
+
+
+@pytest.mark.parametrize("subcommand", ["query", "verify"])
+def test_mphf_file_refuses_n_past_the_vertex_cap(subcommand, tmp_path, capsys):
+    # A crafted header naming one vertex more than a build may make.
+    chm, wordlist = tmp_path / "fn.chm", tmp_path / "words.txt"
+    chm.write_bytes(b"CHM1\x01" + struct.pack("<QQQ", 2, mphf.MAX_VERTICES + 1, 1) + bytes(8))
+    wordlist.write_text("alpha\n")
+    argv = ["mphf", subcommand, str(chm), "alpha" if subcommand == "query" else str(wordlist)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: n must be in [1, %d] (at byte offset 13)\n" % mphf.MAX_VERTICES
 
 
 @pytest.mark.parametrize("ratio", ["inf", "nan"])
@@ -732,6 +764,15 @@ def test_trial_and_curve_caps_are_inclusive(capsys):
     assert code == 1 and doc["result"]["answer"] == "composite"
     code, doc = run_cli(["prime", "random", "--lo", "1000", "--hi", "2000", "--rounds", rounds])
     assert code == 0 and 1000 < int(doc["result"]["prime"]) < 2000
+
+
+def test_factor_ecm_past_the_work_cap_exits_two_with_one_line(capsys):
+    argv = ["factor", "ecm", "2761103", "--b1", str(factor.MAX_BOUND),
+            "--curves", str(factor.MAX_CURVES)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: curves * b1 * ceil(bits(N) / 64)**2 = %d must be at most %d\n" \
+        % (factor.MAX_BOUND * factor.MAX_CURVES, factor.MAX_ECM_WORK)
 
 
 def test_factor_target_cap_is_inclusive(capsys):

@@ -309,6 +309,20 @@ def test_ecm_validates_input():
         ecm_stage1(35, 10, 0, SplitMix64(0))  # no curves
 
 
+def test_ecm_work_cap_is_inclusive_and_refuses_before_any_draw():
+    cap = factor.MAX_ECM_WORK
+    b1 = cap // factor.MAX_CURVES  # one 64-bit limb: work = curves * b1
+    assert b1 * factor.MAX_CURVES == cap
+    assert ecm_stage1(2761103, b1, factor.MAX_CURVES, SplitMix64(7)).found
+    N = 5 * (2**(factor.MAX_TARGET_BITS - 3) + 3)  # coprime to 6, 4096 bits: 64 limbs
+    for args in ((2761103, b1 + 1, factor.MAX_CURVES), (N, cap // 4096 + 1, 1)):
+        rng = SplitMix64(7)
+        with pytest.raises(ValueError, match=r"ceil\(bits\(N\) / 64\)\*\*2 = \d+ must be at most %d"
+                           % cap):
+            ecm_stage1(*args, rng)
+        assert rng.state == SplitMix64(7).state
+
+
 def test_targets_below_2_64_are_decided_exactly_with_no_generator(monkeypatch):
     # Below 2**64 the fixed bases settle N: no seeded rounds, no generator.
     monkeypatch.setattr(factor, "SplitMix64", None)

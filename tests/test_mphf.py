@@ -11,6 +11,7 @@ import pytest
 
 from randlab import cli
 from randlab.mphf import (
+    MAX_VERTICES,
     MAX_WORD_LEN,
     MIN_RATIO,
     FormatError,
@@ -94,7 +95,7 @@ def kernel_words():
 @pytest.mark.parametrize("n", [
     3, 200,  # 1-byte table entries
     9001, 2**26,  # 4-byte lanes; at 2**26 a 64-byte word can sum to 2**32 - 64
-    2**26 + 1, 2**40 + 3,  # 8-byte lanes: 64 * (n - 1) >= 2**32
+    MAX_VERTICES,  # the largest n a build makes or a file may name
 ])
 def test_hash_matches_scalar_reference(n):
     words = kernel_words()
@@ -413,6 +414,14 @@ def test_deserialize_rejects_max_word_len_out_of_range(max_len):
     with pytest.raises(FormatError) as info:
         deserialize(blob)
     assert info.value.offset == 21
+
+
+@pytest.mark.parametrize("n", [0, MAX_VERTICES + 1, 2**64 - 1])
+def test_deserialize_rejects_n_out_of_range(n):
+    blob = b"CHM1\x01" + struct.pack("<QQQ", 2, n, 1) + bytes((2 * 256 + 3) * 8)
+    with pytest.raises(FormatError, match=r"n must be in \[1, %d\]" % MAX_VERTICES) as info:
+        deserialize(blob)
+    assert info.value.offset == 13
 
 
 def test_ratio_too_low_error_raised():

@@ -32,9 +32,16 @@ def sieve(limit):
 
 
 def strong_round(n, x):
-    """One strong round of odd n >= 3 at base x in (1, n)."""
+    """One strong round of odd n >= 3 at base x in (1, n), written out with pow."""
     k, q = decompose_two_power(n)
-    return primality._strong_rounds(n, k, q, (x,))
+    y = pow(x, q, n)
+    if y in (1, n - 1):
+        return True
+    for _ in range(k - 1):
+        y = y * y % n
+        if y == n - 1:
+            return True
+    return False
 
 
 def test_single_round_examples():
@@ -308,6 +315,24 @@ def test_first_witness_round_matches_all_random_reference():
             assert primality._first_witness_round(n, rounds, rng) == \
                 reference_first_witness_round(n, rounds, ref), (n, rounds)
             assert rng.state == ref.state, (n, rounds)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("rounds", [2, 5, 20])
+def test_is_probable_prime_runs_every_reported_round_on_a_prime(monkeypatch, n, rounds):
+    # Each reported round is one single-base strong round actually run.
+    calls = []
+    run = primality._strong_rounds
+
+    def counting(n, k, q, bases):
+        calls.append(bases)
+        return run(n, k, q, bases)
+
+    monkeypatch.setattr(primality, "_strong_rounds", counting)
+    verdict = is_probable_prime(n, rounds, SplitMix64(n))
+    assert verdict == (PROBABLY_PRIME, rounds, Fraction(1, 4**rounds))
+    assert len(calls) == rounds
+    assert all(len(bases) == 1 and 1 < bases[0] < n for bases in calls)
 
 
 def test_first_witness_round_catches_pseudoprimes_to_fixed_bases():
