@@ -347,7 +347,13 @@ def _cmd_route(args, stdout) -> tuple[dict | None, int]:
     route.check_dimension(args.d)  # before any permutation is built
     # Only a random permutation and two-phase routing draw per trial.  Any
     # other permutation is built (a file read) once, and greedy routing of
-    # it is simulated once, its row repeated for every trial.
+    # it is simulated once, its row repeated for every trial.  The work cap
+    # counts those simulations before any permutation is built.
+    runs = args.trials if args.perm == "random" or args.algo == "valiant" else 1
+    work = runs * args.d << args.d
+    if work > route.MAX_ROUTE_WORK:
+        raise ValueError("simulations * d * 2**d = %d must be at most %d"
+                         % (work, route.MAX_ROUTE_WORK))
     fixed = None if args.perm == "random" else _load_permutation(args.perm, args.d, None)
     greedy = None
     if fixed is not None and args.algo == "greedy":

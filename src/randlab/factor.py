@@ -41,6 +41,11 @@ MAX_CURVES = 10**4
 # squared.  At the cap a call takes about 20 s on a 64-bit N (the dearest
 # unit: 4 curves at b1 = 10**6, or 400 at 10**4) and 1 s on a 4096-bit one.
 MAX_ECM_WORK = 4 * 10**6
+# Most p-1 work in one call, as bound * ceil(bits(N) / 64)**2, by the same
+# reckoning for one base's power.  At the cap a call that tries all four bases
+# takes about 30 s at 1,408 bits (bound 10**6, the dearest), 26 s at 2,048 and
+# 4,096 bits, 8 s at 512 and 3 s at 64.
+MAX_PM1_WORK = 5 * 10**8
 
 
 class FactorOutcome(NamedTuple):
@@ -134,10 +139,16 @@ def pollard_pm1(N: int, bound: int) -> FactorOutcome:
     gcd(b**M - 1, N).  When the gcd collapses to N itself (all prime factors
     of N share a smooth order for this base) the next base in PM1_BASES is
     tried; a gcd of 1 means the bound is too small and the search reports
-    exhaustion.
+    exhaustion.  A call whose bound * ceil(bits(N) / 64)**2 passes
+    MAX_PM1_WORK is refused before the sieve.
     """
     _check_bound("bound", bound)
     _check_target(N)
+    limbs = -(-N.bit_length() // 64)
+    work = bound * limbs * limbs
+    if work > MAX_PM1_WORK:
+        raise ValueError("bound * ceil(bits(N) / 64)**2 = %d must be at most %d"
+                         % (work, MAX_PM1_WORK))
     M = smooth_exponent(bound)
     for trials, base in enumerate(PM1_BASES, start=1):
         a = pow(base, M, N)

@@ -29,6 +29,7 @@ walks the labeled graphs in Gray-code order (Gray 1953), one flip a step.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 from typing import NamedTuple
 
@@ -206,10 +207,14 @@ class AnnealConfig(NamedTuple):
 
     def validate(self) -> None:
         # Each check is written so that NaN fails it: JSON reads a bare NaN,
-        # and every comparison with NaN is false.  The range check also
-        # refuses inf (JSON reads 1e400 as inf).
-        if self.initial_temperature is not None and not self.initial_temperature > 0:
-            raise ValueError("initial_temperature must be positive")
+        # and every comparison with NaN is false.  The range checks also
+        # refuse inf (JSON reads 1e400 as inf), and a temperature a float
+        # cannot hold, which would overflow the first cooling product.
+        if self.initial_temperature is not None:
+            if not self.initial_temperature > 0:
+                raise ValueError("initial_temperature must be positive")
+            if not self.initial_temperature <= sys.float_info.max:
+                raise ValueError("initial_temperature must be at most %r" % sys.float_info.max)
         if not 0 < self.cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
         if self.steps_per_temperature is not None and not self.steps_per_temperature >= 1:
@@ -218,6 +223,10 @@ class AnnealConfig(NamedTuple):
             raise ValueError("max_total_steps must be in [1, %d]" % MAX_TOTAL_STEPS)
         if not self.restarts >= 0:
             raise ValueError("restarts must be non-negative")
+        for name in ("steps_per_temperature", "max_total_steps", "restarts"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:  # bool is not int here
+                raise ValueError("%s must be an integer" % name)
 
 
 class AnnealOutcome(NamedTuple):

@@ -31,14 +31,15 @@ from .rng import SplitMix64
 MAX_DIMENSION = 16
 # Most trials in one `route sim` call: its document keeps a row per trial.
 MAX_TRIALS = 1000
+# Most work in one `route sim` call, as simulations * d * 2**d (2**d packets
+# of up to d hops a leg); a call at the cap takes up to about 21 s.
+MAX_ROUTE_WORK = 2**25
 
 
 class RunStats(NamedTuple):
     total_steps: int
     per_packet_latency: tuple
-    # (vertex, distinct packets through it); with a phase barrier, the larger
-    # of the two phases' own maxima, each phase's legs counted apart.
-    max_vertex_throughput: tuple
+    max_vertex_throughput: tuple  # (vertex, distinct packets through it)
     max_queue_depth: int
     phase1_steps: int | None = None  # two-phase runs only
 
@@ -70,13 +71,15 @@ def _check_permutation(d: int, perm) -> list[int]:
 
 
 def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
-              then: list[int] | None = None) -> RunStats:
+              then: list[int] | None = None, barrier: bool = False) -> RunStats:
     """Run the synchronous queueing model, each packet walking greedily.
 
     Packet j starts at start[j] and walks its leading-bit path to goal[j],
-    then, when ``then`` is given, on to then[j].  Returns the run's
-    ``RunStats``; its ``phase1_steps`` is the step at which the last packet
-    reached goal[j] when ``then`` is given, else None.
+    then, when ``then`` is given, on to then[j].  With ``barrier`` a packet
+    waits at goal[j] until none is left in flight, and then every packet sets
+    off again at that step, in id order.  Returns the run's ``RunStats``; its
+    ``phase1_steps`` is the step at which the last packet reached goal[j]
+    when ``then`` is given, else None.
 
     No queue is stored.  A queue pops its head every step while it holds
     anything, so a packet that joins edge e at step t leaves at
@@ -96,7 +99,7 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
     free = [0] * (N * d)  # edge key -> first step it can pop a newcomer
     later: dict[int, list[int]] = {}  # step -> packets arriving then, past the next step
     depth = goal_step = step = 0
-    arrivals = list(range(n))
+    arrivals = range(n)
     while True:
         soon = step + 1
         nxt = []  # packets arriving at step soon
@@ -117,6 +120,8 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
                     if then is not None:
                         second[j] = True
                         t = target[j] = then[j]
+                        if barrier:  # wait here until none is in flight
+                            continue
             x = u ^ t
             if not x:
                 latency[j] = step
@@ -136,6 +141,10 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
             nxt += later.pop(soon)
             nxt.sort()
         elif not nxt:
+            if barrier:  # every packet sets off again now
+                barrier = False
+                arrivals = range(n)
+                continue
             if step:  # a packet that moved met a queue of at least itself
                 depth = max(depth, 1)
             busiest = max(passes)
@@ -161,12 +170,6 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
     packet starts its second phase as soon as it reaches sigma(j); with
     ``phase_barrier`` every packet instead waits for the slowest phase-1
     packet, which is the easier variant to analyse but a little slower.
-
-    Without the barrier ``max_vertex_throughput`` counts a packet once at
-    each vertex either of its legs passes.  With it the phases are simulated
-    apart and the larger of the two phases' own hot spots is reported: a
-    vertex is charged only the packets of one phase, so the figure can differ
-    from the per-path count of the same sigma.
     """
     perm = _check_permutation(d, perm)
     N = 1 << d
@@ -175,14 +178,4 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
         sigma = [vertex() for _ in range(N)]
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
-
-    if not phase_barrier:
-        return _simulate(N, d, range(N), sigma, perm)
-    one = _simulate(N, d, range(N), sigma)
-    two = _simulate(N, d, sigma, perm)
-    s1 = one.total_steps
-    # Throughput maxima are per-phase; report the larger hot spot.
-    throughput = max(one.max_vertex_throughput, two.max_vertex_throughput,
-                     key=lambda t: (t[1], -t[0]))
-    return RunStats(s1 + two.total_steps, tuple(a + s1 for a in two.per_packet_latency),
-                    throughput, max(one.max_queue_depth, two.max_queue_depth), phase1_steps=s1)
+    return _simulate(N, d, range(N), sigma, perm, phase_barrier)

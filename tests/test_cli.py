@@ -570,16 +570,42 @@ def test_ramsey_anneal_rejects_bad_config(config, tmp_path, capsys):
     assert err.startswith("error: bad --config: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, message", [
-    ("initial_temperature", "initial_temperature must be positive"),
-    ("steps_per_temperature", "steps_per_temperature must be positive"),
-    ("restarts", "restarts must be non-negative"),
+def bad_config(config, message, id, instance=("5", "3", "3")):
+    return pytest.param(config, instance, message, id=id)
+
+
+def nan_config(field, message):
+    return bad_config('{"%s": NaN}' % field, message, "%s-%s" % (field, message),
+                      ("8", "3", "4"))
+
+
+TOO_HOT = "initial_temperature must be at most %r" % sys.float_info.max
+
+
+@pytest.mark.parametrize("config, instance, message", [
+    nan_config("initial_temperature", "initial_temperature must be positive"),
+    nan_config("steps_per_temperature", "steps_per_temperature must be positive"),
+    nan_config("restarts", "restarts must be non-negative"),
+    # An integer past float's range overflowed the first cooling product, which
+    # n = 5 reaches: a traceback and exit 1.
+    bad_config('{"initial_temperature": 1%s}' % ("0" * 400), TOO_HOT,
+               "initial_temperature-10**400"),
+    bad_config('{"initial_temperature": 1e400}', TOO_HOT, "initial_temperature-inf"),
+    bad_config('{"steps_per_temperature": 1.5}', "steps_per_temperature must be an integer",
+               "steps_per_temperature-1.5"),
+    bad_config('{"steps_per_temperature": true}', "steps_per_temperature must be an integer",
+               "steps_per_temperature-true"),
+    bad_config('{"max_total_steps": 1000.0}', "max_total_steps must be an integer",
+               "max_total_steps-1000.0"),
+    bad_config('{"restarts": false}', "restarts must be an integer", "restarts-false"),
 ])
-def test_ramsey_anneal_refuses_nan_config(field, message, tmp_path, capsys):
-    # json.load reads a bare NaN; each of these ran to exit 0 when let through.
+def test_ramsey_anneal_refuses_nan_config(config, instance, message, tmp_path, capsys):
+    # json.load reads a bare NaN, and 1e400 as inf.  Let through, each of
+    # these runs on with a schedule it did not ask for, or overflows.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"%s": NaN}' % field)
-    argv = ["ramsey", "anneal", "--n", "8", "--s", "3", "--t", "4", "--seed", "1",
+    cfg.write_text(config)
+    n, s, t = instance
+    argv = ["ramsey", "anneal", "--n", n, "--s", s, "--t", t, "--seed", "1",
             "--config", str(cfg)]
     assert main(argv, stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
@@ -773,6 +799,39 @@ def test_factor_ecm_past_the_work_cap_exits_two_with_one_line(capsys):
     assert capsys.readouterr().err == \
         "error: curves * b1 * ceil(bits(N) / 64)**2 = %d must be at most %d\n" \
         % (factor.MAX_BOUND * factor.MAX_CURVES, factor.MAX_ECM_WORK)
+
+
+def test_factor_pm1_past_the_work_cap_exits_two_with_one_line(capsys):
+    bound = factor.MAX_PM1_WORK // 4096 + 1
+    argv = ["factor", "pm1", "%#x" % (2**4096 - 1), "--bound", str(bound)]
+    assert main(argv, stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: bound * ceil(bits(N) / 64)**2 = %d must be at most %d\n" \
+        % (bound * 4096, factor.MAX_PM1_WORK)
+
+
+def test_route_sim_past_the_work_cap_exits_two_before_any_permutation(tmp_path, capsys):
+    d = route.MAX_DIMENSION
+    trials = route.MAX_ROUTE_WORK // (d << d) + 1
+    missing = "file:%s" % (tmp_path / "missing")  # reading it would fail otherwise
+    for perm, algo in (("random", "greedy"), (missing, "valiant")):
+        argv = ["route", "sim", "--d", str(d), "--perm", perm, "--algo", algo,
+                "--trials", str(trials)]
+        assert main(argv, stdout=io.StringIO()) == 2
+        assert capsys.readouterr().err == \
+            "error: simulations * d * 2**d = %d must be at most %d\n" \
+            % (trials * d << d, route.MAX_ROUTE_WORK)
+    # A fixed permutation routed greedily is simulated once, whatever --trials.
+    argv = ["route", "sim", "--d", str(d), "--perm", "bitrev", "--trials", str(trials)]
+    assert main(argv, stdout=io.StringIO()) == 0
+
+
+def test_route_work_cap_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(route, "MAX_ROUTE_WORK", 3 * 2 << 2)  # three d = 2 runs
+    argv = ["route", "sim", "--d", "2", "--perm", "random", "--trials"]
+    assert main(argv + ["3"], stdout=io.StringIO()) == 0
+    assert main(argv + ["4"], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: simulations * d * 2**d = 32 must be at most 24\n"
 
 
 def test_factor_target_cap_is_inclusive(capsys):

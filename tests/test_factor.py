@@ -323,6 +323,20 @@ def test_ecm_work_cap_is_inclusive_and_refuses_before_any_draw():
         assert rng.state == SplitMix64(7).state
 
 
+def test_pm1_work_cap_is_inclusive_and_refuses_before_the_sieve(monkeypatch):
+    N = 2**4096 - 1  # composite, 64 limbs: work = bound * 4096
+    bound = factor.MAX_PM1_WORK // 4096 + 1
+    monkeypatch.setattr(factor, "smooth_exponent", None)  # the sieve is never reached
+    with pytest.raises(ValueError, match=r"bound \* ceil\(bits\(N\) / 64\)\*\*2 = %d must be "
+                       r"at most %d" % (bound * 4096, factor.MAX_PM1_WORK)):
+        pollard_pm1(N, bound)
+    monkeypatch.undo()
+    monkeypatch.setattr(factor, "MAX_PM1_WORK", 128)  # one limb: work = bound
+    assert pollard_pm1(4294967297, 128).divisor == 641
+    with pytest.raises(ValueError, match="= 129 must be at most 128"):
+        pollard_pm1(4294967297, 129)
+
+
 def test_targets_below_2_64_are_decided_exactly_with_no_generator(monkeypatch):
     # Below 2**64 the fixed bases settle N: no seeded rounds, no generator.
     monkeypatch.setattr(factor, "SplitMix64", None)

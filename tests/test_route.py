@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from randlab import route
 from randlab.rng import SplitMix64, derive_stream
 from randlab.route import (
     RunStats,
@@ -272,34 +273,34 @@ PINNED_RUNS = [
     (('valiant', 8, 'bitrev', 2), (14, (209, 19), 2, 8, 'd0684787998e3c39')),
     (('valiant', 8, 'random', 1), (13, (28, 15), 3, 8, '0329dbeab263dc07')),
     (('valiant', 8, 'random', 2), (14, (173, 15), 2, 9, 'b7d2ab4dd45c2f14')),
-    (('barrier', 2, 'bitrev', 1), (3, (0, 2), 1, 1, 'a1861170d62aacc1')),
-    (('barrier', 2, 'bitrev', 2), (4, (2, 3), 1, 2, '1b24e48d867b1b9f')),
-    (('barrier', 2, 'random', 1), (4, (0, 2), 1, 2, '4766b082e628d318')),
+    (('barrier', 2, 'bitrev', 1), (3, (1, 3), 1, 1, 'a1861170d62aacc1')),
+    (('barrier', 2, 'bitrev', 2), (4, (2, 4), 1, 2, '1b24e48d867b1b9f')),
+    (('barrier', 2, 'random', 1), (4, (0, 3), 1, 2, '4766b082e628d318')),
     (('barrier', 2, 'random', 2), (1, (2, 2), 1, 1, 'd82c48a43f941242')),
-    (('barrier', 3, 'bitrev', 1), (4, (1, 4), 1, 2, '7af1bbf77dd74836')),
-    (('barrier', 3, 'bitrev', 2), (6, (2, 4), 2, 3, '52194433c0c12f8c')),
-    (('barrier', 3, 'random', 1), (5, (0, 4), 1, 3, '0dc99955a282f862')),
-    (('barrier', 3, 'random', 2), (5, (3, 5), 2, 2, '07934717191cdab5')),
-    (('barrier', 4, 'bitrev', 1), (9, (0, 5), 2, 4, 'fd1d710147d209ac')),
-    (('barrier', 4, 'bitrev', 2), (8, (3, 6), 2, 4, 'b4241352c2ce40ba')),
-    (('barrier', 4, 'random', 1), (9, (7, 6), 2, 4, '8f3f5a48a3183c81')),
-    (('barrier', 4, 'random', 2), (7, (2, 6), 2, 3, '01f59c817fdf4ef1')),
-    (('barrier', 5, 'bitrev', 1), (10, (4, 6), 2, 5, 'a9c5bc0e0397416a')),
-    (('barrier', 5, 'bitrev', 2), (10, (2, 7), 2, 5, '419395c78e0af405')),
-    (('barrier', 5, 'random', 1), (11, (4, 6), 3, 5, '1c5b2d138b7a3b0b')),
-    (('barrier', 5, 'random', 2), (10, (23, 7), 2, 5, '5f0a5c9faec4edd7')),
-    (('barrier', 6, 'bitrev', 1), (12, (60, 8), 2, 6, '2b4cb937f64bcb15')),
-    (('barrier', 6, 'bitrev', 2), (12, (51, 8), 3, 6, '4d4202152288ad03')),
-    (('barrier', 6, 'random', 1), (11, (27, 9), 2, 5, 'ae4b9a5710b6f2c2')),
-    (('barrier', 6, 'random', 2), (12, (11, 8), 3, 6, '0cc96be58e60b6e4')),
-    (('barrier', 7, 'bitrev', 1), (13, (1, 9), 3, 6, '8a9afef2f1e74d2d')),
-    (('barrier', 7, 'bitrev', 2), (13, (33, 11), 3, 6, 'e68652d5ca2da052')),
-    (('barrier', 7, 'random', 1), (15, (107, 10), 3, 7, 'eb058027df3b000e')),
-    (('barrier', 7, 'random', 2), (15, (98, 10), 4, 8, '237befa4b0d18bd0')),
-    (('barrier', 8, 'bitrev', 1), (17, (112, 10), 4, 7, 'fdeb1bcc8279cb93')),
-    (('barrier', 8, 'bitrev', 2), (17, (140, 12), 3, 8, '47a89dd497d126e8')),
-    (('barrier', 8, 'random', 1), (16, (29, 10), 4, 8, 'f68828f5bfd782d4')),
-    (('barrier', 8, 'random', 2), (16, (87, 10), 4, 8, '17068125a9dc2176')),
+    (('barrier', 3, 'bitrev', 1), (4, (1, 5), 1, 2, '7af1bbf77dd74836')),
+    (('barrier', 3, 'bitrev', 2), (6, (3, 6), 2, 3, '52194433c0c12f8c')),
+    (('barrier', 3, 'random', 1), (5, (0, 5), 1, 3, '0dc99955a282f862')),
+    (('barrier', 3, 'random', 2), (5, (3, 6), 2, 2, '07934717191cdab5')),
+    (('barrier', 4, 'bitrev', 1), (9, (1, 7), 2, 4, 'fd1d710147d209ac')),
+    (('barrier', 4, 'bitrev', 2), (8, (3, 9), 2, 4, 'b4241352c2ce40ba')),
+    (('barrier', 4, 'random', 1), (9, (7, 8), 2, 4, '8f3f5a48a3183c81')),
+    (('barrier', 4, 'random', 2), (7, (2, 7), 2, 3, '01f59c817fdf4ef1')),
+    (('barrier', 5, 'bitrev', 1), (10, (9, 8), 2, 5, 'a9c5bc0e0397416a')),
+    (('barrier', 5, 'bitrev', 2), (10, (18, 9), 2, 5, '419395c78e0af405')),
+    (('barrier', 5, 'random', 1), (11, (4, 8), 3, 5, '1c5b2d138b7a3b0b')),
+    (('barrier', 5, 'random', 2), (10, (7, 9), 2, 5, '5f0a5c9faec4edd7')),
+    (('barrier', 6, 'bitrev', 1), (12, (60, 12), 2, 6, '2b4cb937f64bcb15')),
+    (('barrier', 6, 'bitrev', 2), (12, (17, 12), 3, 6, '4d4202152288ad03')),
+    (('barrier', 6, 'random', 1), (11, (18, 12), 2, 5, 'ae4b9a5710b6f2c2')),
+    (('barrier', 6, 'random', 2), (12, (11, 10), 3, 6, '0cc96be58e60b6e4')),
+    (('barrier', 7, 'bitrev', 1), (13, (98, 14), 3, 6, '8a9afef2f1e74d2d')),
+    (('barrier', 7, 'bitrev', 2), (13, (33, 16), 3, 6, 'e68652d5ca2da052')),
+    (('barrier', 7, 'random', 1), (15, (70, 13), 3, 7, 'eb058027df3b000e')),
+    (('barrier', 7, 'random', 2), (15, (8, 14), 4, 8, '237befa4b0d18bd0')),
+    (('barrier', 8, 'bitrev', 1), (17, (128, 18), 4, 7, 'fdeb1bcc8279cb93')),
+    (('barrier', 8, 'bitrev', 2), (17, (209, 19), 3, 8, '47a89dd497d126e8')),
+    (('barrier', 8, 'random', 1), (16, (28, 15), 4, 8, 'f68828f5bfd782d4')),
+    (('barrier', 8, 'random', 2), (16, (173, 15), 4, 8, '17068125a9dc2176')),
 ]
 
 
@@ -308,7 +309,7 @@ PINNED_RUNS = [
 PINNED_LARGE_RUNS = [
     (('greedy', 12, 'bitrev', 0), (38, (0, 64), 16, None, '1a6dcc97e39a8ea2')),
     (('valiant', 11, 'random', 3), (19, (1520, 23), 3, 12, '69ba80861de6f2ae')),
-    (('barrier', 10, 'bitrev', 4), (20, (485, 16), 5, 9, '1c95d951ebcca813')),
+    (('barrier', 10, 'bitrev', 4), (20, (485, 21), 5, 9, '1c95d951ebcca813')),
 ]
 
 
@@ -384,14 +385,12 @@ def reference_run(d, perm, sigma=None, phase_barrier=False):
         return RunStats(steps, latency, reference_busiest(N, routes), depth)
     phase1 = [leading_bit_path(j, sigma[j]) for j in range(N)]
     phase2 = [leading_bit_path(sigma[j], perm[j]) for j in range(N)]
+    routes = [a + b[1:] for a, b in zip(phase1, phase2)]
     if phase_barrier:
         s1, _, depth1, _ = reference_simulate(phase1)
         s2, lat2, depth2, _ = reference_simulate(phase2)
-        busiest = max(reference_busiest(N, phase1), reference_busiest(N, phase2),
-                      key=lambda t: (t[1], -t[0]))
-        return RunStats(s1 + s2, tuple(a + s1 for a in lat2), busiest,
+        return RunStats(s1 + s2, tuple(a + s1 for a in lat2), reference_busiest(N, routes),
                         max(depth1, depth2), phase1_steps=s1)
-    routes = [a + b[1:] for a, b in zip(phase1, phase2)]
     steps, latency, depth, phase1_steps = reference_simulate(
         routes, checkpoints=[len(a) - 1 for a in phase1])
     return RunStats(steps, latency, reference_busiest(N, routes), depth,
@@ -428,3 +427,28 @@ def test_second_leg_reentering_first_leg_counts_packet_once():
     stats = run_valiant(2, perm, SplitMix64(0), sigma=sigma)
     assert stats == RunStats(3, (3, 0, 1, 0), (0, 2), 1, phase1_steps=2)
     assert stats == reference_run(2, perm, sigma)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_phase_barrier_reports_the_per_path_hot_spot(d):
+    # Paths do not depend on timing, so holding the packets at sigma changes
+    # no vertex's count: the barrier run's hot spot is the no-barrier one.
+    rng = SplitMix64(7000 + d)
+    for perm in (shuffled(d, rng), bit_reversal(d)):
+        for name, sigma in sigmas(d, perm, rng).items():
+            held = run_valiant(d, perm, rng, sigma=sigma, phase_barrier=True)
+            free = run_valiant(d, perm, rng, sigma=sigma)
+            assert held.max_vertex_throughput == free.max_vertex_throughput, name
+
+
+def test_phase_barrier_run_is_one_simulation(monkeypatch):
+    calls = []
+    simulate = route._simulate
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(route, "_simulate", counted)
+    run_valiant(5, bit_reversal(5), SplitMix64(3), phase_barrier=True)
+    assert len(calls) == 1
