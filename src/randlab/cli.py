@@ -309,19 +309,13 @@ def _cmd_mphf(args, stdout) -> tuple[dict | None, int]:
     return {"words": len(words), "mismatches": bad[:20], "ok": not bad}, 0 if not bad else 1
 
 
-def _load_permutation(kind: str, d: int, rng: SplitMix64 | None) -> list[int]:
-    """The permutation ``kind`` names; ``rng`` is drawn from for "random" only."""
+def _load_permutation(kind: str, d: int) -> list[int]:
+    """The fixed permutation ``kind`` names: any but "random"."""
     N = 1 << d
     if kind == "bitrev":
         return route.bit_reversal(d)
     if kind == "identity":
         return list(range(N))
-    if kind == "random":
-        perm = list(range(N))
-        for i in range(N - 1, 0, -1):  # Fisher-Yates on the derived stream
-            j = rng.uniform_below(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
     if kind.startswith("file:"):
         # One label a line, at most 5 digits (route.MAX_DIMENSION = 16); read
         # no more than 64 characters a line and one label past N, so a hostile
@@ -345,29 +339,21 @@ def _cmd_route(args, stdout) -> tuple[dict | None, int]:
     if args.trials > route.MAX_TRIALS:
         raise ValueError("--trials must be <= %d" % route.MAX_TRIALS)
     route.check_dimension(args.d)  # before any permutation is built
-    # Only a random permutation and two-phase routing draw per trial.  Any
-    # other permutation is built (a file read) once, and greedy routing of
-    # it is simulated once, its row repeated for every trial.  The work cap
-    # counts those simulations before any permutation is built.
-    runs = args.trials if args.perm == "random" or args.algo == "valiant" else 1
-    work = runs * args.d << args.d
+    # Only a random permutation and two-phase routing draw per trial.  With
+    # neither, trial 0's run stands for all, and the work cap counts it once.
+    drawless = args.perm != "random" and args.algo == "greedy"
+    work = (1 if drawless else args.trials) * args.d << args.d
     if work > route.MAX_ROUTE_WORK:
         raise ValueError("simulations * d * 2**d = %d must be at most %d"
                          % (work, route.MAX_ROUTE_WORK))
-    fixed = None if args.perm == "random" else _load_permutation(args.perm, args.d, None)
-    greedy = None
-    if fixed is not None and args.algo == "greedy":
-        greedy = route.run_oblivious(args.d, fixed)
+    fixed = None if args.perm == "random" else _load_permutation(args.perm, args.d)
     rows = []
     for trial in range(args.trials):
         rng = derive_stream(args.seed, trial)
-        perm = fixed if fixed is not None else _load_permutation(args.perm, args.d, rng)
-        if greedy is not None:
-            stats = greedy
-        elif args.algo == "greedy":
-            stats = route.run_oblivious(args.d, perm)
-        else:
-            stats = route.run_valiant(args.d, perm, rng, phase_barrier=args.phase_barrier)
+        perm = fixed if fixed is not None else route.random_permutation(args.d, rng)
+        if not (drawless and trial):  # else trial 0's stats stand
+            stats = (route.run_valiant(args.d, perm, rng, phase_barrier=args.phase_barrier)
+                     if args.algo == "valiant" else route.run_oblivious(args.d, perm))
         rows.append({
             "trial": trial,
             "d": args.d,
@@ -417,12 +403,14 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
             "best_energy": outcome.best_energy,
         }, 0 if outcome.found else 1
     if args.subcommand == "exhaustive":
-        graphs = ramsey.exhaustive_search(args.n, args.s, args.t)
-        return {
-            "count": len(graphs),
-            "exists": bool(graphs),
-            "sample": ramsey.graph_to_text(graphs[0]) if graphs else None,
-        }, 0 if graphs else 1
+        # Only the count and the least mask's graph are printed, so no other
+        # graph is built.
+        count, least = 0, None
+        for mask in ramsey.solution_masks(args.n, args.s, args.t):
+            count += 1
+            least = mask if least is None else min(least, mask)
+        sample = None if least is None else ramsey.graph_to_text(ramsey.mask_graph(args.n, least))
+        return {"count": count, "exists": bool(count), "sample": sample}, 0 if count else 1
     forms = set()
     files = sorted(os.listdir(args.dir))
     for name in files:

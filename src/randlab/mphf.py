@@ -21,8 +21,9 @@ The per-word vertex functions are byte-table sums: f_i(w) = sum over
 positions of T_i[position][byte] mod n, with both tables drawn from the
 build's random stream, so a (words, seed, ratio) triple rebuilds the
 identical function.  ``query`` sums one word's entries directly; ``build``
-and ``query_many`` hash all their words at once, column by column: word
-i's sum is lane i of one big int, 4 bytes wide: a sum is at most
+hashes all its words at once, and ``query_many`` QUERY_SLICE words at a
+time, column by column: word i's sum is lane i of one big int, 4 bytes
+wide, and a sum is at most
 max_len * (n - 1) < MAX_WORD_LEN * MAX_VERTICES = 2**27, so no lane carries
 into the next.  Byte k of the entries T[j][w[j]] for all words is one
 ``translate`` of column j (byte j of every word, zero-padded), stored into
@@ -66,6 +67,8 @@ MAX_WORD_LEN = 64
 
 # Words padded at a time when the columns are cut, bounding the padded copies.
 PAD_SLICE = 4096
+# Words ``query_many`` hashes at a time, bounding its columns to 4 MiB.
+QUERY_SLICE = 2**16
 
 
 class RatioTooLowError(RuntimeError):
@@ -124,13 +127,16 @@ def _hash(columns: list[bytearray], lengths: bytes, table, n: int) -> array:
 
 
 def query_many(fn: MphfFunction, words: Sequence[bytes]) -> list[int]:
-    """query(fn, w) for every w in ``words``, hashed together."""
+    """query(fn, w) for every w in ``words``, hashed QUERY_SLICE words at a time."""
     if max(map(len, words), default=0) > fn.max_word_len:
         raise ValueError("word longer than the build maximum (%d bytes)" % fn.max_word_len)
-    columns, lengths = _columns(words, fn.max_word_len)
     g, m = fn.g, fn.m
-    return [(g[u] + g[v]) % m for u, v in zip(_hash(columns, lengths, fn.t1, fn.n),
-                                               _hash(columns, lengths, fn.t2, fn.n))]
+    out = []
+    for i in range(0, len(words), QUERY_SLICE):
+        columns, lengths = _columns(words[i:i + QUERY_SLICE], fn.max_word_len)
+        out += [(g[u] + g[v]) % m for u, v in zip(_hash(columns, lengths, fn.t1, fn.n),
+                                                  _hash(columns, lengths, fn.t2, fn.n))]
+    return out
 
 
 def query(fn: MphfFunction, word: bytes) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .natnum import parse_natural
 from .rng import SplitMix64
@@ -223,6 +223,10 @@ class AnnealConfig(NamedTuple):
             raise ValueError("max_total_steps must be in [1, %d]" % MAX_TOTAL_STEPS)
         if not self.restarts >= 0:
             raise ValueError("restarts must be non-negative")
+        for name in ("initial_temperature", "cooling"):
+            value = getattr(self, name)
+            if value is not None and type(value) not in (int, float):  # nor bool
+                raise ValueError("%s must be a number" % name)
         for name in ("steps_per_temperature", "max_total_steps", "restarts"):
             value = getattr(self, name)
             if value is not None and type(value) is not int:  # bool is not int here
@@ -312,14 +316,14 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     return AnnealOutcome(None, steps, restarts_used, best)
 
 
-def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
-    """Every labeled graph on n vertices with zero violations (n <= 7).
+def solution_masks(n: int, s: int, t: int) -> Iterator[int]:
+    """Yield the mask of every labeled graph on n vertices with zero violations (n <= 7).
 
-    Graph number ``mask`` has edge ``flips[i][:2]`` exactly when bit i of
-    mask is set.  The masks are walked in Gray-code order from the empty
-    graph: step i flips the edge at the lowest set bit of i, so each step is
-    one flip scored by the instance's flip kernel (``_flip_counter``) rather
-    than a full recount.  The graphs are returned in increasing mask order.
+    Graph number ``mask`` is ``mask_graph(n, mask)``.  The masks are walked
+    in Gray-code order from the empty graph: step i flips the edge at the
+    lowest set bit of i, so each step is one flip scored by the instance's
+    flip kernel (``_flip_counter``) rather than a full recount.  The masks
+    come in that walk's order, not sorted.
     """
     _check_params(n, s, t)
     flips = _flips(n)
@@ -331,7 +335,8 @@ def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
     delta = _flip_counter(n, s, t)
     adj, packed = [0] * n, 0
     energy = count_violations(GraphColoring(n), s, t)
-    found = [] if energy else [0]
+    if energy == 0:
+        yield 0
     for i in range(1, 1 << len(flips)):
         u, v, bu, bv, toggle = flips[(i & -i).bit_length() - 1]
         energy += delta(adj, packed, u, v)
@@ -339,12 +344,22 @@ def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
         adj[v] ^= bu
         packed ^= toggle
         if energy == 0:
-            found.append(i ^ i >> 1)  # the mask of the graph after step i
+            yield i ^ i >> 1  # the mask of the graph after step i
     if energy != count_violations(GraphColoring(n, adj), s, t):
         raise RuntimeError("internal error: incremental energy drifted")
-    found.sort()
-    return [GraphColoring.from_edges(n, [f[:2] for i, f in enumerate(flips) if mask >> i & 1])
-            for mask in found]
+
+
+def mask_graph(n: int, mask: int) -> GraphColoring:
+    """The graph on n vertices with edge i of combinations(range(n), 2) exactly
+    when bit i of ``mask`` is set."""
+    return GraphColoring.from_edges(
+        n, [e for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1])
+
+
+def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
+    """Every labeled graph on n vertices with zero violations (n <= 7), in
+    increasing mask order (see ``solution_masks``)."""
+    return [mask_graph(n, mask) for mask in sorted(solution_masks(n, s, t))]
 
 
 def census_confidence(distinct_found: int, total_runs: int) -> float:

@@ -22,7 +22,6 @@ length.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import NamedTuple
 
 from .rng import SplitMix64
@@ -61,6 +60,16 @@ def bit_reversal(d: int) -> list[int]:
     return out
 
 
+def random_permutation(d: int, rng: SplitMix64) -> list[int]:
+    """A uniform permutation of the d-cube's labels, by Fisher-Yates on ``rng``."""
+    check_dimension(d)
+    perm = list(range(1 << d))
+    for i in range(len(perm) - 1, 0, -1):
+        j = rng.uniform_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _check_permutation(d: int, perm) -> list[int]:
     check_dimension(d)
     N = 1 << d
@@ -70,11 +79,11 @@ def _check_permutation(d: int, perm) -> list[int]:
     return perm
 
 
-def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
-              then: list[int] | None = None, barrier: bool = False) -> RunStats:
+def _simulate(d: int, goal: list[int], then: list[int] | None = None,
+              barrier: bool = False) -> RunStats:
     """Run the synchronous queueing model, each packet walking greedily.
 
-    Packet j starts at start[j] and walks its leading-bit path to goal[j],
+    Packet j starts at vertex j and walks its leading-bit path to goal[j],
     then, when ``then`` is given, on to then[j].  With ``barrier`` a packet
     waits at goal[j] until none is left in flight, and then every packet sets
     off again at that step, in id order.  Returns the run's ``RunStats``; its
@@ -90,13 +99,13 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
     keyed u*d + b.  The busiest vertex is the one most packets pass, lowest
     on a tie; a packet counts once at a vertex both its legs pass.
     """
-    n = len(start)
-    here = list(start)
+    n = 1 << d
+    here = list(range(n))
     target = list(goal)
     second = [False] * n  # packet j is on its leg toward then[j]
-    passes = [0] * N
+    passes = [0] * n
     latency = [0] * n
-    free = [0] * (N * d)  # edge key -> first step it can pop a newcomer
+    free = [0] * (n * d)  # edge key -> first step it can pop a newcomer
     later: dict[int, list[int]] = {}  # step -> packets arriving then, past the next step
     depth = goal_step = step = 0
     arrivals = range(n)
@@ -108,9 +117,9 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
             t = target[j]
             if second[j]:
                 # The first leg passed w iff w has goal[j]'s bits from the
-                # lowest bit where w and start[j] differ upward: x is 0 or
+                # lowest bit where w and j differ upward: x is 0 or
                 # w ^ goal[j] lies wholly below x's lowest set bit.
-                x = u ^ start[j]
+                x = u ^ j
                 if x and (u ^ goal[j]) >= x & -x:
                     passes[u] += 1
             else:
@@ -156,9 +165,7 @@ def _simulate(N: int, d: int, start: Sequence[int], goal: list[int],
 
 def run_oblivious(d: int, perm) -> RunStats:
     """Route permutation ``perm`` greedily; returns timing and congestion."""
-    perm = _check_permutation(d, perm)
-    N = 1 << d
-    return _simulate(N, d, range(N), perm)
+    return _simulate(d, _check_permutation(d, perm))
 
 
 def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
@@ -178,4 +185,4 @@ def run_valiant(d: int, perm, rng: SplitMix64, sigma: list[int] | None = None,
         sigma = [vertex() for _ in range(N)]
     elif len(sigma) != N or any(not 0 <= v < N for v in sigma):
         raise ValueError("sigma must assign a vertex to each of %d packets" % N)
-    return _simulate(N, d, range(N), sigma, perm, phase_barrier)
+    return _simulate(d, sigma, perm, phase_barrier)

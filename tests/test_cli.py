@@ -62,6 +62,32 @@ def test_every_readme_exit_code_is_reached(monkeypatch, capsys):
     assert capsys.readouterr().err.endswith("internal error: invariant broken\n")
 
 
+def readme_number(text):
+    """A README exact value such as 128, 262,144, 2^25 or 4·10^6."""
+    value = 1
+    for factor_text in text.split("·"):
+        base, _, exponent = factor_text.replace(",", "").partition("^")
+        value *= int(base) ** int(exponent or 1)
+    return value
+
+
+def test_every_readme_cap_row_matches_its_constant():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    table = readme[readme.index("| Input | Cap | Constant | Exact value | Checked |"):]
+    rows = re.findall(r"^\|(.*)\|$", table[:table.index("\n\n")], re.MULTILINE)[2:]
+    checked = 0
+    for row in rows:
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", row)]
+        assert len(cells) == 5, row
+        if cells[2] == "—":  # no constant of its own
+            continue
+        module, name = re.fullmatch(r"`(\w+)\.(\w+)`", cells[2]).groups()
+        assert getattr(sys.modules["randlab." + module], name) == readme_number(cells[3]), row
+        checked += 1
+    assert checked >= 15
+
+
 def parsed_by_main(argv, monkeypatch):
     """vars() of the namespace main hands its handler for ``argv``."""
     seen = []
@@ -471,7 +497,7 @@ def test_route_sim_greedy_random_permutation_is_drawn_per_trial(capsys):
     assert code == 0
     rows = doc["result"]["trials"]
     for trial, row in enumerate(rows):
-        perm = cli._load_permutation("random", 5, derive_stream(3, trial))
+        perm = route.random_permutation(5, derive_stream(3, trial))
         stats = route.run_oblivious(5, perm)
         assert (row["total_steps"], row["max_queue_depth"]) == \
             (stats.total_steps, stats.max_queue_depth)
@@ -488,7 +514,7 @@ def test_random_permutation_matches_a_sampler_per_swap():
             for i in range((1 << d) - 1, 0, -1):
                 j = ref.sampler(i + 1)()
                 expected[i], expected[j] = expected[j], expected[i]
-            assert cli._load_permutation("random", d, rng) == expected, (d, seed)
+            assert route.random_permutation(d, rng) == expected, (d, seed)
             assert rng.state == ref.state
 
 
@@ -508,6 +534,16 @@ def test_ramsey_exhaustive(capsys):
     code, doc = run_cli(["ramsey", "exhaustive", "--n", "6", "--s", "3", "--t", "3"])
     assert code == 1
     assert doc["result"]["count"] == 0
+
+
+@pytest.mark.parametrize("n, s, t", [(5, 3, 3), (6, 3, 4), (6, 3, 3), (4, 2, 3)])
+def test_ramsey_exhaustive_reports_the_search(n, s, t, capsys):
+    # The count and the least-mask graph of exhaustive_search, which builds them all.
+    graphs = ramsey.exhaustive_search(n, s, t)
+    code, doc = run_cli(["ramsey", "exhaustive", "--n", str(n), "--s", str(s), "--t", str(t)])
+    assert code == (0 if graphs else 1)
+    assert doc["result"] == {"count": len(graphs), "exists": bool(graphs),
+                             "sample": ramsey.graph_to_text(graphs[0]) if graphs else None}
 
 
 def test_ramsey_anneal_and_census(tmp_path, capsys):
@@ -598,6 +634,9 @@ TOO_HOT = "initial_temperature must be at most %r" % sys.float_info.max
     bad_config('{"max_total_steps": 1000.0}', "max_total_steps must be an integer",
                "max_total_steps-1000.0"),
     bad_config('{"restarts": false}', "restarts must be an integer", "restarts-false"),
+    # true passed both range checks and annealed at T = 1.
+    bad_config('{"initial_temperature": true}', "initial_temperature must be a number",
+               "initial_temperature-true"),
 ])
 def test_ramsey_anneal_refuses_nan_config(config, instance, message, tmp_path, capsys):
     # json.load reads a bare NaN, and 1e400 as inf.  Let through, each of
@@ -852,6 +891,13 @@ def test_mphf_build_rejects_word_past_length_cap(tmp_path, capsys):
     assert main(argv, stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == \
         "error: words must be at most %d bytes long\n" % mphf.MAX_WORD_LEN
+
+
+def test_ramsey_exhaustive_builds_only_the_sample_graph(capsys):
+    # 32,766 solutions; building a graph for each peaked at 6.3 MiB.
+    code, peak = main_peak_bytes(["ramsey", "exhaustive", "--n", "6", "--s", "6", "--t", "6"])
+    assert code == 0
+    assert peak < 2**20
 
 
 def test_ramsey_census_refuses_vertex_count_before_allocating(tmp_path, capsys):

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from randlab import cli
+from randlab import cli, mphf
 from randlab.mphf import (
     MAX_VERTICES,
     MAX_WORD_LEN,
@@ -131,6 +131,31 @@ def test_query_many_matches_scalar_reference():
         query_many(fn, [b"x" * (fn.max_word_len + 1)])
     with pytest.raises(ValueError):
         query(fn, b"x" * (fn.max_word_len + 1))
+
+
+def test_query_many_slices_hash_as_one(monkeypatch):
+    words = kernel_words()
+    fn, _ = build(words[:500], 3.0, SplitMix64(3))
+    whole = query_many(fn, words)
+    monkeypatch.setattr(mphf, "QUERY_SLICE", 7)  # 500 words: the last slice is short
+    assert query_many(fn, words) == whole
+    assert query_many(fn, words[:500]) == list(range(500))
+
+
+def test_query_many_peak_does_not_grow_with_the_word_count():
+    # One-byte words padded to a 64-byte maximum, QUERY_SLICE at a time.
+    # Padding all 2^18 at once peaked at 32 MiB.
+    fn, _ = build([b"w%02d" % i for i in range(49)] + [b"x" * MAX_WORD_LEN], 3.0,
+                  SplitMix64(1))
+    words = [b"a"] * 2**18
+    tracemalloc.start()
+    try:
+        hashed = query_many(fn, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashed == [query(fn, b"a")] * len(words)
+    assert peak < 20 * 2**20, peak
 
 
 def test_serialized_kernel_words_pinned():

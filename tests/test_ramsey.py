@@ -1,3 +1,4 @@
+from decimal import Decimal
 from itertools import combinations
 
 import pytest
@@ -318,6 +319,17 @@ def test_anneal_validates_config():
         anneal(5, 3, 3, AnnealConfig(max_total_steps=0), SplitMix64(0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("initial_temperature", True),
+    # A Decimal passes the range checks, then fails the first cooling product.
+    ("initial_temperature", Decimal(2)),
+    ("cooling", Decimal("0.5")),
+])
+def test_anneal_config_refuses_a_non_number(field, value):
+    with pytest.raises(ValueError, match="^%s must be a number$" % field):
+        anneal(5, 3, 3, AnnealConfig(**{field: value}), SplitMix64(0))
+
+
 def test_exhaustive_search_pins_r33():
     found = exhaustive_search(5, 3, 3)
     assert found  # C5 relabelings exist
@@ -358,6 +370,7 @@ def test_exhaustive_search_matches_mask_order_reference(n, s, t):
     assert found == reference_exhaustive(n, s, t)
     if (n, s, t) == (6, 3, 4):
         assert len(found) == 2812
+
 
 
 def test_census_confidence_values():
