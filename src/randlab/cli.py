@@ -11,15 +11,22 @@ Exit codes: 0 success, 1 negative domain verdict (composite / mismatch /
 exhausted / not-found), 2 usage or argument error, 3 internal invariant
 violation.
 
-The argument parser is built once, when this module is imported, and every
-``main`` call reuses it.  When the first two words name a subcommand, ``main``
-parses the rest with its leaf parser alone: the full parse's namespace,
-messages and exit codes at about a third of its cost.
+Importing this module runs no library module and builds no parser, so a
+one-shot call pays only for what its subcommand uses.  The library modules
+are registered lazily (``importlib.util.LazyLoader``): each runs at its first
+attribute access.  ``_describe`` holds the one description of the arguments.
+When the first two words name a subcommand, ``main`` builds that leaf's
+parser alone and parses the rest with it: the full parse's namespace,
+messages and exit codes.  The full parser is built only for help, an unknown
+command, fewer than two words or an argument the leaf does not take.  Each
+parser is built on first use and kept, so a process that calls ``main`` many
+times builds each once.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -27,13 +34,31 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import ne
 
-from . import __version__, factor, fingerprint, mphf, primality, ramsey, route
+from . import __version__
 from .natnum import parse_natural
 from .rng import SplitMix64, derive_stream
 
+
+def _lazy(name: str):
+    """Library module randlab.<name>, registered in sys.modules (and on the
+    package) as a normal import would, but run at its first attribute access
+    (importlib.util.LazyLoader), unless it has run already."""
+    full = "%s.%s" % (__package__, name)
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+factor, fingerprint, mphf, primality, ramsey, route = map(
+    _lazy, ("factor", "fingerprint", "mphf", "primality", "ramsey", "route"))
 
 # Longest census graph text or --config file read, in characters: far past
 # any real one (a 24-vertex graph text is under 2 KB, an AnnealConfig object a
@@ -43,6 +68,11 @@ MAX_TEXT_FILE_CHARS = 256 * 1024
 # Longest mphf word list read, in bytes: 2^16 words of 63 bytes; split into
 # two-byte words, a list at the cap takes 70 MiB (tracemalloc).
 MAX_WORDLIST_BYTES = 4 * 1024 * 1024
+
+# Longest route sim --perm file: line, in characters: a label has at most 5
+# digits (route.MAX_DIMENSION = 16), and a line is read no further than one
+# character past the cap, so a hostile file costs no memory that grows with it.
+MAX_PERM_LINE_CHARS = 64
 
 # SplitMix64 keeps a seed's low 64 bits, so a larger seed would replay another.
 MAX_SEED = 2**64 - 1
@@ -91,105 +121,140 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
                         help="64-bit seed in [0, 2^64 - 1]; default 0 (deterministic by default)")
 
 
+# Help of each command group, in the order the full parser lists them.
+_GROUPS = {
+    "prime": "primality testing",
+    "fingerprint": "remote document comparison",
+    "factor": "integer factorization",
+    "mphf": "minimal perfect hashing",
+    "route": "hypercube routing simulator",
+    "ramsey": "clique/independent-set-free graphs",
+}
+
+
+def _describe(leaf) -> None:
+    """The arguments of every leaf parser, in the order the full parser lists them.
+
+    ``leaf(command, subcommand, **kw)`` returns the parser that takes the
+    leaf's arguments (``kw`` holds its help line, if any), or None to skip
+    them; so building one leaf runs only its own part, and reads only the
+    defaults that part names.
+    """
+    if p := leaf("prime", "test", help="probabilistic primality test"):
+        p.add_argument("n")
+        p.add_argument("--rounds", type=natural, default=10)
+        _add_seed(p)
+    if p := leaf("prime", "witness-density",
+                 help="single-round pass rate, exact from n's factorization"):
+        p.add_argument("n")
+    if p := leaf("prime", "random", help="random prime in an open interval"):
+        p.add_argument("--lo", required=True)
+        p.add_argument("--hi", required=True)
+        p.add_argument("--rounds", type=natural, default=24,
+                       help="random-base rounds for a candidate of 2^64 or more; below 2^64 "
+                            "every prime is decided exactly")
+        _add_seed(p)
+
+    for name in ("verify", "localize"):
+        if p := leaf("fingerprint", name):
+            p.add_argument("local", help="local document file")
+            p.add_argument("--remote", required=True,
+                           help="remote document file, or '-' to speak the text protocol on stdio")
+            if name == "verify":
+                p.add_argument("--rounds", type=natural, default=10)
+            else:
+                p.add_argument("--rounds-per-probe", type=natural, default=3)
+            p.add_argument("--prime-lo", default=str(fingerprint.DEFAULT_PRIME_LO))
+            p.add_argument("--prime-hi", default=str(fingerprint.DEFAULT_PRIME_HI))
+            _add_seed(p)
+    if p := leaf("fingerprint", "serve", help="answer residue queries for a file on stdio"):
+        p.add_argument("document")
+
+    if p := leaf("factor", "pm1", help="Pollard p-1, stage 1"):
+        p.add_argument("N")
+        p.add_argument("--bound", type=natural, required=True)
+    if p := leaf("factor", "ecm", help="elliptic curve method, stage 1"):
+        p.add_argument("N")
+        p.add_argument("--b1", type=natural, required=True)
+        p.add_argument("--curves", type=natural, default=100)
+        _add_seed(p)
+
+    if p := leaf("mphf", "build"):
+        p.add_argument("wordlist", help="file with one word per line")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--ratio", type=ratio, default=3.0)
+        _add_seed(p)
+    if p := leaf("mphf", "query"):
+        p.add_argument("function", help=".chm file")
+        p.add_argument("word")
+    if p := leaf("mphf", "verify"):
+        p.add_argument("function")
+        p.add_argument("wordlist")
+
+    if p := leaf("route", "sim"):
+        p.add_argument("--d", type=natural, required=True)
+        p.add_argument("--perm", default="bitrev",
+                       help="bitrev | identity | random | file:<path>")
+        p.add_argument("--algo", choices=("greedy", "valiant"), default="greedy")
+        p.add_argument("--phase-barrier", action="store_true",
+                       help="synchronize the two valiant phases globally")
+        p.add_argument("--trials", type=natural, default=1,
+                       help="independent trials on derived seed streams")
+        _add_seed(p)
+
+    for name in ("anneal", "exhaustive"):
+        if p := leaf("ramsey", name):
+            p.add_argument("--n", type=natural, required=True)
+            p.add_argument("--s", type=natural, required=True)
+            p.add_argument("--t", type=natural, required=True)
+            if name == "anneal":
+                p.add_argument("--config", help="JSON file with AnnealConfig fields")
+                p.add_argument("-o", "--graph-out", help="also write the graph text to a file")
+                _add_seed(p)
+    if p := leaf("ramsey", "census"):
+        p.add_argument("--dir", required=True, help="directory of graph text files")
+
+
+# (command, subcommand) of every leaf; listing them builds no parser.
+LEAVES = []
+_describe(lambda *key, **kw: LEAVES.append(key))
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The full parser, and each leaf parser under (command, subcommand)."""
     top = argparse.ArgumentParser(prog="randlab",
                                   description="randomized-algorithms workbench")
     sub = top.add_subparsers(dest="command", required=True)
+    groups = {command: sub.add_parser(command, help=help).add_subparsers(dest="subcommand",
+                                                                         required=True)
+              for command, help in _GROUPS.items()}
     leaves = {}
 
-    def group(command: str, help: str):
-        """add_parser for the subcommands of ``command``, recording each in ``leaves``."""
-        subs = sub.add_parser(command, help=help).add_subparsers(dest="subcommand", required=True)
-        return lambda name, **kw: leaves.setdefault((command, name), subs.add_parser(name, **kw))
+    def leaf(command: str, name: str, **kw) -> argparse.ArgumentParser:
+        leaves[command, name] = groups[command].add_parser(name, **kw)
+        return leaves[command, name]
 
-    prime = group("prime", "primality testing")
-    p = prime("test", help="probabilistic primality test")
-    p.add_argument("n")
-    p.add_argument("--rounds", type=natural, default=10)
-    _add_seed(p)
-    p = prime("witness-density", help="single-round pass rate, exact from n's factorization")
-    p.add_argument("n")
-    p = prime("random", help="random prime in an open interval")
-    p.add_argument("--lo", required=True)
-    p.add_argument("--hi", required=True)
-    p.add_argument("--rounds", type=natural, default=24,
-                   help="random-base rounds for a candidate of 2^64 or more; below 2^64 "
-                        "every prime is decided exactly")
-    _add_seed(p)
-
-    fp = group("fingerprint", "remote document comparison")
-    for name in ("verify", "localize"):
-        p = fp(name)
-        p.add_argument("local", help="local document file")
-        p.add_argument("--remote", required=True,
-                       help="remote document file, or '-' to speak the text protocol on stdio")
-        if name == "verify":
-            p.add_argument("--rounds", type=natural, default=10)
-        else:
-            p.add_argument("--rounds-per-probe", type=natural, default=3)
-        p.add_argument("--prime-lo", default=str(fingerprint.DEFAULT_PRIME_LO))
-        p.add_argument("--prime-hi", default=str(fingerprint.DEFAULT_PRIME_HI))
-        _add_seed(p)
-    p = fp("serve", help="answer residue queries for a file on stdio")
-    p.add_argument("document")
-
-    fa = group("factor", "integer factorization")
-    p = fa("pm1", help="Pollard p-1, stage 1")
-    p.add_argument("N")
-    p.add_argument("--bound", type=natural, required=True)
-    p = fa("ecm", help="elliptic curve method, stage 1")
-    p.add_argument("N")
-    p.add_argument("--b1", type=natural, required=True)
-    p.add_argument("--curves", type=natural, default=100)
-    _add_seed(p)
-
-    mp = group("mphf", "minimal perfect hashing")
-    p = mp("build")
-    p.add_argument("wordlist", help="file with one word per line")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ratio", type=ratio, default=3.0)
-    _add_seed(p)
-    p = mp("query")
-    p.add_argument("function", help=".chm file")
-    p.add_argument("word")
-    p = mp("verify")
-    p.add_argument("function")
-    p.add_argument("wordlist")
-
-    rt = group("route", "hypercube routing simulator")
-    p = rt("sim")
-    p.add_argument("--d", type=natural, required=True)
-    p.add_argument("--perm", default="bitrev",
-                   help="bitrev | identity | random | file:<path>")
-    p.add_argument("--algo", choices=("greedy", "valiant"), default="greedy")
-    p.add_argument("--phase-barrier", action="store_true",
-                   help="synchronize the two valiant phases globally")
-    p.add_argument("--trials", type=natural, default=1,
-                   help="independent trials on derived seed streams")
-    _add_seed(p)
-
-    rs = group("ramsey", "clique/independent-set-free graphs")
-    p = rs("anneal")
-    p.add_argument("--n", type=natural, required=True)
-    p.add_argument("--s", type=natural, required=True)
-    p.add_argument("--t", type=natural, required=True)
-    p.add_argument("--config", help="JSON file with AnnealConfig fields")
-    p.add_argument("-o", "--graph-out", help="also write the graph text to a file")
-    _add_seed(p)
-    p = rs("exhaustive")
-    p.add_argument("--n", type=natural, required=True)
-    p.add_argument("--s", type=natural, required=True)
-    p.add_argument("--t", type=natural, required=True)
-    p = rs("census")
-    p.add_argument("--dir", required=True, help="directory of graph text files")
-
+    _describe(leaf)
     return top, leaves
 
 
-# Built once, at import: a one-shot process pays for one build either way, and
-# a process that calls main() many times reuses it.
-PARSER, LEAVES = _build_parser()
+def _build_leaf(key: tuple[str, str]) -> argparse.ArgumentParser:
+    """Leaf ``key``'s parser alone, as the full parser holds it: the same prog,
+    usage, namespace and errors."""
+    parser = argparse.ArgumentParser(prog="randlab %s %s" % key)
+    _describe(lambda *name, **kw: parser if name == key else None)
+    return parser
+
+
+# Parsers built so far: the full one under None, each leaf under its key.
+_PARSERS: dict = {}
+
+
+def _parser(key: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The full parser, or leaf ``key``'s alone; each built on first use and kept."""
+    if key not in _PARSERS:
+        _PARSERS[key] = _build_parser()[0] if key is None else _build_leaf(key)
+    return _PARSERS[key]
 
 
 def _cmd_prime(args, stdout) -> tuple[dict | None, int]:
@@ -298,15 +363,18 @@ def _cmd_mphf(args, stdout) -> tuple[dict | None, int]:
         # The word's bytes as the OS passed them, as a word list file holds them.
         return {"index": mphf.query(fn, os.fsencode(args.word))}, 0
     words = _read_wordlist(args.wordlist)
-    hashed = mphf.query_many(fn, [w for w in words if len(w) <= fn.max_word_len])
+    # A word past the build maximum is not hashed, so the lengths differ; only
+    # then is the list copied without it.
+    fits = (words if max(map(len, words), default=0) <= fn.max_word_len
+            else [w for w in words if len(w) <= fn.max_word_len])
+    hashed = mphf.query_many(fn, fits)
     bad = []
-    # A too-long word is not hashed, so the lengths differ.
     if len(hashed) != len(words) or any(map(ne, hashed, count())):
-        # Only a failure walks the words, to name the bad indices.
+        # Only a failure walks the words, and only to the 20th bad index.
         rest = iter(hashed)
-        bad = [j for j, w in enumerate(words)
-               if len(w) > fn.max_word_len or next(rest) != j]
-    return {"words": len(words), "mismatches": bad[:20], "ok": not bad}, 0 if not bad else 1
+        bad = list(islice((j for j, w in enumerate(words)
+                           if len(w) > fn.max_word_len or next(rest) != j), 20))
+    return {"words": len(words), "mismatches": bad, "ok": not bad}, 0 if not bad else 1
 
 
 def _load_permutation(kind: str, d: int) -> list[int]:
@@ -317,14 +385,13 @@ def _load_permutation(kind: str, d: int) -> list[int]:
     if kind == "identity":
         return list(range(N))
     if kind.startswith("file:"):
-        # One label a line, at most 5 digits (route.MAX_DIMENSION = 16); read
-        # no more than 64 characters a line and one label past N, so a hostile
-        # file costs no memory that grows with it.
+        # One label a line; read no more than one label past N.
         perm = []
         with open(kind[5:], "r", encoding="utf-8") as fh:
-            while line := fh.readline(65):
-                if len(line) > 64:
-                    raise ValueError("--perm file lines must be at most 64 characters")
+            while line := fh.readline(MAX_PERM_LINE_CHARS + 1):
+                if len(line) > MAX_PERM_LINE_CHARS:
+                    raise ValueError("--perm file lines must be at most %d characters"
+                                     % MAX_PERM_LINE_CHARS)
                 if line.strip():
                     if len(perm) == N:
                         raise ValueError("--perm file holds more than %d labels" % N)
@@ -426,6 +493,15 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
     }, 0
 
 
+# Exit code and message prefix of the library's RuntimeErrors that are not
+# internal errors, by class.  The classes are named as text: naming one would
+# run its module, which the call that failed need not have used.
+_RUNTIME_EXITS = {
+    "randlab.fingerprint.TransportError": (2, "error"),
+    "randlab.primality.PrimelessIntervalError": (1, "search exhausted"),
+    "randlab.mphf.RatioTooLowError": (1, "search exhausted"),
+}
+
 _HANDLERS = {
     "prime": _cmd_prime,
     "fingerprint": _cmd_fingerprint,
@@ -439,15 +515,15 @@ _HANDLERS = {
 def main(argv: list[str] | None = None, stdout=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     stdout = stdout or sys.stdout
-    leaf = LEAVES.get(tuple(argv[:2]))
+    key = tuple(argv[:2])
     try:
-        if leaf is None:  # help, an unknown command or fewer than two words
-            args = PARSER.parse_args(argv)
+        if key not in LEAVES:  # help, an unknown command or fewer than two words
+            args = _parser().parse_args(argv)
         else:
-            args, extra = leaf.parse_known_args(argv[2:])
+            args, extra = _parser(key).parse_known_args(argv[2:])
             if extra:  # as the full parse reports them
-                PARSER.error("unrecognized arguments: %s" % " ".join(extra))
-            args.command, args.subcommand = argv[:2]
+                _parser().error("unrecognized arguments: %s" % " ".join(extra))
+            args.command, args.subcommand = key
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = datetime.now(timezone.utc).isoformat()
@@ -467,15 +543,15 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
             json.dump({"manifest": manifest, "result": result}, out, indent=2, sort_keys=True)
             out.write("\n")
         return code
-    except (ValueError, OSError, fingerprint.TransportError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (primality.PrimelessIntervalError, mphf.RatioTooLowError) as exc:
-        print("search exhausted: %s" % exc, file=sys.stderr)
-        return 1
     except RuntimeError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 3
+        cls = type(exc)
+        code, what = _RUNTIME_EXITS.get("%s.%s" % (cls.__module__, cls.__qualname__),
+                                        (3, "internal error"))
+        print("%s: %s" % (what, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def test_every_readme_cap_row_matches_its_constant():
         module, name = re.fullmatch(r"`(\w+)\.(\w+)`", cells[2]).groups()
         assert getattr(sys.modules["randlab." + module], name) == readme_number(cells[3]), row
         checked += 1
-    assert checked >= 15
+    assert checked >= 16
 
 
 def parsed_by_main(argv, monkeypatch):
@@ -105,6 +105,16 @@ def test_leaf_dispatch_parses_every_golden_argv_as_the_full_parser_does(monkeypa
             full.setattr(cli, "LEAVES", {})
             assert parsed_by_main(argv, full) == by_leaf, argv
         assert [by_leaf["command"], by_leaf["subcommand"]] == argv[:2]
+
+
+def test_each_leaf_alone_prints_as_the_full_parsers_leaf():
+    top, leaves = cli._build_parser()
+    assert list(leaves) == cli.LEAVES
+    for key in cli.LEAVES:
+        alone = cli._build_leaf(key)
+        assert alone.prog == leaves[key].prog == "randlab %s %s" % key
+        assert alone.format_usage() == leaves[key].format_usage(), key
+        assert alone.format_help() == leaves[key].format_help(), key
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,6 +357,34 @@ def test_mphf_verify_matches_per_word_query(tmp_path, capsys):
     code, doc = run_cli(["mphf", "verify", str(chm), str(tmp_path / "probe.txt")])
     assert code == 1
     assert doc["result"] == {"words": 62, "mismatches": expected[:20], "ok": False}
+
+
+def test_mphf_verify_copies_the_word_list_only_to_drop_an_over_long_word(tmp_path, monkeypatch):
+    words = ["w%03d" % i for i in range(30)]
+    (tmp_path / "words.txt").write_text("".join(w + "\n" for w in words))
+    chm = tmp_path / "fn.chm"
+    assert run_cli(["mphf", "build", str(tmp_path / "words.txt"), "-o", str(chm)])[0] == 0
+    fn = mphf.deserialize(chm.read_bytes())
+    read, hashed = [], []
+    monkeypatch.setattr(cli, "_read_wordlist", lambda path: read.append(_read_wordlist(path))
+                        or read[-1])
+    query_many = mphf.query_many
+    monkeypatch.setattr(mphf, "query_many", lambda fn, ws: hashed.append(ws) or query_many(fn, ws))
+    argv = ["mphf", "verify", str(chm), str(tmp_path / "probe.txt")]
+
+    (tmp_path / "probe.txt").write_text("".join(w + "\n" for w in words))
+    code, doc = run_cli(argv)
+    assert code == 0
+    assert doc["result"] == {"words": 30, "mismatches": [], "ok": True}
+    assert hashed[-1] is read[-1]  # all fit: hashed as read
+
+    # One over-long word, last: only its index is named.
+    long_word = "x" * (fn.max_word_len + 1)
+    (tmp_path / "probe.txt").write_text("".join(w + "\n" for w in words + [long_word]))
+    code, doc = run_cli(argv)
+    assert code == 1
+    assert doc["result"] == {"words": 31, "mismatches": [30], "ok": False}
+    assert hashed[-1] == read[-1][:30] and hashed[-1] is not read[-1]
 
 
 def test_mphf_query_refuses_max_word_len_past_cap(tmp_path, capsys):
@@ -1014,6 +1052,73 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = set(proc.stdout.split())
     assert "randlab.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# Records, in a fresh interpreter, which randlab modules run (a module's
+# exec_module; a lazily loaded module runs at its first attribute access) and
+# which parsers are built, across the import and one main call.
+STARTUP_PROBE = """
+import argparse, io, json, sys
+from importlib.machinery import SourceFileLoader
+
+ran, built = [], []
+exec_module, init = SourceFileLoader.exec_module, argparse.ArgumentParser.__init__
+
+def recording_exec_module(self, module):
+    if module.__name__.startswith("randlab"):
+        ran.append(module.__name__)
+    exec_module(self, module)
+
+def recording_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+
+SourceFileLoader.exec_module = recording_exec_module
+argparse.ArgumentParser.__init__ = recording_init
+import randlab.cli
+at_import = (list(ran), list(built))
+code = randlab.cli.main(sys.argv[1:], stdout=io.StringIO())
+print(json.dumps([at_import, [ran[len(at_import[0]):], built[len(at_import[1]):]], code]))
+"""
+
+LIBRARY_MODULES = {"randlab." + m for m in
+                   ("factor", "fingerprint", "mphf", "primality", "ramsey", "route")}
+
+
+def startup_probe(argv):
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE] + argv,
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_runs_no_library_module_and_builds_no_parser():
+    (ran, built), (call_ran, call_built), code = startup_probe(["prime", "test", "97"])
+    assert "randlab.cli" in ran and not LIBRARY_MODULES & set(ran)
+    assert built == []
+    assert code == 0
+    assert call_ran == ["randlab.primality"]
+    assert call_built == ["randlab prime test"]
+
+
+@pytest.mark.parametrize("argv, runs, exit_code", [
+    (["factor", "pm1", "4294967297", "--bound", "128"], ["randlab.factor", "randlab.primality"], 0),
+    (["ramsey", "exhaustive", "--n", "4", "--s", "3", "--t", "3"], ["randlab.ramsey"], 0),
+    # Errors are mapped to exit codes without running another module.
+    (["route", "sim", "--d", "3", "--trials", "0"], [], 2),
+    (["prime", "random", "--lo", "24", "--hi", "29"], ["randlab.primality"], 1),
+])
+def test_cli_call_runs_only_the_modules_it_uses(argv, runs, exit_code):
+    _, (call_ran, call_built), code = startup_probe(argv)
+    assert code == exit_code
+    assert call_ran == runs
+    assert call_built == ["randlab %s %s" % tuple(argv[:2])]
+
+
+def test_runtime_exits_name_library_runtime_errors():
+    for name in cli._RUNTIME_EXITS:
+        module, cls = name.rsplit(".", 1)
+        assert issubclass(getattr(sys.modules[module], cls), RuntimeError), name
 
 
 RECORDS = [
