@@ -11,10 +11,19 @@ clique/independent-set-free graphs).
 
 Everything randomized takes an explicit generator, so any result can be
 replayed bit-for-bit from its seed.
+
+Expected failures are typed: ValueError for bad input, OSError for I/O
+(fingerprint.TransportError among them), SearchExhausted for a Las Vegas
+search that ran out; any other RuntimeError is a broken invariant.
 """
 
 __version__ = "0.5.0"
 
 from .rng import SplitMix64, derive_stream
 
-__all__ = ["SplitMix64", "derive_stream", "__version__"]
+
+class SearchExhausted(RuntimeError):
+    """A Las Vegas search ran out with no answer: not a wrong one, not a bug."""
+
+
+__all__ = ["SearchExhausted", "SplitMix64", "derive_stream", "__version__"]

@@ -7,9 +7,10 @@ its own output.  It goes to stdout, or to stderr under ``--remote -``, where
 stdout is the wire.  ``fingerprint serve`` writes none.  Diagnostics go to
 stderr.
 
-Exit codes: 0 success, 1 negative domain verdict (composite / mismatch /
-exhausted / not-found), 2 usage or argument error, 3 internal invariant
-violation.
+Exit codes, each with its stderr prefix, are picked by ``main`` alone from the
+exception type: 0 success, 1 negative verdict (composite / mismatch /
+not-found) or SearchExhausted, 2 usage error, ValueError or OSError
+(TransportError among them), 3 any other RuntimeError (a broken invariant).
 
 Importing this module runs no library module and builds no parser, so a
 one-shot call pays only for what its subcommand uses.  The library modules
@@ -26,6 +27,7 @@ times builds each once.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -37,15 +39,16 @@ from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import ne
 
-from . import __version__
+from . import SearchExhausted, __version__
 from .natnum import parse_natural
 from .rng import SplitMix64, derive_stream
 
 
 def _lazy(name: str):
     """Library module randlab.<name>, registered in sys.modules (and on the
-    package) as a normal import would, but run at its first attribute access
-    (importlib.util.LazyLoader), unless it has run already."""
+    package) as an import would, but run at its first attribute access
+    (importlib.util.LazyLoader) unless it has run.  The benchmark's tracer needs
+    the entry: it reads sys.modules["randlab.<name>"] right after the import."""
     full = "%s.%s" % (__package__, name)
     if full not in sys.modules:
         spec = importlib.util.find_spec(full)
@@ -238,23 +241,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return top, leaves
 
 
-def _build_leaf(key: tuple[str, str]) -> argparse.ArgumentParser:
-    """Leaf ``key``'s parser alone, as the full parser holds it: the same prog,
-    usage, namespace and errors."""
+@functools.cache
+def _parser(key: tuple[str, str] | None) -> argparse.ArgumentParser:
+    """The full parser (key None), or leaf ``key``'s alone as the full one holds it."""
+    if key is None:
+        return _build_parser()[0]
     parser = argparse.ArgumentParser(prog="randlab %s %s" % key)
     _describe(lambda *name, **kw: parser if name == key else None)
     return parser
-
-
-# Parsers built so far: the full one under None, each leaf under its key.
-_PARSERS: dict = {}
-
-
-def _parser(key: tuple[str, str] | None = None) -> argparse.ArgumentParser:
-    """The full parser, or leaf ``key``'s alone; each built on first use and kept."""
-    if key not in _PARSERS:
-        _PARSERS[key] = _build_parser()[0] if key is None else _build_leaf(key)
-    return _PARSERS[key]
 
 
 def _cmd_prime(args, stdout) -> tuple[dict | None, int]:
@@ -481,10 +475,13 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
     forms = set()
     files = sorted(os.listdir(args.dir))
     for name in files:
-        text = _read_text(os.path.join(args.dir, name), "census graph file %r" % name)
-        forms.add(ramsey.canonical_form(ramsey.graph_from_text(text)))
-    runs = len(files)
-    distinct = len(forms)
+        what = "census graph file %r" % name
+        text = _read_text(os.path.join(args.dir, name), what)
+        try:
+            forms.add(ramsey.canonical_form(ramsey.graph_from_text(text)))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (what, exc)) from None
+    runs, distinct = len(files), len(forms)
     return {
         "runs": runs,
         "distinct": distinct,
@@ -492,15 +489,6 @@ def _cmd_ramsey(args, stdout) -> tuple[dict | None, int]:
         if runs else None,
     }, 0
 
-
-# Exit code and message prefix of the library's RuntimeErrors that are not
-# internal errors, by class.  The classes are named as text: naming one would
-# run its module, which the call that failed need not have used.
-_RUNTIME_EXITS = {
-    "randlab.fingerprint.TransportError": (2, "error"),
-    "randlab.primality.PrimelessIntervalError": (1, "search exhausted"),
-    "randlab.mphf.RatioTooLowError": (1, "search exhausted"),
-}
 
 _HANDLERS = {
     "prime": _cmd_prime,
@@ -518,11 +506,11 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     key = tuple(argv[:2])
     try:
         if key not in LEAVES:  # help, an unknown command or fewer than two words
-            args = _parser().parse_args(argv)
+            args = _parser(None).parse_args(argv)
         else:
             args, extra = _parser(key).parse_known_args(argv[2:])
             if extra:  # as the full parse reports them
-                _parser().error("unrecognized arguments: %s" % " ".join(extra))
+                _parser(None).error("unrecognized arguments: %s" % " ".join(extra))
             args.command, args.subcommand = key
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -546,12 +534,12 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except SearchExhausted as exc:
+        print("search exhausted: %s" % exc, file=sys.stderr)
+        return 1
     except RuntimeError as exc:
-        cls = type(exc)
-        code, what = _RUNTIME_EXITS.get("%s.%s" % (cls.__module__, cls.__qualname__),
-                                        (3, "internal error"))
-        print("%s: %s" % (what, exc), file=sys.stderr)
-        return code
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -128,7 +128,7 @@ def _check_target(N: int, require_coprime_6: bool = False) -> None:
 def _verified(divisor: int, N: int) -> int:
     # Las Vegas contract: never report an unchecked divisor.
     if not 1 < divisor < N or N % divisor != 0:
-        raise RuntimeError("internal error: bogus divisor %d for %d" % (divisor, N))
+        raise RuntimeError("bogus divisor %d for %d" % (divisor, N))
     return divisor
 
 

@@ -75,8 +75,8 @@ CHUNK_BYTES = 16 * 1024
 CHUNK_MODULI = 64
 
 
-class TransportError(RuntimeError):
-    """Oracle communication failed; distinct from a residue mismatch."""
+class TransportError(OSError):
+    """Oracle communication failed, an I/O error; distinct from a residue mismatch."""
 
 
 def residue(data: bytes, modulus: int) -> int:

@@ -47,6 +47,7 @@ from itertools import accumulate, count, repeat
 from operator import add, eq, getitem, mod, ne
 from typing import BinaryIO, NamedTuple, Sequence
 
+from . import SearchExhausted
 from .rng import SplitMix64
 
 MAGIC = b"CHM1"
@@ -71,7 +72,7 @@ PAD_SLICE = 4096
 QUERY_SLICE = 2**16
 
 
-class RatioTooLowError(RuntimeError):
+class RatioTooLowError(SearchExhausted):
     """Every trial graph kept coming out cyclic; n/m is too close to 2."""
 
 
@@ -239,7 +240,7 @@ def build(words: Sequence[bytes], ratio: float,
         at = g.__getitem__
         if any(map(ne, map(mod, map(add, map(at, us), map(at, vs)), repeat(m)), count())):
             j = next(j for j, (u, v) in enumerate(zip(us, vs)) if (g[u] + g[v]) % m != j)
-            raise RuntimeError("internal error: assignment broke h(w_%d) = %d" % (j, j))
+            raise RuntimeError("assignment broke h(w_%d) = %d" % (j, j))
         return (MphfFunction(m, n, max_len, t1, t2, tuple(g)),
                 BuildReport(trial, time.perf_counter() - start))
     raise RatioTooLowError("%d consecutive cyclic graphs at ratio %.3f" % (MAX_TRIALS, ratio))

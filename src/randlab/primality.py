@@ -41,6 +41,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import SearchExhausted
 from .natnum import decompose_two_power
 from .rng import SplitMix64
 
@@ -77,7 +78,7 @@ SMALL_SPAN = 64
 _EXACT_BASES = (4_759_123_141, (2, 7, 61), (2, 325, 9375, 28178, 450775, 9780504, 1795265022))
 
 
-class PrimelessIntervalError(RuntimeError):
+class PrimelessIntervalError(SearchExhausted):
     """Raised when random prime search finds no prime in its interval."""
 
 

@@ -311,7 +311,7 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             best = min(best, energy)
     if energy == 0:
         if count_violations(g, s, t) != 0:
-            raise RuntimeError("internal error: incremental energy drifted")
+            raise RuntimeError("incremental energy drifted")
         return AnnealOutcome(g, steps, restarts_used, 0)
     return AnnealOutcome(None, steps, restarts_used, best)
 
@@ -346,7 +346,7 @@ def solution_masks(n: int, s: int, t: int) -> Iterator[int]:
         if energy == 0:
             yield i ^ i >> 1  # the mask of the graph after step i
     if energy != count_violations(GraphColoring(n, adj), s, t):
-        raise RuntimeError("internal error: incremental energy drifted")
+        raise RuntimeError("incremental energy drifted")
 
 
 def mask_graph(n: int, mask: int) -> GraphColoring:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from randlab import cli, factor, fingerprint, mphf, primality, ramsey, route
+from randlab import SearchExhausted, cli, factor, fingerprint, mphf, primality, ramsey, route
 from randlab.cli import _probability, _read_wordlist, main
 from randlab.rng import derive_stream
 from replay import normalize
@@ -111,7 +112,7 @@ def test_each_leaf_alone_prints_as_the_full_parsers_leaf():
     top, leaves = cli._build_parser()
     assert list(leaves) == cli.LEAVES
     for key in cli.LEAVES:
-        alone = cli._build_leaf(key)
+        alone = cli._parser(key)
         assert alone.prog == leaves[key].prog == "randlab %s %s" % key
         assert alone.format_usage() == leaves[key].format_usage(), key
         assert alone.format_help() == leaves[key].format_help(), key
@@ -622,7 +623,17 @@ def test_ramsey_census_rejects_graph_past_vertex_limit(tmp_path, capsys):
     graphs.mkdir()
     (graphs / "big.txt").write_text(ramsey.graph_to_text(ramsey.GraphColoring(25)))
     assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
-    assert capsys.readouterr().err == "error: canonical_form supports at most 24 vertices\n"
+    assert capsys.readouterr().err == \
+        "error: census graph file 'big.txt': canonical_form supports at most 24 vertices\n"
+
+
+def test_ramsey_census_bad_edge_names_its_file(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "a.txt").write_text(ramsey.graph_to_text(ramsey.GraphColoring(3)))
+    (graphs / "bad.txt").write_text("3\n1: 5\n")
+    assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: census graph file 'bad.txt': bad edge (1, 5)\n"
 
 
 def test_ramsey_anneal_not_found_exit(tmp_path, capsys):
@@ -944,7 +955,8 @@ def test_ramsey_census_refuses_vertex_count_before_allocating(tmp_path, capsys):
     (graphs / "huge.txt").write_text("1000000\n0: 1\n")
     code, peak = main_peak_bytes(["ramsey", "census", "--dir", str(graphs)])
     assert code == 2
-    assert capsys.readouterr().err == "error: canonical_form supports at most 24 vertices\n"
+    assert capsys.readouterr().err == \
+        "error: census graph file 'huge.txt': canonical_form supports at most 24 vertices\n"
     assert peak < 2**20
 
 
@@ -1115,10 +1127,61 @@ def test_cli_call_runs_only_the_modules_it_uses(argv, runs, exit_code):
     assert call_built == ["randlab %s %s" % tuple(argv[:2])]
 
 
-def test_runtime_exits_name_library_runtime_errors():
-    for name in cli._RUNTIME_EXITS:
-        module, cls = name.rsplit(".", 1)
-        assert issubclass(getattr(sys.modules[module], cls), RuntimeError), name
+def off_by_one_flip_counter(monkeypatch):
+    """Patch ramsey's flip kernel to report every delta one too high."""
+    kernel = ramsey._flip_counter
+
+    def flip_counter(n, s, t):
+        delta = kernel(n, s, t)
+        return lambda adj, packed, u, v: delta(adj, packed, u, v) + 1
+    monkeypatch.setattr(ramsey, "_flip_counter", flip_counter)
+
+
+@pytest.mark.parametrize("argv, stdin, patch, exit_code, err", [
+    # A broken wire session is an OSError: exit 2.
+    (["fingerprint", "verify", "DOC", "--remote", "-"], "garbage\n", None, 2,
+     "error: malformed oracle response: 'garbage\\n'\n"),
+    # Las Vegas searches that run out are SearchExhausted: exit 1.
+    (["prime", "random", "--lo", "24", "--hi", "29"], "", None, 1,
+     "search exhausted: no probable prime in (24, 29): an exact test finds none\n"),
+    (["mphf", "build", "DOC", "-o", "OUT"], "", lambda mp: mp.setattr(mphf, "MAX_TRIALS", 0), 1,
+     "search exhausted: 0 consecutive cyclic graphs at ratio 3.000\n"),
+    # Any other RuntimeError is a broken invariant: exit 3, one prefix.
+    (["ramsey", "exhaustive", "--n", "4", "--s", "3", "--t", "3"], "", off_by_one_flip_counter,
+     3, "internal error: incremental energy drifted\n"),
+], ids=["transport", "primeless", "ratio", "drift"])
+def test_each_failure_type_maps_to_its_exit_code_and_one_prefix(
+        argv, stdin, patch, exit_code, err, tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("alpha\nbeta\ngamma\n")
+    argv = [{"DOC": str(doc), "OUT": str(tmp_path / "fn.chm")}.get(a, a) for a in argv]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    if patch:
+        patch(monkeypatch)
+    assert main(argv, stdout=io.StringIO()) == exit_code
+    assert capsys.readouterr().err == err
+    assert issubclass(fingerprint.TransportError, OSError)
+    assert issubclass(primality.PrimelessIntervalError, SearchExhausted)
+    assert issubclass(mphf.RatioTooLowError, SearchExhausted)
+
+
+def test_two_calls_on_one_leaf_build_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["prime", "test", "97"], stdout=io.StringIO()) == 0
+    assert built == ["randlab prime test"]
+    for _ in range(2):
+        assert main(["prime"]) == 2
+    assert built.count("randlab") == 1
 
 
 RECORDS = [

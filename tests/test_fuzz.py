@@ -100,9 +100,9 @@ def assert_clean_exit(argv):
 
 
 def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
-    def refused(argv):
+    def refused(argv, where=""):
         code, err = run_cli(argv)
-        return (code == 2 and err.startswith("error: not a decimal or 0x-hex natural: ")
+        return (code == 2 and err.startswith("error: %snot a decimal or 0x-hex natural: " % where)
                 and err.count("\n") == 1)
 
     def perm_file_refused(text):
@@ -113,7 +113,7 @@ def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
         folder = tmp_path / ("graphs%d" % len(os.listdir(tmp_path)))
         folder.mkdir()
         (folder / "g").write_text(text)
-        return refused(["ramsey", "census", "--dir", str(folder)])
+        return refused(["ramsey", "census", "--dir", str(folder)], "census graph file 'g': ")
 
     for token in NOT_NATURALS:
         code, err = run_cli(["prime", "test", token])
