@@ -15,13 +15,14 @@ not-found) or SearchExhausted, 2 usage error, ValueError or OSError
 Importing this module runs no library module and builds no parser, so a
 one-shot call pays only for what its subcommand uses.  The library modules
 are registered lazily (``importlib.util.LazyLoader``): each runs at its first
-attribute access.  ``_describe`` holds the one description of the arguments.
-When the first two words name a subcommand, ``main`` builds that leaf's
-parser alone and parses the rest with it: the full parse's namespace,
-messages and exit codes.  The full parser is built only for help, an unknown
-command, fewer than two words or an argument the leaf does not take.  Each
-parser is built on first use and kept, so a process that calls ``main`` many
-times builds each once.
+attribute access.  ``_describe`` holds the one description of the arguments,
+and only a leaf's own parser takes them: ``main`` builds it when the first two
+words name that subcommand, so an argument the subcommand does not take is
+reported with its own usage line.  Help, an unknown command and fewer than two
+words build the command directory instead (the groups and subcommands with
+their help lines), which prints help or a usage error and runs no handler.
+Each parser is built on first use and kept, so a process that calls ``main``
+many times builds each once.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ _GROUPS = {
 
 
 def _describe(leaf) -> None:
-    """The arguments of every leaf parser, in the order the full parser lists them.
+    """The arguments of every leaf parser, in the order the directory lists them.
 
     ``leaf(command, subcommand, **kw)`` returns the parser that takes the
     leaf's arguments (``kw`` holds its help line, if any), or None to skip
@@ -223,31 +224,20 @@ LEAVES = []
 _describe(lambda *key, **kw: LEAVES.append(key))
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser, and each leaf parser under (command, subcommand)."""
-    top = argparse.ArgumentParser(prog="randlab",
-                                  description="randomized-algorithms workbench")
-    sub = top.add_subparsers(dest="command", required=True)
+@functools.cache
+def _parser(key: tuple[str, str] | None) -> argparse.ArgumentParser:
+    """Leaf ``key``'s parser, or (key None) the command directory: the groups
+    and, in each, its leaves with their help lines but none of their arguments."""
+    if key is not None:
+        parser = argparse.ArgumentParser(prog="randlab %s %s" % key)
+        _describe(lambda *name, **kw: parser if name == key else None)
+        return parser
+    parser = argparse.ArgumentParser(prog="randlab", description="randomized-algorithms workbench")
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {command: sub.add_parser(command, help=help).add_subparsers(dest="subcommand",
                                                                          required=True)
               for command, help in _GROUPS.items()}
-    leaves = {}
-
-    def leaf(command: str, name: str, **kw) -> argparse.ArgumentParser:
-        leaves[command, name] = groups[command].add_parser(name, **kw)
-        return leaves[command, name]
-
-    _describe(leaf)
-    return top, leaves
-
-
-@functools.cache
-def _parser(key: tuple[str, str] | None) -> argparse.ArgumentParser:
-    """The full parser (key None), or leaf ``key``'s alone as the full one holds it."""
-    if key is None:
-        return _build_parser()[0]
-    parser = argparse.ArgumentParser(prog="randlab %s %s" % key)
-    _describe(lambda *name, **kw: parser if name == key else None)
+    _describe(lambda command, name, **kw: groups[command].add_parser(name, **kw) and None)
     return parser
 
 
@@ -380,16 +370,20 @@ def _load_permutation(kind: str, d: int) -> list[int]:
         return list(range(N))
     if kind.startswith("file:"):
         # One label a line; read no more than one label past N.
-        perm = []
+        perm, number = [], 0
         with open(kind[5:], "r", encoding="utf-8") as fh:
             while line := fh.readline(MAX_PERM_LINE_CHARS + 1):
+                number += 1
                 if len(line) > MAX_PERM_LINE_CHARS:
                     raise ValueError("--perm file lines must be at most %d characters"
                                      % MAX_PERM_LINE_CHARS)
                 if line.strip():
                     if len(perm) == N:
                         raise ValueError("--perm file holds more than %d labels" % N)
-                    perm.append(parse_natural(line))
+                    try:
+                        perm.append(parse_natural(line.rstrip("\n")))
+                    except ValueError as exc:
+                        raise ValueError("--perm file line %d: %s" % (number, exc)) from None
         return perm
     raise ValueError("unknown permutation %r" % kind)
 
@@ -505,13 +499,16 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     key = tuple(argv[:2])
     try:
-        if key not in LEAVES:  # help, an unknown command or fewer than two words
-            args = _parser(None).parse_args(argv)
-        else:
-            args, extra = _parser(key).parse_known_args(argv[2:])
-            if extra:  # as the full parse reports them
-                _parser(None).error("unrecognized arguments: %s" % " ".join(extra))
-            args.command, args.subcommand = key
+        if key in LEAVES:
+            args = _parser(key).parse_args(argv[2:])
+        else:  # help, an unknown command or fewer than two words
+            directory = _parser(None)
+            # It takes no leaf argument, so it prints help or a usage error; a
+            # leaf reached past a "--" that newer Pythons drop is refused too.
+            args = directory.parse_args(argv)
+            directory.error("the subcommand must come first: randlab %s %s ..."
+                            % (args.command, args.subcommand))
+        args.command, args.subcommand = key
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = datetime.now(timezone.utc).isoformat()

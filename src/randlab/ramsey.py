@@ -244,14 +244,14 @@ class AnnealOutcome(NamedTuple):
         return self.graph is not None
 
 
-def _random_start(n: int, s: int, t: int, cfg: AnnealConfig, flips, delta, rng: SplitMix64):
+def _random_start(n: int, s: int, t: int, cfg: AnnealConfig, flips, edge, delta,
+                  rng: SplitMix64):
     """A random graph, its adjacency as masks and packed, its energy, and the
-    temperature: cfg's, or else the mean |delta| of 100 random flips."""
+    temperature: cfg's, or else the mean |delta| of 100 flips drawn by ``edge``."""
     g = GraphColoring.random(n, rng)
     packed = sum(a << n * w for w, a in enumerate(g.adj))
     temperature = cfg.initial_temperature
     if temperature is None:
-        edge = rng.sampler(len(flips))
         total = sum(abs(delta(g.adj, packed, *flips[edge()][:2])) for _ in range(100))
         temperature = max(total / 100.0, 1.0)
     return g, g.adj, packed, count_violations(g, s, t), temperature
@@ -278,7 +278,7 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     delta = _flip_counter(n, s, t)
     next_float, exp = rng.next_float, math.exp
 
-    g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, delta, rng)
+    g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge, delta, rng)
     best = energy
     steps = 0
     restarts_used = 0
@@ -307,7 +307,8 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             restarts_used += 1
             since_improvement = 0
             in_block = 0
-            g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, delta, rng)
+            g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge,
+                                                                delta, rng)
             best = min(best, energy)
     if energy == 0:
         if count_violations(g, s, t) != 0:

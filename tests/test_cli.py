@@ -98,42 +98,132 @@ def parsed_by_main(argv, monkeypatch):
     return seen[0]
 
 
-def test_leaf_dispatch_parses_every_golden_argv_as_the_full_parser_does(monkeypatch):
-    for argv in CASES.values():
-        assert tuple(argv[:2]) in cli.LEAVES
-        by_leaf = parsed_by_main(argv, monkeypatch)
-        with monkeypatch.context() as full:
-            full.setattr(cli, "LEAVES", {})
-            assert parsed_by_main(argv, full) == by_leaf, argv
-        assert [by_leaf["command"], by_leaf["subcommand"]] == argv[:2]
+# The namespace each golden argv parses to, past its command and subcommand.
+GOLDEN_NAMESPACES = {
+    "prime-test-small": {"n": "1000003", "rounds": 12, "seed": 21},
+    "prime-test-m521": {"n": str(2**521 - 1), "rounds": 10, "seed": 5},
+    "prime-random": {"lo": "1000000000", "hi": "2000000000", "rounds": 24, "seed": 3},
+    "prime-random-wide": {"lo": "0x10000000000000000", "hi": "0x20000000000000000",
+                          "rounds": 24, "seed": 3},
+    "prime-witness-density": {"n": "561"},
+    "fingerprint-verify": {"local": "a.bin", "remote": "a-copy.bin", "rounds": 4,
+                           "prime_lo": "1000000000", "prime_hi": "2000000000", "seed": 14},
+    "fingerprint-localize": {"local": "a.bin", "remote": "b.bin", "rounds_per_probe": 3,
+                             "prime_lo": "1000000000", "prime_hi": "2000000000", "seed": 15},
+    "factor-pm1": {"N": "4294967297", "bound": 128},
+    "factor-ecm-small": {"N": "2761103", "b1": 100, "curves": 80, "seed": 7},
+    "factor-ecm-40bit": {"N": "1048604145803", "b1": 200, "curves": 500, "seed": 4},
+    "mphf-build": {"wordlist": "words.txt", "output": "f.chm", "ratio": 3.0, "seed": 4},
+    "mphf-query": {"function": "f.chm", "word": "w0123"},
+    "mphf-verify": {"function": "f.chm", "wordlist": "words.txt"},
+    "route-sim-greedy": {"d": 6, "perm": "bitrev", "algo": "greedy", "phase_barrier": False,
+                         "trials": 1, "seed": 0},
+    "route-sim-valiant": {"d": 6, "perm": "random", "algo": "valiant", "phase_barrier": False,
+                          "trials": 3, "seed": 31},
+    "route-sim-barrier": {"d": 7, "perm": "random", "algo": "valiant", "phase_barrier": True,
+                          "trials": 3, "seed": 9},
+    "route-sim-bitrev-12": {"d": 12, "perm": "bitrev", "algo": "greedy", "phase_barrier": False,
+                            "trials": 1, "seed": 0},
+    "ramsey-anneal-3-3-5": {"n": 5, "s": 3, "t": 3, "config": None, "graph_out": None,
+                            "seed": 6},
+    "ramsey-anneal-3-5-13": {"n": 13, "s": 3, "t": 5, "config": None, "graph_out": None,
+                             "seed": 2},
+    "ramsey-exhaustive": {"n": 5, "s": 3, "t": 3},
+    "ramsey-census": {"dir": "graphs"},
+}
 
 
-def test_each_leaf_alone_prints_as_the_full_parsers_leaf():
-    top, leaves = cli._build_parser()
-    assert list(leaves) == cli.LEAVES
-    for key in cli.LEAVES:
-        alone = cli._parser(key)
-        assert alone.prog == leaves[key].prog == "randlab %s %s" % key
-        assert alone.format_usage() == leaves[key].format_usage(), key
-        assert alone.format_help() == leaves[key].format_help(), key
+def test_every_golden_argv_parses_to_its_pinned_namespace(monkeypatch):
+    assert GOLDEN_NAMESPACES.keys() == CASES.keys()
+    for name, argv in CASES.items():
+        expected = dict(GOLDEN_NAMESPACES[name], command=argv[0], subcommand=argv[1])
+        assert parsed_by_main(argv, monkeypatch) == expected, name
 
 
-@pytest.mark.parametrize("argv", [
-    ["prime", "witness-density", "561", "--seed", "3"],  # an extra argument
-    ["prime", "test", "561", "--rounds", "x"],  # a bad type
-    ["prime", "random", "--lo", "3"],  # a missing required option
-    ["prime", "test", "-h"],
-    ["prime", "foo"],
-    ["prime"],
-    [],
-])
-def test_leaf_dispatch_fails_as_the_full_parser_does(argv, monkeypatch, capsys):
-    code = main(argv)
-    by_leaf = capsys.readouterr()
-    monkeypatch.setattr(cli, "LEAVES", {})
+# Each leaf's usage line, which names every argument it takes, in order.
+LEAF_USAGE = {
+    ("prime", "test"): "[-h] [--rounds ROUNDS] [--seed SEED] n",
+    ("prime", "witness-density"): "[-h] n",
+    ("prime", "random"): "[-h] --lo LO --hi HI [--rounds ROUNDS]\n[--seed SEED]",
+    ("fingerprint", "verify"): "[-h] --remote REMOTE [--rounds ROUNDS]\n"
+                               "[--prime-lo PRIME_LO] [--prime-hi PRIME_HI]\n[--seed SEED]\nlocal",
+    ("fingerprint", "localize"): "[-h] --remote REMOTE\n[--rounds-per-probe ROUNDS_PER_PROBE]\n"
+                                 "[--prime-lo PRIME_LO]\n[--prime-hi PRIME_HI] [--seed SEED]\n"
+                                 "local",
+    ("fingerprint", "serve"): "[-h] document",
+    ("factor", "pm1"): "[-h] --bound BOUND N",
+    ("factor", "ecm"): "[-h] --b1 B1 [--curves CURVES] [--seed SEED] N",
+    ("mphf", "build"): "[-h] -o OUTPUT [--ratio RATIO] [--seed SEED]\nwordlist",
+    ("mphf", "query"): "[-h] function word",
+    ("mphf", "verify"): "[-h] function wordlist",
+    ("route", "sim"): "[-h] --d D [--perm PERM] [--algo {greedy,valiant}]\n"
+                      "[--phase-barrier] [--trials TRIALS] [--seed SEED]",
+    ("ramsey", "anneal"): "[-h] --n N --s S --t T [--config CONFIG]\n[-o GRAPH_OUT] [--seed SEED]",
+    ("ramsey", "exhaustive"): "[-h] --n N --s S --t T",
+    ("ramsey", "census"): "[-h] --dir DIR",
+}
+
+
+def test_each_leaf_parser_prints_its_pinned_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    assert list(LEAF_USAGE) == cli.LEAVES
+    for key, usage in LEAF_USAGE.items():
+        prog = "randlab %s %s" % key
+        indent = "\n" + " " * len("usage: %s " % prog)
+        parser = cli._parser(key)
+        assert parser.prog == prog
+        assert parser.format_usage() == "usage: %s %s\n" % (prog, usage.replace("\n", indent))
+
+
+def subparsers(parser):
+    """The parsers of ``parser``'s one subparsers action, by name."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_directory_lists_every_leaf_and_none_of_its_arguments():
+    directory = cli._parser(None)
+    groups = subparsers(directory)
+    assert list(groups) == list(cli._GROUPS)
+    assert [(g, leaf) for g, group in groups.items() for leaf in subparsers(group)] == cli.LEAVES
+    for group in groups.values():
+        for leaf in subparsers(group).values():
+            assert [a.option_strings for a in leaf._actions] == [["-h", "--help"]], leaf.prog
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # An argument the leaf does not take: the leaf's own usage line.
+    (["prime", "witness-density", "561", "--seed", "3"], 2,
+     "usage: randlab prime witness-density [-h] n\n"
+     "randlab prime witness-density: error: unrecognized arguments: --seed 3\n"),
+    (["prime", "test", "561", "--rounds", "x"], 2,
+     "usage: randlab prime test [-h] [--rounds ROUNDS] [--seed SEED] n\n"
+     "randlab prime test: error: argument --rounds: invalid natural value: 'x'\n"),
+    (["prime", "random", "--lo", "3"], 2,
+     "usage: randlab prime random [-h] --lo LO --hi HI [--rounds ROUNDS]\n"
+     "                            [--seed SEED]\n"
+     "randlab prime random: error: the following arguments are required: --hi\n"),
+    (["prime", "test", "-h"], 0, ""),
+    # Python versions differ on the "(choose from ...)" tail, so it is cut.
+    (["prime", "foo"], 2,
+     "usage: randlab prime [-h] {test,witness-density,random} ...\n"
+     "randlab prime: error: argument subcommand: invalid choice: 'foo'"),
+    (["prime"], 2,
+     "usage: randlab prime [-h] {test,witness-density,random} ...\n"
+     "randlab prime: error: the following arguments are required: subcommand\n"),
+    ([], 2,
+     "usage: randlab [-h] {prime,fingerprint,factor,mphf,route,ramsey} ...\n"
+     "randlab: error: the following arguments are required: command\n"),
+    (["prime", "-h"], 0, ""),
+], ids=["extra-argument", "bad-type", "missing-option", "leaf-help", "unknown-subcommand",
+        "group-alone", "no-words", "group-help"])
+def test_usage_failures_and_help_print_their_pinned_lines(argv, code, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == code
-    assert capsys.readouterr() == by_leaf
-    assert code == (0 if "-h" in argv else 2) and (by_leaf.err or by_leaf.out)
+    printed = capsys.readouterr()
+    assert printed.err.split(" (choose from")[0] == err
+    usage = "usage: randlab %s [-h]" % " ".join(argv[:-1])
+    assert printed.out.startswith(usage) if code == 0 else printed.out == ""
 
 
 def test_prime_test_carmichael(capsys):
@@ -625,6 +715,15 @@ def test_ramsey_census_rejects_graph_past_vertex_limit(tmp_path, capsys):
     assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == \
         "error: census graph file 'big.txt': canonical_form supports at most 24 vertices\n"
+
+
+def test_route_sim_permutation_file_bad_label_names_its_line(tmp_path, capsys):
+    pfile = tmp_path / "perm.txt"
+    pfile.write_text("3\n\n2\nabc\n0\n")
+    assert main(["route", "sim", "--d", "2", "--perm", "file:%s" % pfile],
+                stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == \
+        "error: --perm file line 4: not a decimal or 0x-hex natural: 'abc'\n"
 
 
 def test_ramsey_census_bad_edge_names_its_file(tmp_path, capsys):

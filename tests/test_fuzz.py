@@ -15,8 +15,9 @@ import json
 import os
 import struct
 import tempfile
+from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randlab import cli, mphf, ramsey
@@ -99,6 +100,27 @@ def assert_clean_exit(argv):
     return code
 
 
+# Words of the command directory, and ones that look like options or values.
+ARGV_WORDS = st.sampled_from(sorted({w for key in cli.LEAVES for w in key})
+                             + ["--", "-x", "-h", "--help", "0", "7", "-1"])
+
+
+@FUZZ
+@given(st.lists(ARGV_WORDS, max_size=5))
+def test_directory_prints_help_or_usage_error_and_runs_no_handler(argv):
+    assume(tuple(argv[:2]) not in cli.LEAVES)
+    calls = []
+    handlers = {command: lambda args, stdout: calls.append(args) or (None, 0)
+                for command in cli._HANDLERS}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._HANDLERS, handlers), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv, stdout=out)
+    assert calls == []
+    assert code == 0 and out.getvalue().startswith("usage: ") and err.getvalue() == "" \
+        or code == 2 and err.getvalue().startswith("usage: ") and out.getvalue() == "", argv
+
+
 def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
     def refused(argv, where=""):
         code, err = run_cli(argv)
@@ -107,7 +129,8 @@ def test_strict_grammar_refuses_int_spellings_on_argv_and_wire(tmp_path):
 
     def perm_file_refused(text):
         (tmp_path / "perm").write_text(text)
-        return refused(["route", "sim", "--d", "2", "--perm", "file:%s" % (tmp_path / "perm")])
+        return refused(["route", "sim", "--d", "2", "--perm", "file:%s" % (tmp_path / "perm")],
+                       "--perm file line 1: ")
 
     def graph_file_refused(text):
         folder = tmp_path / ("graphs%d" % len(os.listdir(tmp_path)))
