@@ -14,16 +14,18 @@ each graph gets a canonical form from colour refinement and
 individualization (McKay & Piperno, "Practical graph isomorphism II",
 2014), for graphs of at most MAX_VERTICES vertices.
 
-Adjacency is one bitmask per vertex, which keeps the subset-counting and
-refinement inner loops at word speed.  Both searches score a move with one
-flip kernel, built once per (n, s, t) by ``_flip_counter``: flipping edge
-(u, v) changes only the subsets holding both endpoints, so the energy change
-is a count of (s-2)-cliques among the common neighbours against
-(t-2)-independent sets among the common non-neighbours.  Size 2 is
-lane-packed (broadword, Knuth TAOCP 4A 7.1.3) over the adjacency also kept
-as one int, adj[w] in n-bit lane w; size 3 is a scalar loop.  An accepted
-flip is an XOR on two masks and on the packed int; the exhaustive search
-walks the labeled graphs in Gray-code order (Gray 1953), one flip a step.
+A graph on n vertices is a list of n adjacency masks: bit u of adj[v] is set
+exactly when uv is an edge, so n = len(adj).  The masks keep the
+subset-counting and refinement inner loops at word speed.  Both searches
+score a move with one flip kernel, built once per (n, s, t) by
+``_flip_counter``: flipping edge (u, v) changes only the subsets holding
+both endpoints, so the energy change is a count of (s-2)-cliques among the
+common neighbours against (t-2)-independent sets among the common
+non-neighbours.  Size 2 is lane-packed (broadword, Knuth TAOCP 4A 7.1.3)
+over the adjacency also kept as one int, adj[w] in n-bit lane w; size 3 is
+a scalar loop.  An accepted flip is an XOR on two masks and on the packed
+int; the exhaustive search walks the labeled graphs in Gray-code order
+(Gray 1953), one flip a step.
 """
 
 from __future__ import annotations
@@ -41,52 +43,6 @@ _TOO_MANY_VERTICES = "canonical_form supports at most %d vertices" % MAX_VERTICE
 EXHAUSTIVE_EDGE_LIMIT = 21  # enumerate at most 2^21 labeled graphs
 STAGNATION_LIMIT = 10**5  # moves without improvement before a restart
 MAX_TOTAL_STEPS = 10**8  # an anneal's move budget: ten times the default
-
-
-class GraphColoring:
-    """Undirected graph on n vertices as per-vertex neighbor bitmasks."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, adj: list[int] | None = None):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        self.adj = list(adj) if adj is not None else [0] * n
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphColoring":
-        g = cls(n)
-        for u, v in edges:
-            g.set_edge(u, v, True)
-        return g
-
-    @classmethod
-    def random(cls, n: int, rng: SplitMix64) -> "GraphColoring":
-        g = cls(n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.next_u64() & 1:
-                    g.set_edge(u, v, True)
-        return g
-
-    def set_edge(self, u: int, v: int, present: bool) -> None:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("bad edge (%d, %d)" % (u, v))
-        if present:
-            self.adj[u] |= 1 << v
-            self.adj[v] |= 1 << u
-        else:
-            self.adj[u] &= ~(1 << v)
-            self.adj[v] &= ~(1 << u)
-
-    def complement(self) -> "GraphColoring":
-        full = (1 << self.n) - 1
-        return GraphColoring(self.n, [(~self.adj[v] & full) & ~(1 << v) for v in range(self.n)])
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GraphColoring)
-                and self.n == other.n and self.adj == other.adj)
 
 
 def _count_cliques(adj: list[int], size: int, candidates: int, flip: int = 0) -> int:
@@ -116,11 +72,11 @@ def _check_params(n: int, s: int, t: int) -> None:
         raise ValueError("n > %d is beyond exact counting" % MAX_VERTICES)
 
 
-def count_violations(g: GraphColoring, s: int, t: int) -> int:
-    """Exact count of s-cliques plus independent t-sets in g."""
-    _check_params(g.n, s, t)
-    full = (1 << g.n) - 1
-    return _count_cliques(g.adj, s, full) + _count_cliques(g.adj, t, full, -1)
+def count_violations(adj: list[int], s: int, t: int) -> int:
+    """Exact count of s-cliques plus independent t-sets in the graph adj."""
+    _check_params(len(adj), s, t)
+    full = (1 << len(adj)) - 1
+    return _count_cliques(adj, s, full) + _count_cliques(adj, t, full, -1)
 
 
 def _flips(n: int) -> list[tuple[int, int, int, int, int]]:
@@ -206,10 +162,20 @@ class AnnealConfig(NamedTuple):
     restarts: int = 1000
 
     def validate(self) -> None:
-        # Each check is written so that NaN fails it: JSON reads a bare NaN,
-        # and every comparison with NaN is false.  The range checks also
-        # refuse inf (JSON reads 1e400 as inf), and a temperature a float
-        # cannot hold, which would overflow the first cooling product.
+        # Types first, so that no range check compares a value of another
+        # type.  Each range check is written so that NaN fails it: JSON
+        # reads a bare NaN, and every comparison with NaN is false.  The
+        # range checks also refuse inf (JSON reads 1e400 as inf), and a
+        # temperature a float cannot hold, which would overflow the first
+        # cooling product.
+        for name, kinds in (("initial_temperature", (int, float, type(None))),
+                            ("cooling", (int, float)),
+                            ("steps_per_temperature", (int, type(None))),
+                            ("max_total_steps", (int,)),
+                            ("restarts", (int,))):
+            if type(getattr(self, name)) not in kinds:  # exact types: a bool is neither
+                raise ValueError("%s must be %s" % (name, "a number" if float in kinds
+                                                    else "an integer"))
         if self.initial_temperature is not None:
             if not self.initial_temperature > 0:
                 raise ValueError("initial_temperature must be positive")
@@ -223,18 +189,10 @@ class AnnealConfig(NamedTuple):
             raise ValueError("max_total_steps must be in [1, %d]" % MAX_TOTAL_STEPS)
         if not self.restarts >= 0:
             raise ValueError("restarts must be non-negative")
-        for name in ("initial_temperature", "cooling"):
-            value = getattr(self, name)
-            if value is not None and type(value) not in (int, float):  # nor bool
-                raise ValueError("%s must be a number" % name)
-        for name in ("steps_per_temperature", "max_total_steps", "restarts"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:  # bool is not int here
-                raise ValueError("%s must be an integer" % name)
 
 
 class AnnealOutcome(NamedTuple):
-    graph: GraphColoring | None  # None: budget exhausted with no solution
+    graph: list[int] | None  # None: budget exhausted with no solution
     steps: int
     restarts_used: int
     best_energy: int
@@ -246,15 +204,18 @@ class AnnealOutcome(NamedTuple):
 
 def _random_start(n: int, s: int, t: int, cfg: AnnealConfig, flips, edge, delta,
                   rng: SplitMix64):
-    """A random graph, its adjacency as masks and packed, its energy, and the
-    temperature: cfg's, or else the mean |delta| of 100 flips drawn by ``edge``."""
-    g = GraphColoring.random(n, rng)
-    packed = sum(a << n * w for w, a in enumerate(g.adj))
+    """A random graph, as masks and packed, its energy, and the temperature:
+    cfg's, or else the mean |delta| of 100 flips drawn by ``edge``.
+
+    Each edge slot, in ``flips`` order, takes the low bit of one draw.
+    """
+    adj = mask_graph(n, sum((rng.next_u64() & 1) << i for i in range(len(flips))))
+    packed = sum(a << n * w for w, a in enumerate(adj))
     temperature = cfg.initial_temperature
     if temperature is None:
-        total = sum(abs(delta(g.adj, packed, *flips[edge()][:2])) for _ in range(100))
+        total = sum(abs(delta(adj, packed, *flips[edge()][:2])) for _ in range(100))
         temperature = max(total / 100.0, 1.0)
-    return g, g.adj, packed, count_violations(g, s, t), temperature
+    return adj, packed, count_violations(adj, s, t), temperature
 
 
 def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
@@ -278,7 +239,7 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
     delta = _flip_counter(n, s, t)
     next_float, exp = rng.next_float, math.exp
 
-    g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge, delta, rng)
+    adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge, delta, rng)
     best = energy
     steps = 0
     restarts_used = 0
@@ -307,13 +268,13 @@ def anneal(n: int, s: int, t: int, cfg: AnnealConfig | None,
             restarts_used += 1
             since_improvement = 0
             in_block = 0
-            g, adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge,
-                                                                delta, rng)
+            adj, packed, energy, temperature = _random_start(n, s, t, cfg, flips, edge,
+                                                             delta, rng)
             best = min(best, energy)
     if energy == 0:
-        if count_violations(g, s, t) != 0:
+        if count_violations(adj, s, t) != 0:
             raise RuntimeError("incremental energy drifted")
-        return AnnealOutcome(g, steps, restarts_used, 0)
+        return AnnealOutcome(adj, steps, restarts_used, 0)
     return AnnealOutcome(None, steps, restarts_used, best)
 
 
@@ -335,7 +296,7 @@ def solution_masks(n: int, s: int, t: int) -> Iterator[int]:
         )
     delta = _flip_counter(n, s, t)
     adj, packed = [0] * n, 0
-    energy = count_violations(GraphColoring(n), s, t)
+    energy = count_violations(adj, s, t)
     if energy == 0:
         yield 0
     for i in range(1, 1 << len(flips)):
@@ -346,18 +307,22 @@ def solution_masks(n: int, s: int, t: int) -> Iterator[int]:
         packed ^= toggle
         if energy == 0:
             yield i ^ i >> 1  # the mask of the graph after step i
-    if energy != count_violations(GraphColoring(n, adj), s, t):
+    if energy != count_violations(adj, s, t):
         raise RuntimeError("incremental energy drifted")
 
 
-def mask_graph(n: int, mask: int) -> GraphColoring:
+def mask_graph(n: int, mask: int) -> list[int]:
     """The graph on n vertices with edge i of combinations(range(n), 2) exactly
     when bit i of ``mask`` is set."""
-    return GraphColoring.from_edges(
-        n, [e for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1])
+    adj = [0] * n
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
 
 
-def exhaustive_search(n: int, s: int, t: int) -> list[GraphColoring]:
+def exhaustive_search(n: int, s: int, t: int) -> list[list[int]]:
     """Every labeled graph on n vertices with zero violations (n <= 7), in
     increasing mask order (see ``solution_masks``)."""
     return [mask_graph(n, mask) for mask in sorted(solution_masks(n, s, t))]
@@ -378,11 +343,11 @@ def census_confidence(distinct_found: int, total_runs: int) -> float:
     return 1.0 - (c / (c + 1.0)) ** total_runs
 
 
-def _bitstring(g: GraphColoring, order) -> int:
+def _bitstring(adj: list[int], order) -> int:
     bits = 0
-    for u, v in combinations(range(g.n), 2):
+    for u, v in combinations(range(len(adj)), 2):
         bits <<= 1
-        if g.adj[order[u]] >> order[v] & 1:
+        if adj[order[u]] >> order[v] & 1:
             bits |= 1
     return bits
 
@@ -418,8 +383,8 @@ def _refine(adj: list[int], cells: list[list[int]], splitters: list[int]) -> lis
     return cells
 
 
-def _min_leaf(g: GraphColoring) -> int:
-    """Smallest leaf bit-string in the individualization-refinement tree of g.
+def _min_leaf(adj: list[int]) -> int:
+    """Smallest leaf bit-string in the individualization-refinement tree of adj.
 
     A node is an equitable ordered partition; its children individualize
     each vertex of the first smallest non-singleton cell in turn (the vertex
@@ -431,7 +396,7 @@ def _min_leaf(g: GraphColoring) -> int:
     A node also skips every vertex in the orbit of one it already tried,
     under the automorphisms found so far that fix its path.
     """
-    n, adj = g.n, g.adj
+    n = len(adj)
     autos: list[list[int]] = []
     first: tuple[int, list[int], list[int]] | None = None  # value, order, path
     best = 1 << n * (n - 1) // 2  # above every leaf bit-string
@@ -442,7 +407,7 @@ def _min_leaf(g: GraphColoring) -> int:
         depth = len(path)
         if len(cells) == n:
             order = [cell[0] for cell in cells]
-            value = _bitstring(g, order)
+            value = _bitstring(adj, order)
             if first is None:
                 first = (value, order, path)
             elif value == first[0]:
@@ -486,49 +451,61 @@ def _min_leaf(g: GraphColoring) -> int:
     return best
 
 
-def canonical_form(g: GraphColoring) -> bytes:
+def canonical_form(adj: list[int]) -> bytes:
     """Representative bytes equal exactly for graphs isomorphic up to complement.
 
     The form is n followed by the smallest leaf bit-string of the
-    individualization-refinement search trees of g and of its complement
+    individualization-refinement search trees of adj and of its complement
     (both trees are needed: refinement orders cells the other way round on
-    the complement).  Every leaf is g or its complement under some vertex
+    the complement).  Every leaf is adj or its complement under some vertex
     order, so equal forms mean graphs isomorphic up to complement; the trees
     of a relabelled graph hold the same bit-strings (pruning skips only
     subtrees that repeat searched ones), so isomorphic graphs get equal
     forms.  Graphs above MAX_VERTICES are refused: the search is not
     desk-scale there on highly symmetric graphs.
     """
-    if g.n > MAX_VERTICES:
+    n = len(adj)
+    if n > MAX_VERTICES:
         raise ValueError(_TOO_MANY_VERTICES)
-    best = min(_min_leaf(g), _min_leaf(g.complement()))
-    width = (g.n * (g.n - 1) // 2 + 7) // 8
-    return bytes([g.n]) + best.to_bytes(width, "big")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    full = (1 << n) - 1
+    best = min(_min_leaf(adj), _min_leaf([full & ~(a | 1 << v) for v, a in enumerate(adj)]))
+    width = (n * (n - 1) // 2 + 7) // 8
+    return bytes([n]) + best.to_bytes(width, "big")
 
 
-def graph_to_text(g: GraphColoring) -> str:
+def graph_to_text(adj: list[int]) -> str:
     """Adjacency-list text: first line n, then one "v: neighbors" line each."""
-    lines = ["%d" % g.n]
-    for v in range(g.n):
-        nbrs = [str(u) for u in range(g.n) if g.adj[v] >> u & 1]
+    lines = ["%d" % len(adj)]
+    for v, a in enumerate(adj):
+        nbrs = [str(u) for u in range(len(adj)) if a >> u & 1]
         lines.append("%d: %s" % (v, " ".join(nbrs)))
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> GraphColoring:
+def graph_from_text(text: str) -> list[int]:
+    """The graph that ``graph_to_text`` writes; a loop "v: v" is ignored."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph text")
     n = parse_natural(lines[0])
     if n > MAX_VERTICES:
-        # The count is read from a file: refuse it before GraphColoring
-        # allocates a slot per vertex, as no larger graph has a census form.
+        # The count is read from a file: refuse it before allocating a slot
+        # per vertex, as no larger graph has a census form.
         raise ValueError(_TOO_MANY_VERTICES)
-    g = GraphColoring(n)  # refuses n < 1 before allocating
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    adj = [0] * n
     for line in lines[1:]:
         head, _, rest = line.partition(":")
         v = parse_natural(head)
         for u in map(parse_natural, rest.split()):
+            if max(u, v) >= n:
+                raise ValueError("bad edge (%d, %d)" % (v, u))
             if u != v:
-                g.set_edge(v, u, True)
-    return g
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+        if v >= n:  # a line with no neighbours
+            raise ValueError("bad vertex %d" % v)
+    return adj

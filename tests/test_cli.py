@@ -701,7 +701,10 @@ def test_ramsey_census_counts_paley17_relabelings_once(tmp_path, capsys):
     for i in range(8):
         perm = list(range(17))
         rng.shuffle(perm)
-        g = ramsey.GraphColoring.from_edges(17, [(perm[u], perm[v]) for u, v in edges])
+        g = [0] * 17
+        for u, v in edges:
+            g[perm[u]] |= 1 << perm[v]
+            g[perm[v]] |= 1 << perm[u]
         (graphs / ("p%d.txt" % i)).write_text(ramsey.graph_to_text(g))
     code, doc = run_cli(["ramsey", "census", "--dir", str(graphs)])
     assert code == 0
@@ -711,7 +714,7 @@ def test_ramsey_census_counts_paley17_relabelings_once(tmp_path, capsys):
 def test_ramsey_census_rejects_graph_past_vertex_limit(tmp_path, capsys):
     graphs = tmp_path / "graphs"
     graphs.mkdir()
-    (graphs / "big.txt").write_text(ramsey.graph_to_text(ramsey.GraphColoring(25)))
+    (graphs / "big.txt").write_text(ramsey.graph_to_text([0] * 25))
     assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == \
         "error: census graph file 'big.txt': canonical_form supports at most 24 vertices\n"
@@ -729,10 +732,19 @@ def test_route_sim_permutation_file_bad_label_names_its_line(tmp_path, capsys):
 def test_ramsey_census_bad_edge_names_its_file(tmp_path, capsys):
     graphs = tmp_path / "graphs"
     graphs.mkdir()
-    (graphs / "a.txt").write_text(ramsey.graph_to_text(ramsey.GraphColoring(3)))
+    (graphs / "a.txt").write_text(ramsey.graph_to_text([0] * 3))
     (graphs / "bad.txt").write_text("3\n1: 5\n")
     assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
     assert capsys.readouterr().err == "error: census graph file 'bad.txt': bad edge (1, 5)\n"
+
+
+def test_ramsey_census_refuses_a_vertex_past_n_with_no_neighbours(tmp_path, capsys):
+    # A line with no neighbours still names a vertex that must be below n.
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "bad.txt").write_text("3\n0: 1\n30:\n")
+    assert main(["ramsey", "census", "--dir", str(graphs)], stdout=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: census graph file 'bad.txt': bad vertex 30\n"
 
 
 def test_ramsey_anneal_not_found_exit(tmp_path, capsys):
@@ -744,7 +756,7 @@ def test_ramsey_anneal_not_found_exit(tmp_path, capsys):
     assert doc["result"]["found"] is False
 
 
-@pytest.mark.parametrize("config", ['{"bogus": 1}', "[1, 2]", '{"cooling": "x"}'])
+@pytest.mark.parametrize("config", ['{"bogus": 1}', "[1, 2]"])
 def test_ramsey_anneal_rejects_bad_config(config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
@@ -768,8 +780,12 @@ TOO_HOT = "initial_temperature must be at most %r" % sys.float_info.max
 
 @pytest.mark.parametrize("config, instance, message", [
     nan_config("initial_temperature", "initial_temperature must be positive"),
-    nan_config("steps_per_temperature", "steps_per_temperature must be positive"),
-    nan_config("restarts", "restarts must be non-negative"),
+    # NaN is a float, so an integer field refuses it by its type.
+    nan_config("steps_per_temperature", "steps_per_temperature must be an integer"),
+    bad_config('{"steps_per_temperature": 0}', "steps_per_temperature must be positive",
+               "steps_per_temperature-0"),
+    nan_config("restarts", "restarts must be an integer"),
+    bad_config('{"restarts": -1}', "restarts must be non-negative", "restarts--1"),
     # An integer past float's range overflowed the first cooling product, which
     # n = 5 reaches: a traceback and exit 1.
     bad_config('{"initial_temperature": 1%s}' % ("0" * 400), TOO_HOT,
@@ -781,10 +797,22 @@ TOO_HOT = "initial_temperature must be at most %r" % sys.float_info.max
                "steps_per_temperature-true"),
     bad_config('{"max_total_steps": 1000.0}', "max_total_steps must be an integer",
                "max_total_steps-1000.0"),
+    bad_config('{"max_total_steps": %d}' % (ramsey.MAX_TOTAL_STEPS + 1),
+               "max_total_steps must be in [1, %d]" % ramsey.MAX_TOTAL_STEPS,
+               "max_total_steps-past-cap"),
     bad_config('{"restarts": false}', "restarts must be an integer", "restarts-false"),
     # true passed both range checks and annealed at T = 1.
     bad_config('{"initial_temperature": true}', "initial_temperature must be a number",
                "initial_temperature-true"),
+    # A value of another type is refused before a range check compares it.
+    bad_config('{"cooling": "x"}', "cooling must be a number", 'cooling-"x"'),
+    bad_config('{"cooling": null}', "cooling must be a number", "cooling-null"),
+    bad_config('{"restarts": null}', "restarts must be an integer", "restarts-null"),
+    bad_config('{"restarts": "3"}', "restarts must be an integer", 'restarts-"3"'),
+    bad_config('{"initial_temperature": [1]}', "initial_temperature must be a number",
+               "initial_temperature-[1]"),
+    # A bool is not a number here.
+    bad_config('{"cooling": true}', "cooling must be a number", "cooling-true"),
 ])
 def test_ramsey_anneal_refuses_nan_config(config, instance, message, tmp_path, capsys):
     # json.load reads a bare NaN, and 1e400 as inf.  Let through, each of
@@ -807,7 +835,7 @@ def test_ramsey_anneal_refuses_an_infinite_step_budget(tmp_path):
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=30)
     assert proc.returncode == 2
-    assert proc.stderr == "error: max_total_steps must be in [1, %d]\n" % ramsey.MAX_TOTAL_STEPS
+    assert proc.stderr == "error: max_total_steps must be an integer\n"
     assert proc.stdout == ""
 
 
@@ -1316,7 +1344,7 @@ def test_record_defaults_and_properties(tmp_path, capsys):
     assert verdict.is_probably_prime
     assert not verdict._replace(answer=primality.COMPOSITE).is_probably_prime
     assert not ramsey.AnnealOutcome(None, 10, 0, 2).found
-    assert ramsey.AnnealOutcome(ramsey.GraphColoring(2), 10, 0, 0).found
+    assert ramsey.AnnealOutcome([1, 2], 10, 0, 0).found
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         ramsey.AnnealConfig(**{"bogus": 1})
     cfg = tmp_path / "cfg.json"

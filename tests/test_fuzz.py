@@ -182,7 +182,7 @@ def test_graph_from_text_returns_graph_or_value_error(count, lines):
     text = "\n".join([str(count)] + lines)
     g = parses_or_value_error(ramsey.graph_from_text, text)
     if g is not None:
-        assert 1 <= g.n <= ramsey.MAX_VERTICES
+        assert 1 <= len(g) <= ramsey.MAX_VERTICES
         ramsey.canonical_form(g)
 
 

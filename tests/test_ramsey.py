@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from itertools import combinations
 
@@ -6,7 +7,6 @@ import pytest
 from randlab import ramsey
 from randlab.ramsey import (
     AnnealConfig,
-    GraphColoring,
     _count_cliques,
     _flip_counter,
     _subset_counter,
@@ -21,21 +21,42 @@ from randlab.ramsey import (
 from randlab.rng import SplitMix64
 
 
+# A graph is its list of adjacency masks: bit u of g[v] is set exactly when
+# uv is an edge.
+
+def from_edges(n, edges):
+    g = [0] * n
+    for u, v in edges:
+        g[u] |= 1 << v
+        g[v] |= 1 << u
+    return g
+
+
+def complement(g):
+    full = (1 << len(g)) - 1
+    return [full & ~(a | 1 << v) for v, a in enumerate(g)]
+
+
+def random_graph(n, rng):
+    # The low bit of one draw per edge slot, as anneal's start graph.
+    return from_edges(n, [e for e in combinations(range(n), 2) if rng.next_u64() & 1])
+
+
 def cycle5():
-    return GraphColoring.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    return from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 def complete(n):
-    return GraphColoring.from_edges(n, combinations(range(n), 2))
+    return from_edges(n, combinations(range(n), 2))
 
 
 def edges(g):
     """The edges (u, v), u < v, of g, read from its adjacency masks."""
-    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+    return [(u, v) for u, v in combinations(range(len(g)), 2) if g[u] >> v & 1]
 
 
 def has_edge(g, u, v):
-    return bool(g.adj[u] >> v & 1)
+    return bool(g[u] >> v & 1)
 
 
 def packed(adj):
@@ -46,10 +67,10 @@ def packed(adj):
 def brute_violations(g, s, t):
     # Oracle: test every subset directly against the adjacency matrix.
     count = 0
-    for subset in combinations(range(g.n), s):
+    for subset in combinations(range(len(g)), s):
         if all(has_edge(g, u, v) for u, v in combinations(subset, 2)):
             count += 1
-    for subset in combinations(range(g.n), t):
+    for subset in combinations(range(len(g)), t):
         if not any(has_edge(g, u, v) for u, v in combinations(subset, 2)):
             count += 1
     return count
@@ -58,13 +79,13 @@ def brute_violations(g, s, t):
 def test_count_violations_examples():
     assert count_violations(cycle5(), 3, 3) == 0
     assert count_violations(complete(6), 3, 3) == 20
-    assert count_violations(GraphColoring(6), 3, 3) == 20
+    assert count_violations([0] * 6, 3, 3) == 20
 
 
 def test_count_violations_matches_bruteforce_on_random_graphs():
     rng = SplitMix64(5)
     for _ in range(30):
-        g = GraphColoring.random(8, rng)
+        g = random_graph(8, rng)
         for s, t in ((2, 2), (3, 3), (3, 4), (4, 3)):
             assert count_violations(g, s, t) == brute_violations(g, s, t)
 
@@ -75,31 +96,28 @@ def test_count_violations_complement_duality_exhaustive():
     for n in range(2, 7):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = GraphColoring(n)
-            for i, (u, v) in enumerate(pairs):
-                if mask >> i & 1:
-                    g.set_edge(u, v, True)
-            comp = g.complement()
+            g = from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            comp = complement(g)
             for s, t in ((2, 2), (3, 3), (2, 3)) if n >= 3 else ((2, 2),):
                 assert count_violations(g, s, t) == count_violations(comp, t, s)
     rng = SplitMix64(6)
     for _ in range(300):
-        g = GraphColoring.random(7, rng)
+        g = random_graph(7, rng)
         for s in (2, 3, 4):
             for t in (2, 3, 4):
-                assert count_violations(g, s, t) == count_violations(g.complement(), t, s)
+                assert count_violations(g, s, t) == count_violations(complement(g), t, s)
 
 
 def test_unrolled_subset_counts_match_recursion():
     rng = SplitMix64(7)
     for n in (1, 2, 5, 12, 17, 24):
         for _ in range(20):
-            g = GraphColoring.random(n, rng)
+            g = random_graph(n, rng)
             m = rng.next_u64() & (1 << n) - 1
             for size in range(6):
                 for flip in (0, -1):
-                    assert _subset_counter(size, flip, n)(g.adj, packed(g.adj), m) == \
-                        _count_cliques(g.adj, size, m, flip)
+                    assert _subset_counter(size, flip, n)(g, packed(g), m) == \
+                        _count_cliques(g, size, m, flip)
 
 
 def test_flip_kernel_matches_recount_on_every_pair():
@@ -109,9 +127,9 @@ def test_flip_kernel_matches_recount_on_every_pair():
     # by the recursion; below 8 vertices also against a full recount.
     rng = SplitMix64(16)
     for n in range(4, 25):
-        g = GraphColoring.random(n, rng)
-        for graph in (g, g.complement()):
-            adj, lanes = graph.adj, packed(graph.adj)
+        g = random_graph(n, rng)
+        for adj in (g, complement(g)):
+            lanes = packed(adj)
             for s in range(2, min(n, 6) + 1):
                 for t in range(2, min(n, 6) + 1):
                     delta = _flip_counter(n, s, t)
@@ -120,35 +138,48 @@ def test_flip_kernel_matches_recount_on_every_pair():
                         neither = (1 << n) - 1 & ~(adj[u] | adj[v] | 1 << u | 1 << v)
                         d = (_count_cliques(adj, s - 2, common)
                              - _count_cliques(adj, t - 2, neither, -1))
-                        if has_edge(graph, u, v):
+                        if has_edge(adj, u, v):
                             d = -d
                         assert delta(adj, lanes, u, v) == d, (n, s, t, u, v)
                         if n < 8:
-                            flipped = GraphColoring(n, adj)
-                            flipped.set_edge(u, v, not has_edge(graph, u, v))
+                            flipped = list(adj)
+                            flipped[u] ^= 1 << v
+                            flipped[v] ^= 1 << u
                             assert d == (count_violations(flipped, s, t)
-                                         - count_violations(graph, s, t))
+                                         - count_violations(adj, s, t))
 
 
 def test_count_violations_guards():
     with pytest.raises(ValueError):
-        count_violations(GraphColoring(5), 1, 3)
+        count_violations([0] * 5, 1, 3)
     with pytest.raises(ValueError):
-        count_violations(GraphColoring(5), 3, 6)
+        count_violations([0] * 5, 3, 6)
     with pytest.raises(ValueError):
-        count_violations(GraphColoring(25), 3, 3)
+        count_violations([0] * 25, 3, 3)
 
 
 def test_graph_basics():
-    g = GraphColoring(4)
-    g.set_edge(0, 3, True)
+    # An edge listed on one endpoint's line is set at both ends, and listed
+    # on both lines it is one edge; a loop is ignored.
+    g = graph_from_text("4\n0: 3\n1: 1\n")
+    assert g == [8, 0, 0, 1]
     assert has_edge(g, 3, 0)
-    g.set_edge(3, 0, False)
-    assert not has_edge(g, 0, 3)
-    with pytest.raises(ValueError):
-        g.set_edge(1, 1, True)
-    comp = complete(4).complement()
-    assert edges(comp) == []
+    assert graph_from_text("4\n0: 3\n3: 0\n") == g
+    assert graph_from_text("4\n") == [0] * 4
+    assert complement(g) == [6, 13, 11, 6]
+    assert complement(complete(4)) == [0] * 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\n", "n must be >= 1"),
+    ("3\n0: 3\n", "bad edge (0, 3)"),
+    # A vertex past n is refused on a line with a loop or with no neighbours.
+    ("3\n30: 30\n", "bad edge (30, 30)"),
+    ("3\n0: 1\n30:\n", "bad vertex 30"),
+])
+def test_graph_from_text_refuses(text, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        graph_from_text(text)
 
 
 def test_anneal_finds_c5_class_quickly():
@@ -203,7 +234,7 @@ class Audit:
         monkeypatch.setattr(ramsey, "_flip_counter", flip_counter)
 
     def recount(self):
-        return count_violations(GraphColoring(len(self.adj), self.adj), self.s, self.t)
+        return count_violations(self.adj, self.s, self.t)
 
     def follow(self, adj):
         if adj is not self.adj:
@@ -296,7 +327,7 @@ def replayed(monkeypatch, n, s, t, seed, cfg):
     out = anneal(n, s, t, cfg, rng)
     audit.finish()
     return out.steps, out.restarts_used, out.best_energy, \
-        out.graph.adj if out.found else None, rng.state
+        out.graph, rng.state
 
 
 @pytest.mark.parametrize("args, pinned", ANNEAL_PINS)
@@ -353,10 +384,7 @@ def reference_exhaustive(n, s, t):
     pairs = list(combinations(range(n), 2))
     out = []
     for mask in range(1 << len(pairs)):
-        g = GraphColoring(n)
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                g.set_edge(u, v, True)
+        g = from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
         if count_violations(g, s, t) == 0:
             out.append(g)
     return out
@@ -397,26 +425,26 @@ def test_census_confidence_monotone():
 
 def test_canonical_form_isomorphism_invariance():
     g = cycle5()
-    relabeled = GraphColoring.from_edges(5, [(2, 4), (4, 1), (1, 3), (3, 0), (0, 2)])
+    relabeled = from_edges(5, [(2, 4), (4, 1), (1, 3), (3, 0), (0, 2)])
     assert canonical_form(g) == canonical_form(relabeled)
 
 
 def test_canonical_form_complement_pairing():
     g = cycle5()  # self-complementary
-    assert canonical_form(g) == canonical_form(g.complement())
+    assert canonical_form(g) == canonical_form(complement(g))
     # complement pairing also holds for non-self-complementary graphs
-    path = GraphColoring.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert canonical_form(path) == canonical_form(path.complement())
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert canonical_form(path) == canonical_form(complement(path))
 
 
 def test_canonical_form_separates_nonisomorphic():
-    p3 = GraphColoring.from_edges(3, [(0, 1), (1, 2)])
+    p3 = from_edges(3, [(0, 1), (1, 2)])
     k3 = complete(3)
     assert canonical_form(p3) != canonical_form(k3)
 
 
 def relabeled(g, perm):
-    return GraphColoring.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+    return from_edges(len(g), [(perm[u], perm[v]) for u, v in edges(g)])
 
 
 def shuffled(n, rng):
@@ -436,7 +464,7 @@ def test_canonical_form_counts_classes_up_to_complement():
         pairs = list(combinations(range(n), 2))
         forms = set()
         for mask in range(1 << len(pairs)):
-            forms.add(canonical_form(GraphColoring.from_edges(
+            forms.add(canonical_form(from_edges(
                 n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])))
         counts.append(len(forms))
     assert counts == [1, 1, 2, 6, 18, 78]
@@ -446,10 +474,10 @@ def test_canonical_form_invariant_on_random_graphs():
     rng = SplitMix64(44)
     for n in (6, 8, 17):
         for _ in range(10):
-            g = GraphColoring.random(n, rng)
+            g = random_graph(n, rng)
             form = canonical_form(g)
             assert canonical_form(relabeled(g, shuffled(n, rng))) == form
-            assert canonical_form(g.complement()) == form
+            assert canonical_form(complement(g)) == form
 
 
 def cycles(*lengths):
@@ -457,20 +485,20 @@ def cycles(*lengths):
     for k in lengths:
         edges += [(base + i, base + (i + 1) % k) for i in range(k)]
         base += k
-    return GraphColoring.from_edges(base, edges)
+    return from_edges(base, edges)
 
 
 def test_canonical_form_regular_graphs_that_refinement_cannot_split():
     # Every vertex has the same degree, so refinement leaves one cell, yet
     # the vertices are not all alike: the form must not depend on which
     # vertex the search happens to individualize first.
-    frucht = GraphColoring.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [
+    frucht = from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [
         (0, 7), (1, 11), (2, 10), (3, 5), (4, 9), (6, 8)])  # cubic, no symmetry
     rng = SplitMix64(45)
     for g in (cycles(3, 4), cycles(3, 5), cycles(4, 5), cycles(3, 3, 4), cycles(3, 4, 5, 6), frucht):
         form = canonical_form(g)
         for _ in range(10):
-            assert canonical_form(relabeled(g, shuffled(g.n, rng))) == form
+            assert canonical_form(relabeled(g, shuffled(len(g), rng))) == form
     assert canonical_form(cycles(3, 4)) != canonical_form(cycles(7))
 
 
@@ -485,16 +513,19 @@ def test_canonical_form_symmetric_graphs_on_24_vertices():
         [(3 * i + a, 3 * i + b) for i in range(8) for a, b in ((0, 1), (0, 2), (1, 2))],  # 8 K3
         [(u, v) for u in range(12) for v in range(12, 24)],  # K12,12
     ):
-        g = GraphColoring.from_edges(24, edges)
+        g = from_edges(24, edges)
         form = canonical_form(g)
-        assert canonical_form(g.complement()) == form
+        assert canonical_form(complement(g)) == form
         assert canonical_form(relabeled(g, affine)) == form
 
 
 def test_canonical_form_vertex_limit():
-    canonical_form(GraphColoring(24))
+    canonical_form([0] * 24)
+    canonical_form([0])
     with pytest.raises(ValueError, match="at most 24 vertices"):
-        canonical_form(GraphColoring(25))
+        canonical_form([0] * 25)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        canonical_form([])
 
 
 def test_graph_text_round_trip():
