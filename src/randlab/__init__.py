@@ -17,7 +17,7 @@ Expected failures are typed: ValueError for bad input, OSError for I/O
 search that ran out; any other RuntimeError is a broken invariant.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .rng import SplitMix64, derive_stream
 

@@ -7,10 +7,11 @@ documents differ, while equal residues on every round make inequality
 extremely unlikely (a difference of n-byte documents has at most
 8n / log2(10**9 + 1) prime divisors above 10**9, compared with the tens of
 millions of primes in the interval).  A ``verify`` or ``localize`` call
-draws all its primes from one ``prime_sampler``.  ``verify`` draws every
-round's prime up front, and each side is asked once for its document's
-residue modulo the product of the primes; a round's residue is that remainder mod its
-prime, since each prime divides the product.  ``residue`` reduces a long
+draws all its primes from one ``prime_sampler``, up front, once a call.
+``verify`` asks each side once for its document's residue modulo the
+product of the primes; a round's residue is that remainder mod its prime,
+since each prime divides the product.  ``localize`` asks each side once a
+probe, modulo the product of the distinct primes.  ``residue`` reduces a long
 byte range by a multiply-accumulate over fixed-size chunks, each times its
 weight 256**(chunk bytes * place) mod the modulus, and one short division
 of the sum, so no int the size of the document is built.  Corrupted
@@ -318,12 +319,19 @@ def localize(local, remote, rounds_per_probe: int, rng: SplitMix64,
     """Bisect down to the corrupted bytes; returns (offset, length=1) ranges.
 
     Both oracles fingerprint the same byte ranges (big-endian value of the
-    range alone), bisecting any range whose residues disagree.  Each probe
-    uses ``rounds_per_probe`` fresh primes, stopping at the first unequal
-    pair, so a corruption escapes notice only with the per-probe
-    false-match probability.  Probes run depth first from the whole
-    document: a range's left half, and every probe inside it, comes before
-    its right half, so the ranges come out in offset order.
+    range alone), bisecting any range whose residues disagree.  The call
+    draws its ``rounds_per_probe`` primes once, before the first probe, and
+    each probe asks each side once for the range's residue modulo M, the
+    product of the distinct primes: a single ``Q`` over the wire.  Equal
+    residues mean every prime divides the range's difference, the event in
+    which a round-by-round probe with these primes would match, so a
+    corruption escapes notice only with the per-probe false-match
+    probability.  Until a false match the probed ranges are the bisection
+    tree of the true corruptions, fixed before any draw, so a union bound
+    over the probes bounds the call's error as with fresh primes a probe.
+    Probes run depth first from the whole document: a range's left half,
+    and every probe inside it, comes before its right half, so the ranges
+    come out in offset order.
     """
     check_rounds("rounds_per_probe", rounds_per_probe)
     if remote.length() != (n := local.length()):
@@ -331,19 +339,12 @@ def localize(local, remote, rounds_per_probe: int, rng: SplitMix64,
     if not n:  # nothing to probe, so no sampler and no draw
         return []
     draw = prime_sampler(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
-
-    def probe_mismatch(offset: int, length: int) -> bool:
-        for _ in range(rounds_per_probe):
-            p = draw()
-            if local.residue(offset, length, p) != remote.residue(offset, length, p):
-                return True
-        return False
-
+    modulus = math.lcm(*(draw() for _ in range(rounds_per_probe)))
     found: list[tuple[int, int]] = []
     pending = [(0, n)]  # ranges still to probe, last first
     while pending:
         offset, length = pending.pop()
-        if not probe_mismatch(offset, length):
+        if local.residue(offset, length, modulus) == remote.residue(offset, length, modulus):
             continue
         if length == 1:
             found.append((offset, 1))

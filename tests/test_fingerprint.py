@@ -28,7 +28,13 @@ from randlab.fingerprint import (
     structural_bound,
     verify,
 )
-from randlab.primality import MAX_PRIME_BITS, MAX_ROUNDS, is_probable_prime, random_prime_in
+from randlab.primality import (
+    MAX_PRIME_BITS,
+    MAX_ROUNDS,
+    is_probable_prime,
+    prime_sampler,
+    random_prime_in,
+)
 from randlab.rng import SplitMix64
 from test_primality import sieve
 
@@ -413,8 +419,8 @@ def test_localize_single_corruption():
     local, remote = make_docs(1024, [700])
     ranges = localize(local, remote, 2, SplitMix64(11))
     assert ranges == [(700, 1)]
-    # Message budget: one root probe plus two probes per bisection level.
-    assert remote.queries <= 2 * 10 * 2 + 2
+    # One root probe plus both halves at each of the 10 bisection levels.
+    assert remote.queries == 1 + 2 * 10
 
 
 def test_localize_two_corruptions():
@@ -422,6 +428,53 @@ def test_localize_two_corruptions():
     ranges = localize(local, remote, 2, SplitMix64(7))
     assert ranges == [(3, 1), (900, 1)]
     assert remote.queries >= 2
+
+
+@pytest.mark.parametrize("corrupt_at", [[], [700], [3, 900]])
+def test_localize_over_wire_sends_one_query_a_probe(corrupt_at):
+    local, remote = make_docs(1024, corrupt_at)
+    rng = SplitMix64(7)
+    ranges = localize(local, remote, 3, rng)
+    wire = Wire(remote)
+    wire_local, wire_rng = LocalOracle(local.data), SplitMix64(7)
+    assert localize(wire_local, StreamOracle(wire, wire), 3, wire_rng) == ranges
+    assert wire_rng.state == rng.state
+    # Every probe is one Q, and all of them name the call's one modulus.
+    assert wire.queries == wire_local.queries == local.queries
+    assert len({request.split()[3] for request in wire.requests}) == 1
+    assert ranges == [(i, 1) for i in corrupt_at]
+
+
+@pytest.mark.parametrize("corrupt_at", [[], [3, 900]])
+@pytest.mark.parametrize("rounds", [1, 10])
+def test_localize_draws_its_primes_once_a_call(corrupt_at, rounds):
+    local, remote = make_docs(1024, corrupt_at)
+    rng, ref_rng = SplitMix64(21), SplitMix64(21)
+    localize(local, remote, rounds, rng)
+    draw = prime_sampler(DEFAULT_PRIME_LO, DEFAULT_PRIME_HI, PRIME_DRAW_ROUNDS, ref_rng)
+    for _ in range(rounds):
+        draw()
+    assert rng.state == ref_rng.state
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_localize_false_match_rate_per_probe(rounds):
+    # 1-byte documents 0 and 21 = 3 * 7 against the 14 primes of (2, 50):
+    # a probe matches falsely exactly when every prime of the call is 3 or
+    # 7, with probability q = (2/14)**rounds, as with fresh primes a probe.
+    # A product of the primes with a repeat (3 * 3 = 9 does not divide 21)
+    # would give 2/14**2 at 2 rounds, half the rate.  Over N seeded calls
+    # the count X of false matches is Binomial(N, q).  By the Chernoff bound
+    # P(|X - Nq| >= d Nq) <= 2 exp(-d**2 Nq / 3), with d = 0.25 and
+    # Nq >= 408, a set of seeds misses the window with probability below
+    # 2 exp(-8.5) < 5e-4.
+    calls = 20_000
+    q = Fraction(2, sum(sieve(50)[3:])) ** rounds
+    assert q == Fraction(1, 7) ** rounds
+    local, remote = LocalOracle(b"\x00"), LocalOracle(b"\x15")
+    false_matches = sum(localize(local, remote, rounds, SplitMix64(seed), 2, 50) == []
+                        for seed in range(calls))
+    assert abs(false_matches - calls * q) <= 0.25 * calls * q
 
 
 def test_localize_identical_documents_empty():
@@ -448,14 +501,17 @@ def test_localize_odd_length_document():
 
 def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PRIME_LO,
                        prime_hi=DEFAULT_PRIME_HI):
-    """Recursive localize: probe the whole document, then descend into each
-    half whose probe mismatches, the left half before the right."""
+    """Recursive localize: draw the call's primes, then probe the whole
+    document round by round, one prime a round, and descend into each half
+    whose probe mismatches, the left half before the right."""
+    primes = []
+    if local.length():
+        primes = [random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
+                  for _ in range(rounds_per_probe)]
+
     def probe_mismatch(offset, length):
-        for _ in range(rounds_per_probe):
-            p = random_prime_in(prime_lo, prime_hi, PRIME_DRAW_ROUNDS, rng)
-            if local.residue(offset, length, p) != remote.residue(offset, length, p):
-                return True
-        return False
+        return any(local.residue(offset, length, p) != remote.residue(offset, length, p)
+                   for p in primes)
 
     found = []
 
@@ -477,11 +533,12 @@ def reference_localize(local, remote, rounds_per_probe, rng, prime_lo=DEFAULT_PR
 def test_localize_matches_recursive_reference():
     # One round a probe over the primes below 50 matches a corrupted range
     # falsely about one time in eleven, so some corrupted bytes go unfound.
+    # Two rounds there sometimes draw one prime twice.
     missed = 0
     for length in (1, 2, 3, 4095, 65537):
         data = random.Random(length).randbytes(length)
         for flips in range(1, 9):
-            for rounds, lo, hi in ((3, DEFAULT_PRIME_LO, DEFAULT_PRIME_HI), (1, 2, 50)):
+            for rounds, lo, hi in ((3, DEFAULT_PRIME_LO, DEFAULT_PRIME_HI), (1, 2, 50), (2, 2, 50)):
                 seed = length * 100 + flips * 2 + rounds
                 pick = random.Random(seed)
                 corrupted = bytearray(data)
